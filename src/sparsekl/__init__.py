@@ -20,6 +20,7 @@ from .finite_oracle import (
     FiniteModel,
     augmentation_gap,
     check_finite_equivalence,
+    collapsed_bound_dense,
     deterministic_union_kl,
     exact_posterior,
     extend_approx,

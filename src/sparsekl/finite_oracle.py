@@ -48,6 +48,7 @@ __all__ = [
     "ApproxPosterior",
     "exact_posterior",
     "log_marginal_likelihood",
+    "collapsed_bound_dense",
     "extend_approx",
     "titsias_kl",
     "full_kl",
@@ -163,6 +164,27 @@ def log_marginal_likelihood(m: FiniteModel) -> float:
     data = np.asarray(m.data_idx, dtype=int)
     cov = m.prior.cov[np.ix_(data, data)] + m.noise_var * np.eye(len(data))
     return mvn_logpdf(GaussianDist(m.prior.mean[data], cov), m.Y)
+
+
+def collapsed_bound_dense(m: FiniteModel) -> float:
+    """Collapsed bound by brute force over the data set D.
+
+        log N(Y | m_D, Qff + noise_var I) - tr(K_DD - Qff) / (2 noise_var)
+
+    with ``Qff = K_DZ K_ZZ^-1 K_ZD`` read off the prior covariance and the
+    n x n density evaluated directly.  The independent route for
+    :func:`sparsekl.svgp.collapsed_bound`, which never forms Qff.
+    """
+    data = np.asarray(m.data_idx, dtype=int)
+    z = np.asarray(m.inducing_idx, dtype=int)
+    K = m.prior.cov
+    Lzz, _ = _chol_with_fallback(K[np.ix_(z, z)])
+    A = solve_triangular(Lzz, K[np.ix_(z, data)], lower=True)
+    Qff = A.T @ A
+    fit = mvn_logpdf(
+        GaussianDist(m.prior.mean[data], Qff + m.noise_var * np.eye(len(data))), m.Y
+    )
+    return fit - float(np.trace(K[np.ix_(data, data)] - Qff)) / (2.0 * m.noise_var)
 
 
 def _extend_within(prior: GaussianDist, q_u: GaussianDist, positions) -> GaussianDist:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln, log_ndtr
 
-from .gaussians import GaussianDist, _chol_with_fallback, mvn_kl, mvn_logpdf
+from .gaussians import GaussianDist, _chol_with_fallback, mvn_kl
 from .interdomain import (
     assemble_Kuf,
     assemble_Kuu,
@@ -296,31 +296,50 @@ def elbo(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER) -> flo
     return ell - mvn_kl(state.q_dist(), state.prior_dist())
 
 
+def _collapsed_factors(features, kernel: Kernel, X, Y, noise_var: float):
+    """Validated inputs and the whitened factors both collapsed routines share.
+
+    With ``Luu`` the (jittered) Cholesky factor of Kuu, the same one
+    :func:`predictive_marginals` and the KL term use:
+
+        A  = Luu^-1 Kuf                      (M x n)
+        LB = chol(I + A A^T / noise_var)     (M x M)
+        c  = LB^-1 A r / noise_var,          r = Y - m_X
+
+    Returns ``(r, Luu, A, LB, c)``.  Nothing larger than M x n is formed.
+    """
+    noise = GaussianNoise(noise_var)
+    X = as_points(X, kernel.input_dim)
+    Y = noise.validate_targets(Y)
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} targets")
+    Luu, _ = _chol_with_fallback(assemble_Kuu(features, kernel))
+    A = solve_triangular(Luu, assemble_Kuf(features, kernel, X), lower=True)
+    LB = np.linalg.cholesky(np.eye(A.shape[0]) + (A @ A.T) / noise.noise_var)
+    r = Y - kernel.mean_const
+    c = solve_triangular(LB, A @ r, lower=True) / noise.noise_var
+    return r, Luu, A, LB, c
+
+
 def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> GaussianDist:
     """Optimal q(u) for Gaussian noise, in closed form.
 
-    With B = Kuu + Kuf Kfu / noise_var:
+    With B = Kuu + Kuf Kfu / noise_var = Luu LB LB^T Luu^T (see
+    :func:`_collapsed_factors`):
 
-        S_opt = Kuu B^-1 Kuu
-        m_opt = m_u + Kuu B^-1 Kuf (Y - m_X) / noise_var
+        S_opt = Kuu B^-1 Kuu = Luu LB^-T LB^-1 Luu^T
+        m_opt = m_u + Kuu B^-1 Kuf (Y - m_X) / noise_var = m_u + Luu LB^-T c
 
-    Assembled from Cholesky solves against B.
+    Built on the same factor of Kuu as :func:`collapsed_bound` and
+    :func:`elbo`, so the elbo at this q equals the collapsed bound even
+    when Kuu needs jitter.  O(n M^2) time, O(n M) memory.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
-    X = as_points(X, kernel.input_dim)
-    Y = np.atleast_1d(np.asarray(Y, dtype=float))
-    Kuu = assemble_Kuu(features, kernel)
-    Kuf = assemble_Kuf(features, kernel, X)
-    B = Kuu + (Kuf @ Kuf.T) / noise_var
-    LB, _ = _chol_with_fallback(B)
-    T = solve_triangular(LB, Kuu, lower=True)
-    S_opt = T.T @ T
-    resid = (Y - kernel.mean_const) / noise_var
-    m_opt = feature_prior_mean(features, kernel) + Kuu @ cho_solve(
-        (LB, True), Kuf @ resid
+    _, Luu, _, LB, c = _collapsed_factors(features, kernel, X, Y, noise_var)
+    half = solve_triangular(LB, Luu.T, lower=True)
+    m_opt = feature_prior_mean(features, kernel) + Luu @ solve_triangular(
+        LB.T, c, lower=False
     )
-    return GaussianDist(m_opt, S_opt)
+    return GaussianDist(m_opt, half.T @ half)
 
 
 def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
@@ -328,24 +347,25 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
 
         log N(Y | m_X, Qff + noise_var I) - tr(Kff - Qff) / (2 noise_var)
 
-    with ``Qff = Kfu Kuu^-1 Kuf``.  Equals the elbo at the optimal q(u),
-    and the exact log marginal likelihood when the features interpolate
-    the data exactly.
+    with ``Qff = Kfu Kuu^-1 Kuf = A^T A``.  Equals the elbo at the optimal
+    q(u), and the exact log marginal likelihood when the features
+    interpolate the data exactly.  Evaluated in the whitened factors of
+    :func:`_collapsed_factors` by Woodbury and the matrix determinant
+    lemma:
+
+        -1/2 (n log(2 pi noise_var) + 2 sum log diag LB
+              + r^T r / noise_var - c^T c)
+        - (n kff - ||A||_F^2) / (2 noise_var)
+
+    O(n M^2) time, O(n M) memory; no n x n matrix is formed.
     """
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be positive, got {noise_var}")
-    X = as_points(X, kernel.input_dim)
-    Y = np.atleast_1d(np.asarray(Y, dtype=float))
-    n = X.shape[0]
-    if Y.shape[0] != n:
-        raise ValueError(f"{n} inputs but {Y.shape[0]} targets")
-    Kuu = assemble_Kuu(features, kernel)
-    Luu, _ = _chol_with_fallback(Kuu)
-    Kuf = assemble_Kuf(features, kernel, X)
-    A = solve_triangular(Luu, Kuf, lower=True)
-    Qff = A.T @ A
-    fit = mvn_logpdf(
-        GaussianDist(np.full(n, kernel.mean_const), Qff + noise_var * np.eye(n)), Y
+    r, _, A, LB, c = _collapsed_factors(features, kernel, X, Y, noise_var)
+    n = r.shape[0]
+    fit = -0.5 * (
+        n * math.log(2.0 * math.pi * noise_var)
+        + 2.0 * float(np.sum(np.log(np.diag(LB))))
+        + float(r @ r) / noise_var
+        - float(c @ c)
     )
     trace_term = (n * kernel.variance - float(np.sum(A * A))) / (2.0 * noise_var)
     return fit - trace_term

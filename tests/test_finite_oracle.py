@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
@@ -18,6 +20,7 @@ from sparsekl.finite_oracle import (
     FiniteModel,
     augmentation_gap,
     check_finite_equivalence,
+    collapsed_bound_dense,
     deterministic_union_kl,
     exact_posterior,
     extend_approx,
@@ -34,8 +37,15 @@ from sparsekl.gaussians import (
     mvn_kl,
     mvn_marginal,
 )
+from sparsekl.interdomain import PointFeature
 from sparsekl.kernels import Kernel
-from sparsekl.verify import REGIMES, random_finite_instance, random_gaussian_pair
+from sparsekl.svgp import collapsed_bound
+from sparsekl.verify import (
+    EQUIVALENCE_RTOL,
+    REGIMES,
+    random_finite_instance,
+    random_gaussian_pair,
+)
 
 # log evidence of one observation y=0 under prior N(0,1) and unit noise:
 # log N(0; 0, 2)
@@ -154,6 +164,22 @@ class TestThreeWayEquivalence:
         q = ApproxPosterior(GaussianDist([0.0], [[1.0]]))
         with pytest.raises(ValueError, match="kernel"):
             check_finite_equivalence(m, q)
+
+
+class TestCollapsedBoundRoutes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.sampled_from(REGIMES))
+    def test_whitened_bound_matches_dense_oracle(self, seed, regime):
+        m, _ = random_finite_instance(seed, regime)
+        z = np.asarray(m.inducing_idx, dtype=int)
+        data = np.asarray(m.data_idx, dtype=int)
+        feats = tuple(PointFeature(loc) for loc in m.X[z])
+        dense = collapsed_bound_dense(m)
+        sparse = collapsed_bound(feats, m.kernel, m.X[data], m.Y, m.noise_var)
+        assert sparse == pytest.approx(dense, rel=EQUIVALENCE_RTOL)
+        if regime == "equal":
+            # inducing set = data set: Qff = K_DD, so the bound is the evidence
+            assert dense == pytest.approx(log_marginal_likelihood(m), rel=EQUIVALENCE_RTOL)
 
 
 class TestExtension:

@@ -7,6 +7,7 @@ finite world.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sparsekl.finite_oracle import (
     exact_posterior,
     log_marginal_likelihood,
 )
-from sparsekl.gaussians import GaussianDist
+from sparsekl.gaussians import GaussianDist, _chol_with_fallback
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature
 from sparsekl.kernels import Kernel, kernel_matrix
 from sparsekl.svgp import (
@@ -364,6 +365,53 @@ class TestCollapsed:
         assert collapsed_bound(feats, k, X, Y, noise) == pytest.approx(
             logz, abs=1e-8 * (1 + abs(logz))
         )
+
+
+    def test_optimal_q_attains_bound_under_ill_conditioned_Kuu(self):
+        # 20 features on [0, 1] at l=0.3: cond(Kuu) ~ 1e17, so Kuu needs jitter
+        rng = np.random.default_rng(0)
+        k = Kernel(variance=1.0, lengthscales=0.3)
+        X = np.sort(rng.uniform(0.0, 1.0, 1000))
+        Y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(1000)
+        feats = tuple(PointFeature([z]) for z in np.linspace(0.0, 1.0, 20))
+        q_u = collapsed_optimal_q(feats, k, X, Y, 0.1)
+        state = SVGPState(
+            features=feats,
+            q_mean=q_u.mean,
+            q_chol=_chol_with_fallback(q_u.cov)[0],
+            kernel=k,
+            likelihood=GaussianNoise(0.1),
+        )
+        bound = collapsed_bound(feats, k, X, Y, 0.1)
+        assert abs(elbo(state, X, Y) - bound) <= 1e-3
+
+    def test_memory_is_linear_in_n(self):
+        rng = np.random.default_rng(1)
+        k = Kernel(variance=1.0, lengthscales=0.1)
+        X = rng.uniform(0.0, 1.0, 4000)
+        Y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(4000)
+        feats = tuple(PointFeature([z]) for z in np.linspace(0.0, 1.0, 20))
+        tracemalloc.start()
+        try:
+            collapsed_bound(feats, k, X, Y, 0.1)
+            collapsed_optimal_q(feats, k, X, Y, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 4000 x 4000 float64 matrix alone is 122 MiB
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("fn", [collapsed_bound, collapsed_optimal_q])
+    def test_bad_inputs_raise_named_errors(self, fn):
+        k, X, Y, noise, feats = self._instance(0, n=10)
+        with pytest.raises(ValueError, match="10 inputs but 9 targets"):
+            fn(feats, k, X, Y[:9], noise)
+        Y_nan = Y.copy()
+        Y_nan[4] = np.nan
+        with pytest.raises(ValueError, match="targets must be finite"):
+            fn(feats, k, X, Y_nan, noise)
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            fn(feats, k, X, Y, 0.0)
 
 
 class TestCheckpoint:
