@@ -45,7 +45,7 @@ from .svgp import (
 )
 from .verify import run_verification
 
-__all__ = ["main", "ConfigError", "DataError", "VerificationFailure"]
+__all__ = ["main", "ConfigError", "DataError"]
 
 TASKS = ("fit-regression", "fit-classification", "fit-cox", "verify", "generate")
 
@@ -61,10 +61,6 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    pass
-
-
-class VerificationFailure(RuntimeError):
     pass
 
 
@@ -701,9 +697,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except NotPositiveDefiniteError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -20,18 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .gaussians import mvn_kl
+from .interdomain import _gl_nodes
 from .kernels import as_points
 from .svgp import SVGPState, gauss_hermite_expectation, predictive_marginals
-
-
-@lru_cache(maxsize=16)
-def _gl_nodes(order):
-    return np.polynomial.legendre.leggauss(order)
 
 __all__ = [
     "CoxModel",

@@ -5,10 +5,11 @@ either a point evaluation ``u = f(z)`` or a Gaussian-window average
 
     u = integral N(s; center, diag(widths^2)) f(s) ds,
 
-with the window normalized as a probability density.  For the
-squared-exponential kernel both the feature/point and feature/feature
-covariances have closed forms; adaptive quadrature versions are kept
-alongside as an independent check.
+with the window normalized as a probability density.  A point
+evaluation is the zero-width limit of such a window, so for the
+squared-exponential kernel one broadcast closed form gives every
+feature/point and feature/feature covariance, points and windows alike.
+Adaptive quadrature versions are kept alongside as an independent check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, as_points, kernel_matrix
+from .kernels import Kernel, as_points
 
 __all__ = [
     "PointFeature",
@@ -92,73 +93,80 @@ def _check_dim(feature, kernel: Kernel):
         )
 
 
-def feature_point_cov(feature, kernel: Kernel, X) -> np.ndarray:
-    """Covariances ``cov(u, f(x))`` for each row x of ``X``.
+def _stack(features, kernel: Kernel):
+    """Centres and widths of ``features`` as two (M, d) arrays.
 
-    For a Gaussian window the squared-exponential integral contracts to
-    another squared exponential with per-dimension scale
-    ``lengthscale^2 + width^2``.
+    A point evaluation is the zero-width limit of a window: width 0.
     """
-    _check_dim(feature, kernel)
-    X = as_points(X, kernel.input_dim)
-    if isinstance(feature, PointFeature):
-        return kernel_matrix(kernel, feature.location[None, :], X)[0]
-    if isinstance(feature, GaussianWindowFeature):
-        ell2 = kernel.lengthscales**2
-        comb = ell2 + feature.widths**2
-        scale = np.prod(np.sqrt(ell2 / comb))
-        diff2 = (feature.center[None, :] - X) ** 2
-        return kernel.variance * scale * np.exp(-0.5 * np.sum(diff2 / comb, axis=1))
-    raise TypeError(f"unknown feature type {type(feature).__name__}")
-
-
-def feature_feature_cov(f1, f2, kernel: Kernel) -> float:
-    """Covariance ``cov(u1, u2)`` between two features.
-
-    Window/window pairs combine widths as ``lengthscale^2 + w1^2 + w2^2``.
-    """
-    _check_dim(f1, kernel)
-    _check_dim(f2, kernel)
-    if isinstance(f1, PointFeature) and isinstance(f2, PointFeature):
-        return float(
-            kernel_matrix(kernel, f1.location[None, :], f2.location[None, :])[0, 0]
-        )
-    if isinstance(f1, PointFeature):
-        return float(feature_point_cov(f2, kernel, f1.location[None, :])[0])
-    if isinstance(f2, PointFeature):
-        return float(feature_point_cov(f1, kernel, f2.location[None, :])[0])
-    ell2 = kernel.lengthscales**2
-    comb = ell2 + f1.widths**2 + f2.widths**2
-    scale = np.prod(np.sqrt(ell2 / comb))
-    diff2 = (f1.center - f2.center) ** 2
-    return float(kernel.variance * scale * np.exp(-0.5 * np.sum(diff2 / comb)))
-
-
-def assemble_Kuu(features, kernel: Kernel) -> np.ndarray:
-    """Feature/feature covariance matrix, symmetrized exactly."""
-    M = len(features)
-    if M == 0:
+    if len(features) == 0:
         raise ValueError("need at least one inducing feature")
-    if all(isinstance(g, PointFeature) for g in features):
-        Z = np.vstack([g.location for g in features])
-        return kernel_matrix(kernel, Z, Z)
-    K = np.empty((M, M))
-    for i in range(M):
-        for j in range(i, M):
-            K[i, j] = feature_feature_cov(features[i], features[j], kernel)
-            K[j, i] = K[i, j]
+    zero = np.zeros(kernel.input_dim)
+    rows = []
+    for g in features:
+        if isinstance(g, PointFeature):
+            rows.append((g.location, zero))
+        elif isinstance(g, GaussianWindowFeature):
+            rows.append((g.center, g.widths))
+        else:
+            raise TypeError(f"unknown feature type {type(g).__name__}")
+        _check_dim(g, kernel)
+    centres, widths = zip(*rows)
+    return np.array(centres), np.array(widths)
+
+
+def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
+    """Squared exponential between ``A`` and ``B`` with squared scales ``comb``.
+
+    Broadcasts and reduces over the last axis.  For points ``comb`` is
+    ``lengthscale^2``, whose square root is the lengthscale exactly, so
+    ``scale`` is 1.0 and the result is bit-identical to
+    :func:`kernel_matrix`.  Work is done in place because each fresh
+    (M, n) temporary costs as much as the arithmetic on it.
+    """
+    root = np.sqrt(comb)
+    scale = np.prod(kernel.lengthscales / root, axis=-1)
+    t = A - B
+    t /= root
+    t *= t
+    K = np.sum(t, axis=-1)
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= kernel.variance * scale
     return K
 
 
+def feature_point_cov(feature, kernel: Kernel, X) -> np.ndarray:
+    """Covariances ``cov(u, f(x))`` for each row x of ``X``."""
+    return assemble_Kuf([feature], kernel, X)[0]
+
+
+def feature_feature_cov(f1, f2, kernel: Kernel) -> float:
+    """Covariance ``cov(u1, u2)`` between two features."""
+    return float(assemble_Kuu([f1, f2], kernel)[0, 1])
+
+
+def assemble_Kuu(features, kernel: Kernel) -> np.ndarray:
+    """Feature/feature covariance matrix, exactly symmetric.
+
+    Pairs combine as ``lengthscale^2 + (w1^2 + w2^2)``; adding the widths
+    first keeps the sum independent of the order of the pair.
+    """
+    C, W = _stack(features, kernel)
+    W2 = W * W
+    comb = kernel.lengthscales**2 + (W2[:, None, :] + W2[None, :, :])
+    return _se_cov(kernel, C[:, None, :], C[None, :, :], comb)
+
+
 def assemble_Kuf(features, kernel: Kernel, X) -> np.ndarray:
-    """Feature/point covariance matrix, one row per feature."""
-    if len(features) == 0:
-        raise ValueError("need at least one inducing feature")
+    """Feature/point covariance matrix, one row per feature.
+
+    A window of width ``w`` contracts the kernel to a squared exponential
+    with per-dimension squared scale ``lengthscale^2 + w^2``.
+    """
+    C, W = _stack(features, kernel)
     X = as_points(X, kernel.input_dim)
-    if all(isinstance(g, PointFeature) for g in features):
-        Z = np.vstack([g.location for g in features])
-        return kernel_matrix(kernel, Z, X)
-    return np.vstack([feature_point_cov(g, kernel, X) for g in features])
+    comb = kernel.lengthscales**2 + W * W
+    return _se_cov(kernel, C[:, None, :], X[None, :, :], comb[:, None, :])
 
 
 def feature_prior_mean(features, kernel: Kernel) -> np.ndarray:
@@ -172,7 +180,7 @@ def feature_prior_mean(features, kernel: Kernel) -> np.ndarray:
     return np.full(len(features), kernel.mean_const)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _gl_nodes(order):
     return np.polynomial.legendre.leggauss(order)
 

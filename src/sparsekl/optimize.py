@@ -211,10 +211,6 @@ class OptimizeResult:
     converged: bool
     records: tuple
 
-    def trace_rows(self) -> list:
-        """Rows (iter, objective, step_scale, grad_norm) for the trace file."""
-        return list(self.records)
-
 
 def maximize(
     objective,

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from sparsekl import cli
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
 from sparsekl.cox import sample_inhomogeneous_pp
 from sparsekl.svgp import elbo, load_checkpoint
@@ -368,3 +369,27 @@ class TestVerifyTask:
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["all_pass"] is True
         assert len(report["instances"]) == 5
+
+    def test_failing_report_exits_verify_code(self, tmp_path, capsys, monkeypatch):
+        def failing_report(seed, n_instances):
+            return {
+                "all_pass": False,
+                "max_equivalence_diff": 1.0,
+                "max_chain_residual": 0.0,
+                "instances": [
+                    {"instance_seed": 11, "pass": True},
+                    {"instance_seed": 12, "pass": False},
+                    {"instance_seed": 13, "pass": False},
+                ],
+            }
+
+        monkeypatch.setattr(cli, "run_verification", failing_report)
+        cfg = write_config(
+            tmp_path,
+            "v.json",
+            {"out": str(tmp_path / "v"), "seed": 0, "verify": {"instances": 3}},
+        )
+        assert main(["verify", "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert "failing instance seeds: [12, 13]" in captured.err

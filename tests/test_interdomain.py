@@ -128,15 +128,34 @@ def test_exchange_symmetry():
     )
 
 
-def test_assembled_matrices():
+@pytest.mark.parametrize(
+    "lengthscales, feats",
+    [
+        (
+            [0.8],
+            (
+                PointFeature([0.0]),
+                GaussianWindowFeature(center=[0.5], widths=[0.4]),
+                PointFeature([1.5]),
+            ),
+        ),
+        (
+            [0.8, 0.3],
+            (
+                GaussianWindowFeature(center=[0.1, 0.7], widths=[0.4, 0.05]),
+                PointFeature([0.0, 0.2]),
+                GaussianWindowFeature(center=[0.9, -0.3], widths=[0.2, 0.6]),
+                PointFeature([1.5, 0.4]),
+                GaussianWindowFeature(center=[0.1, 0.7], widths=[0.3, 0.1]),
+            ),
+        ),
+    ],
+    ids=["1d", "2d-mixed"],
+)
+def test_assembled_matrices(lengthscales, feats):
     rng = np.random.default_rng(4)
-    k = Kernel(variance=1.1, lengthscales=[0.8])
-    feats = (
-        PointFeature([0.0]),
-        GaussianWindowFeature(center=[0.5], widths=[0.4]),
-        PointFeature([1.5]),
-    )
-    X = rng.uniform(-1, 2, size=(6, 1))
+    k = Kernel(variance=1.1, lengthscales=lengthscales)
+    X = rng.uniform(-1, 2, size=(6, len(lengthscales)))
     Kuu = assemble_Kuu(feats, k)
     Kuf = assemble_Kuf(feats, k, X)
     np.testing.assert_array_equal(Kuu, Kuu.T)
@@ -147,12 +166,14 @@ def test_assembled_matrices():
             assert Kuu[i, j] == pytest.approx(feature_feature_cov(f, g, k), rel=1e-13)
 
 
-def test_all_point_assembly_matches_kernel_matrix():
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2], ids=lambda s: f"scale{s:g}")
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d{d}")
+def test_all_point_assembly_matches_kernel_matrix(d, scale):
     rng = np.random.default_rng(5)
-    k = Kernel(variance=0.8, lengthscales=[1.2, 0.6])
-    Z = rng.uniform(-1, 1, size=(4, 2))
+    k = Kernel(variance=0.8, lengthscales=scale * np.array([1.2, 0.6, 0.9])[:d])
+    Z = scale * rng.uniform(-1, 1, size=(4, d))
     feats = tuple(PointFeature(z) for z in Z)
-    X = rng.uniform(-1, 1, size=(7, 2))
+    X = scale * rng.uniform(-1, 1, size=(7, d))
     np.testing.assert_array_equal(assemble_Kuu(feats, k), kernel_matrix(k, Z, Z))
     np.testing.assert_array_equal(assemble_Kuf(feats, k, X), kernel_matrix(k, Z, X))
 
