@@ -11,6 +11,7 @@ sparse construction relies on can be verified numerically.
 from .cox import (
     CoxModel,
     cox_elbo,
+    cox_elbo_and_grad,
     cox_elbo_terms,
     fitted_intensity,
     sample_inhomogeneous_pp,
@@ -60,6 +61,7 @@ from .optimize import (
     maximize,
     numeric_grad,
     pack,
+    raw_gradient,
     svgp_parameterization,
 )
 from .svgp import (
@@ -70,6 +72,7 @@ from .svgp import (
     collapsed_bound,
     collapsed_optimal_q,
     elbo,
+    elbo_and_grad,
     expected_log_lik,
     gauss_hermite_expectation,
     load_checkpoint,

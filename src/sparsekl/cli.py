@@ -23,7 +23,13 @@ import time
 
 import numpy as np
 
-from .cox import CoxModel, cox_elbo, fitted_intensity, sample_inhomogeneous_pp
+from .cox import (
+    CoxModel,
+    cox_elbo,
+    cox_elbo_and_grad,
+    fitted_intensity,
+    sample_inhomogeneous_pp,
+)
 from .gaussians import NotPositiveDefiniteError, _chol_with_fallback
 from .interdomain import (
     GaussianWindowFeature,
@@ -32,7 +38,7 @@ from .interdomain import (
     feature_prior_mean,
 )
 from .kernels import Kernel
-from .optimize import maximize, svgp_parameterization
+from .optimize import maximize, raw_gradient, svgp_parameterization
 from .svgp import (
     BernoulliProbit,
     GaussianNoise,
@@ -40,6 +46,7 @@ from .svgp import (
     collapsed_bound,
     collapsed_optimal_q,
     elbo,
+    elbo_and_grad,
     predictive_marginals,
     save_checkpoint,
 )
@@ -415,26 +422,37 @@ def _optimizer_settings(cfg):
     }
 
 
-def _run_two_phase(state, objective_of, settings, refine_start=None):
+def _run_two_phase(state, objective_of, gradient_of, settings, refine_start=None):
     """Joint ascent, then a variational-only refinement at fixed hyperparameters.
 
-    ``objective_of`` maps a state to the training objective.  Returns
-    the final state and the concatenated trace rows.  ``refine_start``,
-    when given, maps the post-ascent state to the refinement starting
-    point; it must not decrease the objective (used to jump to the
-    closed-form optimal q under a conjugate likelihood).
+    ``objective_of`` maps a state to the training objective and
+    ``gradient_of`` to its model-space gradient (from ``elbo_and_grad``
+    or ``cox_elbo_and_grad``).  Returns the final state, the
+    concatenated trace rows, the iteration count and the objective and
+    gradient evaluation counts summed over both phases.
+    ``refine_start``, when given, maps the post-ascent state to the
+    refinement starting point; it must not decrease the objective (used
+    to jump to the closed-form optimal q under a conjugate likelihood).
     """
-    x0, rebuild = svgp_parameterization(
-        state, optimize_hypers=True, optimize_features=settings["optimize_features"]
+
+    def ascend(state, max_iters, optimize_hypers, optimize_features=False):
+        x0, rebuild = svgp_parameterization(state, optimize_hypers, optimize_features)
+        result = maximize(
+            lambda pv: objective_of(rebuild(pv)),
+            x0,
+            max_iters=max_iters,
+            tol=settings["tol"],
+            init_step=settings["init_step"],
+            gradient=lambda pv: raw_gradient(pv, gradient_of(rebuild(pv))),
+        )
+        counts["objective_evaluations"] += result.evaluations
+        counts["gradient_evaluations"] += result.gradient_evaluations
+        return rebuild(result.x), result
+
+    counts = {"objective_evaluations": 0, "gradient_evaluations": 0}
+    state, result = ascend(
+        state, settings["max_iters"], True, settings["optimize_features"]
     )
-    result = maximize(
-        lambda pv: objective_of(rebuild(pv)),
-        x0,
-        max_iters=settings["max_iters"],
-        tol=settings["tol"],
-        init_step=settings["init_step"],
-    )
-    state = rebuild(result.x)
     rows = list(result.records)
     iterations = result.iterations
     if refine_start is not None:
@@ -443,21 +461,13 @@ def _run_two_phase(state, objective_of, settings, refine_start=None):
         jump = (rows[-1][0] + 1 if rows else 1, objective_of(state), 0.0, 0.0)
         rows.append(jump)
     if settings["refine_iters"] > 0:
-        x0v, rebuild_v = svgp_parameterization(state, optimize_hypers=False)
-        refine = maximize(
-            lambda pv: objective_of(rebuild_v(pv)),
-            x0v,
-            max_iters=settings["refine_iters"],
-            tol=settings["tol"],
-            init_step=settings["init_step"],
-        )
-        state = rebuild_v(refine.x)
+        state, refine = ascend(state, settings["refine_iters"], False)
         offset = rows[-1][0] if rows else 0
         rows.extend(
             (it + offset, obj, step, gn) for it, obj, step, gn in refine.records
         )
         iterations += refine.iterations
-    return state, rows, iterations
+    return state, rows, iterations, counts
 
 
 def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):
@@ -510,8 +520,12 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
             )
 
     started = time.perf_counter()
-    state, rows, iterations = _run_two_phase(
-        state, lambda s: elbo(s, X, Y), settings, refine_start=refine_start
+    state, rows, iterations, counts = _run_two_phase(
+        state,
+        lambda s: elbo(s, X, Y),
+        lambda s: elbo_and_grad(s, X, Y)[1],
+        settings,
+        refine_start=refine_start,
     )
     wall = time.perf_counter() - started
     final = elbo(state, X, Y)
@@ -524,6 +538,7 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
         "seed": seed,
         "final_elbo": final,
         "iterations": int(iterations),
+        **counts,
         "wall_time_s": wall,
     }
     if task == "fit-regression":
@@ -565,8 +580,11 @@ def _task_fit_cox(cfg, outdir, seed):
     state = _initial_state(features, kernel, None)
     settings = _optimizer_settings(cfg)
     started = time.perf_counter()
-    state, rows, iterations = _run_two_phase(
-        state, lambda s: cox_elbo(s, model), settings
+    state, rows, iterations, counts = _run_two_phase(
+        state,
+        lambda s: cox_elbo(s, model),
+        lambda s: cox_elbo_and_grad(s, model)[1],
+        settings,
     )
     wall = time.perf_counter() - started
     final = cox_elbo(state, model)
@@ -576,9 +594,7 @@ def _task_fit_cox(cfg, outdir, seed):
         axes = [np.linspace(lo, hi, 32) for lo, hi in zip(model.lower, model.upper)]
         grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     intensity = fitted_intensity(state, model, grid)
-    from .cox import legendre_grid
-
-    pts, wts = legendre_grid(model.lower, model.upper, model.quad_orders)
+    pts, wts = model.grid
     integrated = math.fsum(wts * fitted_intensity(state, model, pts))
     summary = {
         "task": "fit-cox",
@@ -588,6 +604,7 @@ def _task_fit_cox(cfg, outdir, seed):
         "final_elbo": final,
         "integrated_intensity": integrated,
         "iterations": int(iterations),
+        **counts,
         "wall_time_s": wall,
     }
     preds = np.column_stack([grid, intensity])

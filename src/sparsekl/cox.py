@@ -20,22 +20,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gaussians import mvn_kl
 from .interdomain import _gl_nodes
 from .kernels import as_points
-from .svgp import SVGPState, gauss_hermite_expectation, predictive_marginals
+from .svgp import (
+    SVGPState,
+    _WhitenedPass,
+    gauss_hermite_expectation,
+    gauss_hermite_expectation_grads,
+    predictive_marginals,
+)
 
 __all__ = [
     "CoxModel",
     "legendre_grid",
     "expected_rate",
     "expected_log_rate",
+    "expected_rate_grads",
+    "expected_log_rate_grads",
     "CoxTerms",
     "cox_elbo_terms",
     "cox_elbo",
+    "cox_elbo_and_grad",
     "fitted_intensity",
     "sample_inhomogeneous_pp",
 ]
@@ -108,6 +117,15 @@ class CoxModel:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
+    @cached_property
+    def grid(self):
+        """Read-only Gauss-Legendre nodes and weights of the integral term,
+        built once per model."""
+        pts, wts = legendre_grid(self.lower, self.upper, self.quad_orders)
+        pts.flags.writeable = False
+        wts.flags.writeable = False
+        return pts, wts
+
 
 def legendre_grid(lower, upper, orders):
     """Tensor-product Gauss-Legendre nodes and weights on a rectangle."""
@@ -162,6 +180,34 @@ def expected_log_rate(link, mu, var):
     raise ValueError(f"unknown link {link!r}")
 
 
+def expected_rate_grads(link, mu, var):
+    """Derivatives of :func:`expected_rate` in ``mu`` and ``var``."""
+    if link == "exp":
+        rate = expected_rate(link, mu, var)
+        return rate, 0.5 * rate
+    if link == "square":
+        return 2.0 * np.asarray(mu, dtype=float), np.ones_like(var, dtype=float)
+    raise ValueError(f"unknown link {link!r}")
+
+
+def expected_log_rate_grads(link, mu, var):
+    """Derivatives of :func:`expected_log_rate` in ``mu`` and ``var``; for
+    the square link, of the same clamped 64-node sum."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    if link == "exp":
+        return np.ones_like(mu), np.zeros_like(var)
+    if link == "square":
+        floor = math.exp(SQUARE_LOG_CLAMP)
+
+        def derivative(f):
+            # 2 / f where the clamp is inactive, 0 where it holds
+            return 2.0 / np.where(f * f > floor, f, np.inf)
+
+        return gauss_hermite_expectation_grads(derivative, mu, var, SQUARE_QUAD_ORDER)
+    raise ValueError(f"unknown link {link!r}")
+
+
 @dataclass(frozen=True)
 class CoxTerms:
     kl_term: float
@@ -169,25 +215,45 @@ class CoxTerms:
     integral_term: float
 
 
-def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
-    """The three pieces of the objective, each summed in a fixed exact order."""
-    kl = mvn_kl(state.q_dist(), state.prior_dist())
-    pts, wts = legendre_grid(model.lower, model.upper, model.quad_orders)
+def _terms_and_pass(state: SVGPState, model: CoxModel):
+    pts, wts = model.grid
     # one predictive pass over events and grid together
-    mu, var = predictive_marginals(state, np.vstack([model.events, pts]))
+    fp = _WhitenedPass(state, np.vstack([model.events, pts]))
+    mu, var = fp.mean, fp.var
     ne = model.n_events
     if ne:
         event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
     else:
         event_term = 0.0
     integral_term = math.fsum(wts * expected_rate(model.link, mu[ne:], var[ne:]))
-    return CoxTerms(kl, event_term, integral_term)
+    return CoxTerms(fp.kl, event_term, integral_term), fp
+
+
+def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
+    """The three pieces of the objective, each summed in a fixed exact order."""
+    return _terms_and_pass(state, model)[0]
 
 
 def cox_elbo(state: SVGPState, model: CoxModel) -> float:
     """Variational objective: ``-kl_term + event_term - integral_term``."""
     t = cox_elbo_terms(state, model)
     return -t.kl_term + t.event_term - t.integral_term
+
+
+def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
+    """:func:`cox_elbo` and its exact gradient, keyed as in
+    :func:`sparsekl.svgp.elbo_and_grad`."""
+    t, fp = _terms_and_pass(state, model)
+    ne = model.n_events
+    mu, var = fp.mean, fp.var
+    ev_mu, ev_var = expected_log_rate_grads(model.link, mu[:ne], var[:ne])
+    rate_mu, rate_var = expected_rate_grads(model.link, mu[ne:], var[ne:])
+    wts = model.grid[1]
+    grads = fp.backward(
+        np.concatenate([ev_mu, -wts * rate_mu]),
+        np.concatenate([ev_var, -wts * rate_var]),
+    )
+    return -t.kl_term + t.event_term - t.integral_term, grads
 
 
 def fitted_intensity(state: SVGPState, model: CoxModel, Xstar) -> np.ndarray:

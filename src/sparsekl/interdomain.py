@@ -135,6 +135,62 @@ def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
     return K
 
 
+def _se_cov_vjp(kernel: Kernel, A, B, comb, Q):
+    """Pullback of :func:`_se_cov` for ``Q``, the cotangent of its log.
+
+    With ``log K = log variance + sum(log ell - log(comb) / 2)
+    - sum((A - B)^2 / comb) / 2`` every derivative of ``K`` is ``K``
+    times one of ``log K``, so ``Q = G * K`` for the cotangent ``G`` of
+    ``K`` is all the pullback needs.  Returns the gradients with respect
+    to the variance, the lengthscales as they enter ``scale`` (not
+    through ``comb``), ``A`` (broadcast shape; ``B`` gets the negative)
+    and ``comb`` (broadcast shape).
+    """
+    total = float(np.sum(Q))
+    Q = Q[..., None]
+    t = A - B
+    t /= comb
+    d_comb = t * t
+    d_comb -= 1.0 / comb
+    d_comb *= Q
+    d_comb *= 0.5
+    t *= Q
+    np.negative(t, out=t)
+    return total / kernel.variance, total / kernel.lengthscales, t, d_comb
+
+
+def assemble_vjp(features, kernel: Kernel, X, Q_uu, Q_uf) -> dict:
+    """Gradients of ``<G_uu, Kuu> + <G_uf, Kuf>`` for the matrices assembled
+    by :func:`assemble_Kuu` and :func:`assemble_Kuf`, given
+    ``Q_uu = G_uu * Kuu`` and ``Q_uf = G_uf * Kuf`` (elementwise).
+
+    Returns ``kernel_variance`` (float), ``kernel_lengthscales`` (d,),
+    ``feature_centers`` and ``feature_widths`` (M, d each; the widths
+    gradient of a point feature is the width-0 limit, always 0).
+    """
+    C, W = _stack(features, kernel)
+    X = as_points(X, kernel.input_dim)
+    ell = kernel.lengthscales
+    W2 = W * W
+    comb_uu = ell**2 + (W2[:, None, :] + W2[None, :, :])
+    var_uu, ell_uu, dc_uu, dcomb_uu = _se_cov_vjp(
+        kernel, C[:, None, :], C[None, :, :], comb_uu, Q_uu
+    )
+    comb_uf = (ell**2 + W2)[:, None, :]
+    var_uf, ell_uf, dc_uf, dcomb_uf = _se_cov_vjp(
+        kernel, C[:, None, :], X[None, :, :], comb_uf, Q_uf
+    )
+    # comb_uu[i, j] holds w_i^2 + w_j^2, comb_uf[i, :] holds w_i^2
+    d_w2 = dcomb_uu.sum(axis=1) + dcomb_uu.sum(axis=0) + dcomb_uf.sum(axis=1)
+    d_comb = dcomb_uu.sum(axis=(0, 1)) + dcomb_uf.sum(axis=(0, 1))
+    return {
+        "kernel_variance": var_uu + var_uf,
+        "kernel_lengthscales": ell_uu + ell_uf + 2.0 * ell * d_comb,
+        "feature_centers": dc_uu.sum(axis=1) - dc_uu.sum(axis=0) + dc_uf.sum(axis=1),
+        "feature_widths": 2.0 * W * d_w2,
+    }
+
+
 def feature_point_cov(feature, kernel: Kernel, X) -> np.ndarray:
     """Covariances ``cov(u, f(x))`` for each row x of ``X``."""
     return assemble_Kuf([feature], kernel, X)[0]

@@ -21,10 +21,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, log_ndtr
 
-from .gaussians import GaussianDist, _chol_with_fallback, mvn_kl
+from .gaussians import LOG_2PI, GaussianDist, _chol_with_fallback
 from .interdomain import (
     assemble_Kuf,
     assemble_Kuu,
+    assemble_vjp,
     feature_from_dict,
     feature_prior_mean,
     feature_to_dict,
@@ -39,9 +40,11 @@ __all__ = [
     "likelihood_from_dict",
     "SVGPState",
     "gauss_hermite_expectation",
+    "gauss_hermite_expectation_grads",
     "predictive_marginals",
     "expected_log_lik",
     "elbo",
+    "elbo_and_grad",
     "collapsed_optimal_q",
     "collapsed_bound",
     "to_checkpoint_dict",
@@ -76,6 +79,24 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     return (f_nodes @ w) / np.sqrt(np.pi)
 
 
+def gauss_hermite_expectation_grads(dfn, mu, var, order=DEFAULT_QUAD_ORDER):
+    """Derivatives in ``mu`` and ``var`` of :func:`gauss_hermite_expectation`.
+
+    Differentiates the same node sum, given ``dfn``, the derivative of
+    its integrand.  A node moves by ``x / sqrt(2 var)`` per unit of
+    ``var``; at ``var = 0`` the variance derivative is reported as 0.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    x, w = _gh_nodes(order)
+    root = np.sqrt(2.0 * var)
+    d_nodes = dfn(mu[:, None] + root[:, None] * x[None, :])
+    d_mu = (d_nodes @ w) / np.sqrt(np.pi)
+    d_root = (d_nodes @ (w * x)) / np.sqrt(np.pi)
+    d_var = np.divide(d_root, root, out=np.zeros_like(d_root), where=root > 0)
+    return d_mu, d_var
+
+
 @dataclass(frozen=True)
 class GaussianNoise:
     """Homoskedastic Gaussian observation noise."""
@@ -105,6 +126,15 @@ class GaussianNoise:
             + ((y - mu) ** 2 + var) / self.noise_var
         )
 
+    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        """Derivatives of the summed expectations: in ``mu`` and ``var``
+        per point, and in the likelihood's own parameters by name."""
+        resid = y - mu
+        d_noise = 0.5 * float(np.sum(resid**2 + var)) / self.noise_var**2
+        d_noise -= 0.5 * resid.shape[0] / self.noise_var
+        d_var = np.full(resid.shape[0], -0.5 / self.noise_var)
+        return resid / self.noise_var, d_var, {"noise_var": d_noise}
+
 
 @dataclass(frozen=True)
 class BernoulliProbit:
@@ -125,6 +155,16 @@ class BernoulliProbit:
         return gauss_hermite_expectation(
             lambda f: log_ndtr(y[:, None] * f), mu, var, quad_order
         )
+
+    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
+
+        def dfn(f):
+            # d/df log Phi(y f) = y phi(y f) / Phi(y f), in logs for the tails
+            z = y * f
+            return y * np.exp(-0.5 * (z * z + LOG_2PI) - log_ndtr(z))
+
+        return (*gauss_hermite_expectation_grads(dfn, mu, var, quad_order), {})
 
 
 @dataclass(frozen=True)
@@ -154,6 +194,15 @@ class PoissonCounts:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return gauss_hermite_expectation(
             lambda f: self.log_density(f, y[:, None]), mu, var, quad_order
+        )
+
+    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
+        return (
+            *gauss_hermite_expectation_grads(
+                lambda f: y - self.bin_width * np.exp(f), mu, var, quad_order
+            ),
+            {},
         )
 
 
@@ -240,6 +289,111 @@ class SVGPState:
         )
 
 
+class _WhitenedPass:
+    """One evaluation's whitened factors at the rows of ``X``, and its pullback.
+
+    ``Kuu`` is assembled and factorized once; with ``Luu`` its (jittered)
+    Cholesky factor, ``L = q_chol`` and ``m_u`` the prior mean of the
+    features:
+
+        A     = Luu^-1 Kuf                 (M x n)
+        half  = Luu^-1 L                   (M x M)
+        alpha = Luu^-1 (q_mean - m_u)
+        mean  = m + A^T alpha
+        var   = kff - colsum(A * A) + colsum((half^T A)^2),  clamped at 0
+        kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M)
+                + sum log diag Luu - sum log diag L,         clamped at 0
+
+    which is KL(q(u) || p(u)) in the form of :func:`mvn_kl`.
+    :meth:`backward` turns derivatives of a data term in ``mean`` and
+    ``var`` into the exact gradient of ``data term - kl`` with respect
+    to every model parameter.  Nothing larger than M x n is formed.
+    """
+
+    def __init__(self, state: SVGPState, X):
+        kernel = state.kernel
+        self.state = state
+        self.X = as_points(X, kernel.input_dim)
+        self.Kuu = assemble_Kuu(state.features, kernel)
+        self.Luu, self.jitter = _chol_with_fallback(self.Kuu)
+        self.Kuf = assemble_Kuf(state.features, kernel, self.X)
+        self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
+        self.half = solve_triangular(self.Luu, state.q_chol, lower=True)
+        prior_mean_u = feature_prior_mean(state.features, kernel)
+        self.alpha = solve_triangular(self.Luu, state.q_mean - prior_mean_u, lower=True)
+        self.mean = kernel.mean_const + self.A.T @ self.alpha
+        T = self.half.T @ self.A
+        var = kernel.variance - np.sum(self.A * self.A, axis=0)
+        var += np.sum(T * T, axis=0)
+        self.positive = var > 0.0
+        self.var = np.maximum(var, 0.0)
+        kl = 0.5 * (
+            float(np.sum(self.half * self.half))
+            + float(self.alpha @ self.alpha)
+            - state.num_inducing
+        )
+        kl += float(np.sum(np.log(np.diag(self.Luu))))
+        kl -= float(np.sum(np.log(np.diag(state.q_chol))))
+        self.kl = max(kl, 0.0)
+
+    def backward(self, d_mean, d_var) -> dict:
+        """Gradient of ``data - kl``, where ``d_mean``/``d_var`` are the
+        derivatives of the data term in ``mean``/``var``.
+
+        Keys: ``q_mean``, ``q_chol`` (lower triangular), ``kernel_mean``,
+        plus those of :func:`assemble_vjp`.  With ``P = Kuu^-1 Kuf``,
+        ``beta = Kuu^-1 (q_mean - m_u)``, ``S = L L^T`` and
+        ``D = (Kuu^-1 S - I) P``, the derivatives through the predictive
+        marginals are
+
+            d/dq_mean = P g_mean
+            d/dL      = 2 P diag(g_var) P^T L
+            d/dKuf    = beta g_mean^T + 2 D diag(g_var)
+            d/dKuu    = -P g_mean beta^T - P diag(g_var) (P + D)^T
+                        - D diag(g_var) P^T
+
+        and those of the KL are ``beta``, ``Kuu^-1 L - diag(1/L_ii)`` and
+        ``(Kuu^-1 - Kuu^-1 S Kuu^-1 - beta beta^T) / 2``.  The jitter
+        ``_chol_with_fallback`` adds is a fixed multiple of mean(diag Kuu),
+        so it passes its share of the trace back to the diagonal.  Besides
+        the pass's own, at most three M x n arrays are alive at a time.
+        """
+        state, Luu, A, half = self.state, self.Luu, self.A, self.half
+        M = Luu.shape[0]
+        g_var = np.where(self.positive, d_var, 0.0)
+        beta = solve_triangular(Luu.T, self.alpha, lower=False)
+        Kuu_inv_L = solve_triangular(Luu.T, half, lower=False)
+        Kuu_inv = solve_triangular(Luu.T, solve_triangular(Luu, np.eye(M), lower=True))
+        P = solve_triangular(Luu.T, A, lower=False)
+        Dv = solve_triangular(Luu.T, half @ half.T - np.eye(M), lower=False) @ A
+        Dv *= g_var
+        Pv = P * g_var
+        Pg = P @ d_mean
+        DvPt = Dv @ P.T
+
+        d_chol = 2.0 * ((Pv @ A.T) @ half) - Kuu_inv_L
+        d_chol = np.tril(d_chol) + np.diag(1.0 / np.diag(state.q_chol))
+        d_q_mean = Pg - beta
+        d_Kuu = -(Pv @ P.T) - DvPt - DvPt.T - np.outer(Pg, beta)
+        del P, Pv
+        d_Kuu += 0.5 * (Kuu_inv_L @ Kuu_inv_L.T + np.outer(beta, beta) - Kuu_inv)
+        if self.jitter:
+            share = self.jitter / float(np.sum(np.diag(self.Kuu)))
+            d_Kuu += share * np.trace(d_Kuu) * np.eye(M)
+        d_Kuf = Dv
+        d_Kuf *= 2.0
+        d_Kuf += np.multiply.outer(beta, d_mean)
+
+        d_Kuu *= self.Kuu
+        d_Kuf *= self.Kuf
+        grads = assemble_vjp(state.features, state.kernel, self.X, d_Kuu, d_Kuf)
+        grads["kernel_variance"] += float(np.sum(g_var))
+        grads["kernel_mean"] = float(np.sum(d_mean)) - float(np.sum(d_q_mean))
+        grads["q_mean"] = d_q_mean
+        grads["q_chol"] = d_chol
+        return grads
+
+
 def predictive_marginals(state: SVGPState, Xstar):
     """Marginal predictive means and variances of the latent function.
 
@@ -249,29 +403,23 @@ def predictive_marginals(state: SVGPState, Xstar):
         mean = m + Kfu Kuu^-1 (q_mean - m_u)
         var  = kff - diag(Kfu Kuu^-1 Kuf) + diag(Kfu Kuu^-1 S Kuu^-1 Kuf)
 
-    computed through the Cholesky factor of Kuu.  Fails with the jitter
-    cap in the error if the feature covariance cannot be factorized.
+    computed through the Cholesky factor of Kuu (see
+    :class:`_WhitenedPass`).  Fails with the jitter cap in the error if
+    the feature covariance cannot be factorized.
     """
-    Xstar = as_points(Xstar, state.kernel.input_dim)
-    Kuu = assemble_Kuu(state.features, state.kernel)
-    Luu, _ = _chol_with_fallback(Kuu)
-    Kuf = assemble_Kuf(state.features, state.kernel, Xstar)
-    A = solve_triangular(Luu, Kuf, lower=True)
-    prior_mean_u = feature_prior_mean(state.features, state.kernel)
-    alpha = solve_triangular(Luu, state.q_mean - prior_mean_u, lower=True)
-    mean = state.kernel.mean_const + A.T @ alpha
-    W = solve_triangular(Luu.T, A, lower=False)
-    T = state.q_chol.T @ W
-    kss = np.full(Xstar.shape[0], state.kernel.variance)
-    var = kss - np.sum(A * A, axis=0) + np.sum(T * T, axis=0)
-    return mean, np.maximum(var, 0.0)
+    fp = _WhitenedPass(state, Xstar)
+    return fp.mean, fp.var
 
 
-def _resolve_likelihood(state: SVGPState, lik):
+def _validated_data(state: SVGPState, X, Y, lik):
     lik = lik if lik is not None else state.likelihood
     if lik is None:
         raise ValueError("no likelihood given and the state carries none")
-    return lik
+    X = as_points(X, state.kernel.input_dim)
+    Y = lik.validate_targets(Y)
+    if Y.shape[0] != X.shape[0]:
+        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} targets")
+    return lik, X, Y
 
 
 def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
@@ -280,11 +428,7 @@ def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_O
     Summed with exact accumulation so the result does not depend on the
     ordering of the data.
     """
-    lik = _resolve_likelihood(state, lik)
-    X = as_points(X, state.kernel.input_dim)
-    Y = lik.validate_targets(Y)
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} targets")
+    lik, X, Y = _validated_data(state, X, Y, lik)
     mu, var = predictive_marginals(state, X)
     values = lik.variational_expectations(mu, var, Y, quad_order)
     return math.fsum(np.asarray(values, dtype=float))
@@ -292,8 +436,28 @@ def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_O
 
 def elbo(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
-    ell = expected_log_lik(state, X, Y, lik, quad_order)
-    return ell - mvn_kl(state.q_dist(), state.prior_dist())
+    lik, X, Y = _validated_data(state, X, Y, lik)
+    fp = _WhitenedPass(state, X)
+    values = lik.variational_expectations(fp.mean, fp.var, Y, quad_order)
+    return math.fsum(np.asarray(values, dtype=float)) - fp.kl
+
+
+def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
+    """:func:`elbo` and its exact gradient from one forward and one reverse pass.
+
+    The gradient is a dict of model-space derivatives, keyed as in
+    :meth:`_WhitenedPass.backward`, plus the likelihood's own parameters
+    (``noise_var`` for Gaussian noise).
+    """
+    lik, X, Y = _validated_data(state, X, Y, lik)
+    fp = _WhitenedPass(state, X)
+    values = lik.variational_expectations(fp.mean, fp.var, Y, quad_order)
+    d_mean, d_var, d_lik = lik.variational_expectation_grads(
+        fp.mean, fp.var, Y, quad_order
+    )
+    grads = fp.backward(d_mean, d_var)
+    grads.update(d_lik)
+    return math.fsum(np.asarray(values, dtype=float)) - fp.kl, grads
 
 
 def _collapsed_factors(features, kernel: Kernel, X, Y, noise_var: float):

@@ -356,6 +356,37 @@ class TestFitCox:
         preds = read_csv(os.path.join(out, "predictions.csv"), ["x1", "intensity"])
         assert np.all(preds[:, 1] >= 0.0)
 
+    def test_fit_uses_analytic_gradients(self, tmp_path):
+        # one gradient per iteration; central differences alone would cost
+        # 2 objective calls per parameter per iteration
+        lam = lambda p: 20.0 * (1.0 + np.sin(2 * np.pi * p[:, 0]))
+        events = sample_inhomogeneous_pp(lam, 41.0, [0.0], [1.0], seed=2)
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], events)
+        out = str(tmp_path / "out")
+        M = 5
+        cfg = write_config(
+            tmp_path,
+            "cox.json",
+            {
+                "data": str(data),
+                "out": out,
+                "model": {
+                    "kernel": {"variance": 0.5, "lengthscales": [0.25], "mean": 3.0},
+                    "num_inducing": M,
+                    "domain": [[0.0, 1.0]],
+                    "quad_orders": [30],
+                },
+                "optimizer": {"max_iters": 8, "refine_iters": 8},
+            },
+        )
+        assert main(["fit-cox", "--config", cfg]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        iterations = summary["iterations"]
+        assert 0 < summary["gradient_evaluations"] <= iterations
+        variational = M + M * (M + 1) // 2  # the smaller, refinement layout
+        assert summary["objective_evaluations"] < 2 * variational * iterations
+
 
 class TestVerifyTask:
     def test_small_verify_passes(self, tmp_path, capsys):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from sparsekl import cox
 from sparsekl.cox import (
     CoxModel,
     cox_elbo,
+    cox_elbo_and_grad,
     cox_elbo_terms,
     expected_log_rate,
     expected_rate,
@@ -125,6 +127,27 @@ class TestCoxModel:
         terms = cox_elbo_terms(state, m)
         assert terms.event_term == 0.0
         assert terms.integral_term > 0.0
+
+    def test_grid_is_built_once_per_model(self, monkeypatch):
+        calls = []
+        original = cox.legendre_grid
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cox, "legendre_grid", counting)
+        model = CoxModel([0.0], [1.0], [[0.2], [0.7]], quad_orders=(12,))
+        state = tiny_state()
+        first = cox_elbo(state, model)
+        assert cox_elbo(state, model) == first
+        cox_elbo_and_grad(state, model)
+        cox_elbo_terms(state, model)
+        assert len(calls) == 1
+        pts, wts = model.grid
+        assert not pts.flags.writeable and not wts.flags.writeable
+        CoxModel([0.0], [1.0], [[0.5]]).grid
+        assert len(calls) == 2
 
     def test_default_quad_orders(self):
         assert CoxModel([0.0], [1.0], []).quad_orders == (50,)

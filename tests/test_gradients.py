@@ -1,0 +1,159 @@
+"""Analytic gradients of elbo and cox_elbo against central differences.
+
+``numeric_grad`` is the oracle: for every likelihood and Cox link, point
+and window features, and each choice of exposed blocks, the raw
+gradient built from ``elbo_and_grad``/``cox_elbo_and_grad`` must match
+it coordinate by coordinate.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_and_grad
+from sparsekl.gaussians import _chol_with_fallback
+from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
+from sparsekl.kernels import Kernel
+from sparsekl.optimize import numeric_grad, raw_gradient, svgp_parameterization
+from sparsekl.svgp import (
+    BernoulliProbit,
+    GaussianNoise,
+    PoissonCounts,
+    SVGPState,
+    elbo,
+    elbo_and_grad,
+)
+
+OBJECTIVES = ("gaussian", "probit", "poisson", "cox-exp", "cox-square")
+N_DATA = 30
+N_EVENTS = 40
+
+
+def random_problem(seed, objective, window):
+    """A random state and its objective ``(value_of, grad_of)``.
+
+    q is drawn in whitened form, ``q_mean = m_u + Luu a`` and
+    ``q_chol = Luu B`` with random ``a`` and lower triangular ``B``, so
+    posterior means and variances stay on the prior's scale.  There the
+    central differences of ``numeric_grad`` resolve the gradient to the
+    test tolerance.  Far off that scale (an ill-conditioned window Kuu
+    turns an unwhitened draw into swings that cross zero), the square
+    link's log f^2 has curvature large enough that the truncation error
+    of a 1e-5 step exceeds it, although the analytic value is what the
+    differences converge to as the step shrinks.
+    """
+    rng = np.random.default_rng(seed)
+    cox = objective.startswith("cox")
+    d = 1 if cox else 1 + seed % 2
+    M = int(rng.integers(3, 7))
+    centres = rng.uniform(0.0, 1.0, (M, d))
+    centres[:, 0] = (np.arange(M) + 0.5 + rng.uniform(-0.2, 0.2, M)) / M
+    if window:
+        features = [
+            GaussianWindowFeature(c, rng.uniform(0.02, 0.1, d)) for c in centres
+        ]
+    else:
+        features = [PointFeature(c) for c in centres]
+    if objective == "cox-exp":
+        mean = math.log(N_EVENTS)
+    elif objective == "cox-square":
+        mean = math.sqrt(N_EVENTS)
+    else:
+        mean = float(rng.normal(0.0, 0.3))
+    kernel = Kernel(rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.3, d), mean)
+    Luu, _ = _chol_with_fallback(assemble_Kuu(features, kernel))
+    B = np.tril(0.2 * rng.standard_normal((M, M)), -1)
+    B += np.diag(rng.uniform(0.3, 0.9, M))
+    likelihood = {
+        "gaussian": GaussianNoise(rng.uniform(0.1, 0.5)),
+        "probit": BernoulliProbit(),
+        "poisson": PoissonCounts(0.5),
+    }.get(objective)
+    state = SVGPState(
+        features=features,
+        q_mean=mean + Luu @ (0.5 * rng.standard_normal(M)),
+        q_chol=Luu @ B,
+        kernel=kernel,
+        likelihood=likelihood,
+    )
+    if cox:
+        model = CoxModel(
+            lower=[0.0],
+            upper=[1.0],
+            events=np.sort(rng.uniform(0.0, 1.0, N_EVENTS)),
+            link=objective[len("cox-"):],
+            quad_orders=(30,),
+        )
+        return state, (lambda s: cox_elbo(s, model)), (
+            lambda s: cox_elbo_and_grad(s, model)
+        )
+    X = rng.uniform(0.0, 1.0, (N_DATA, d))
+    latent = np.sin(6.0 * X[:, 0])
+    Y = {
+        "gaussian": latent + 0.3 * rng.standard_normal(N_DATA),
+        "probit": np.where(latent + 0.3 * rng.standard_normal(N_DATA) >= 0, 1.0, -1.0),
+        "poisson": rng.poisson(2.0 * np.exp(latent)).astype(float),
+    }[objective]
+    return state, (lambda s: elbo(s, X, Y)), (lambda s: elbo_and_grad(s, X, Y))
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("optimize_features", [False, True], ids=["fixed", "features"])
+    @pytest.mark.parametrize("optimize_hypers", [False, True], ids=["q-only", "hypers"])
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_central_differences(
+        self, objective, window, optimize_hypers, optimize_features, seed
+    ):
+        state, value_of, value_and_grad_of = random_problem(seed, objective, window)
+        x0, rebuild = svgp_parameterization(state, optimize_hypers, optimize_features)
+        value, grads = value_and_grad_of(state)
+        assert value == value_of(state)
+        g = raw_gradient(x0, grads)
+        g_fd = numeric_grad(lambda pv: value_of(rebuild(pv)), x0)
+        excess = np.abs(g - g_fd) - 1e-5 * (1.0 + np.abs(g_fd))
+        worst = int(np.argmax(excess))
+        assert excess[worst] <= 0.0, (
+            f"{x0.layout.coordinate_names()[worst]}: analytic {g[worst]!r}, "
+            f"central difference {g_fd[worst]!r}"
+        )
+
+    def test_jittered_Kuu_passes_its_trace_share_back(self):
+        # Two coincident features make Kuu singular.  The jitter is a fixed
+        # multiple of mean(diag Kuu), so it moves with the kernel variance;
+        # leaving that share out moves this derivative by about 8 %.  A
+        # jittered factor carries relative errors of eps / 1e-10 in its
+        # small pivot, so the central difference takes a 1e-2 step, and
+        # both probes must keep the same jitter multiple.
+        k = Kernel(variance=1.3, lengthscales=0.4, mean_const=0.2)
+        feats = [PointFeature([0.2]), PointFeature([0.2]), PointFeature([0.7])]
+        Luu, jitter = _chol_with_fallback(assemble_Kuu(feats, k))
+        assert jitter > 0.0
+        state = SVGPState(
+            features=feats,
+            q_mean=0.2 + Luu @ np.array([0.1, -0.2, 0.4]),
+            q_chol=Luu @ np.array([[0.5, 0.0, 0.0], [0.1, 0.6, 0.0], [-0.2, 0.3, 0.7]]),
+            kernel=k,
+            likelihood=GaussianNoise(0.2),
+        )
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.0, 1.0, 20)
+        Y = np.sin(5.0 * X)
+        x0, rebuild = svgp_parameterization(state, optimize_hypers=True)
+        i = x0.layout.coordinate_names().index("kernel_variance[0]")
+        h = 1e-2
+        step = h * (1.0 + abs(x0.raw[i]))
+        for sign in (1.0, -1.0):
+            probe = x0.raw.copy()
+            probe[i] += sign * step
+            kp = rebuild(x0.with_raw(probe)).kernel
+            _, jp = _chol_with_fallback(assemble_Kuu(feats, kp))
+            assert jp / kp.variance == pytest.approx(jitter / k.variance, rel=1e-12)
+        g = raw_gradient(x0, elbo_and_grad(state, X, Y)[1])
+        g_fd = numeric_grad(lambda pv: elbo(rebuild(pv), X, Y), x0, h=h)
+        assert g[i] == pytest.approx(g_fd[i], rel=1e-3)

@@ -166,6 +166,29 @@ class TestMaximize:
         objs = [r[1] for r in res.records]
         np.testing.assert_array_equal(objs, res.trace[1:])
 
+    def test_analytic_gradient_replaces_central_differences(self):
+        # same signs, hence the same trajectory, at one gradient per iteration
+        layout = ParamLayout((ParamBlock("x", 3),))
+        target = np.array([1.0, -2.0, 0.5])
+        f = lambda v: float(-np.sum((v.raw - target) ** 2))
+        grad = lambda v: -2.0 * (v.raw - target)
+        x0 = ParamVector(layout, np.zeros(3))
+        probed = maximize(f, x0, max_iters=50, tol=1e-12)
+        exact = maximize(f, x0, max_iters=50, tol=1e-12, gradient=grad)
+        np.testing.assert_array_equal(exact.x.raw, probed.x.raw)
+        assert exact.iterations == probed.iterations
+        assert [r[:3] for r in exact.records] == [r[:3] for r in probed.records]
+        assert exact.gradient_evaluations == exact.iterations
+        assert probed.gradient_evaluations == 0
+        assert probed.evaluations - exact.evaluations == 2 * 3 * probed.iterations
+
+    def test_non_finite_gradient_names_coordinate(self):
+        layout = ParamLayout((ParamBlock("a", 2), ParamBlock("b", 1)))
+        f = lambda v: float(-np.sum(v.raw**2))
+        grad = lambda v: np.array([0.0, 1.0, np.nan])
+        with pytest.raises(ValueError, match="b\\[0\\]"):
+            maximize(f, ParamVector(layout, np.ones(3)), gradient=grad)
+
     def test_non_finite_start_rejected(self):
         layout = ParamLayout((ParamBlock("x", 1),))
         f = lambda v: float("inf")

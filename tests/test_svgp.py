@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, log_ndtr
 
 from sparsekl.finite_oracle import (
@@ -18,8 +20,8 @@ from sparsekl.finite_oracle import (
     exact_posterior,
     log_marginal_likelihood,
 )
-from sparsekl.gaussians import GaussianDist, _chol_with_fallback
-from sparsekl.interdomain import GaussianWindowFeature, PointFeature
+from sparsekl.gaussians import GaussianDist, _chol_with_fallback, mvn_kl
+from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
 from sparsekl.kernels import Kernel, kernel_matrix
 from sparsekl.svgp import (
     BernoulliProbit,
@@ -37,7 +39,9 @@ from sparsekl.svgp import (
     predictive_marginals,
     save_checkpoint,
     to_checkpoint_dict,
+    _WhitenedPass,
 )
+from sparsekl.verify import EQUIVALENCE_RTOL
 
 
 def make_state(seed=0, n_features=3, likelihood=None, kernel=None):
@@ -247,6 +251,53 @@ class TestPredictive:
         )
         mean, var = predictive_marginals(state, np.array([0.5]))
         assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+
+class TestWhitenedKL:
+    """The KL taken from the shared factor of Kuu against the dense route."""
+
+    @staticmethod
+    def whitened_kl(state):
+        return _WhitenedPass(state, np.zeros((0, state.kernel.input_dim))).kl
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_matches_mvn_kl(self, seed, window):
+        rng = np.random.default_rng(seed)
+        M = int(rng.integers(1, 8))
+        k = Kernel(
+            variance=rng.uniform(0.5, 2.0),
+            lengthscales=rng.uniform(0.3, 1.0),
+            mean_const=rng.normal(),
+        )
+        Z = np.sort(rng.uniform(0.0, 4.0, M))
+        if window:
+            feats = [GaussianWindowFeature([z], [rng.uniform(0.05, 0.5)]) for z in Z]
+        else:
+            feats = [PointFeature([z]) for z in Z]
+        W = 0.4 * rng.standard_normal((M, M))
+        state = SVGPState(
+            features=feats,
+            q_mean=rng.standard_normal(M),
+            q_chol=np.linalg.cholesky(W @ W.T + rng.uniform(0.1, 1.0) * np.eye(M)),
+            kernel=k,
+        )
+        expected = mvn_kl(state.q_dist(), state.prior_dist())
+        assert self.whitened_kl(state) == pytest.approx(expected, rel=EQUIVALENCE_RTOL)
+
+    def test_matches_mvn_kl_when_Kuu_needs_jitter(self):
+        # a repeated feature makes Kuu singular
+        k = Kernel(variance=1.0, lengthscales=0.3)
+        feats = [PointFeature([z]) for z in (0.0, 0.2, 0.2, 0.5, 0.9)]
+        assert _chol_with_fallback(assemble_Kuu(feats, k))[1] > 0.0
+        state = SVGPState(
+            features=feats,
+            q_mean=np.array([0.1, -0.3, 0.2, 0.4, 0.0]),
+            q_chol=np.diag([0.5, 0.4, 0.6, 0.3, 0.7]),
+            kernel=k,
+        )
+        expected = mvn_kl(state.q_dist(), state.prior_dist())
+        assert self.whitened_kl(state) == pytest.approx(expected, rel=EQUIVALENCE_RTOL)
 
 
 class TestBound:
