@@ -59,9 +59,11 @@ __all__ = [
     "noisy_copy_conditional",
     "AugmentationReport",
     "augmentation_gap",
+    "augmented_report",
     "PushforwardReport",
     "pushforward_check",
     "deterministic_union_kl",
+    "deterministic_union_term",
 ]
 
 
@@ -375,10 +377,24 @@ def augmentation_gap(
     p_X = exact_posterior(m)
     if q_conditional.in_dim != m.n_points or prior_conditional.in_dim != m.n_points:
         raise ValueError("conditionals must read the full index set")
-    q_union = joint_from_marginal_and_conditional(q_X, q_conditional)
     p_union = joint_from_marginal_and_conditional(p_X, prior_conditional)
+    return augmented_report(q_X, p_union, mvn_kl(q_X, p_X), q_conditional)
+
+
+def augmented_report(
+    q_X: GaussianDist,
+    p_union: GaussianDist,
+    kl_X: float,
+    q_conditional: AffineConditional,
+) -> AugmentationReport:
+    """The augmentation report from parts already built.
+
+    ``p_union`` is the posterior side extended to (f_X, A) and ``kl_X``
+    is ``KL(q_X || p_X)``; several conditionals can be compared against
+    one posterior side without rebuilding it.
+    """
+    q_union = joint_from_marginal_and_conditional(q_X, q_conditional)
     kl_union = mvn_kl(q_union, p_union)
-    kl_X = mvn_kl(q_X, p_X)
     return AugmentationReport(kl_union, kl_X, kl_union - kl_X)
 
 
@@ -444,6 +460,15 @@ def deterministic_union_kl(q_X: GaussianDist, p_X: GaussianDist, A_map):
 
     Returns a dict with ``kl_union`` and ``kl_X``.
     """
+    return {
+        "kl_union": deterministic_union_term(q_X, p_X, A_map),
+        "kl_X": mvn_kl(q_X, p_X),
+    }
+
+
+def deterministic_union_term(q_X: GaussianDist, p_X: GaussianDist, A_map) -> float:
+    """The ``kl_union`` of :func:`deterministic_union_kl` alone, for a
+    caller that already holds ``KL(q_X || p_X)``."""
     A = _require_full_row_rank(A_map)
     n = q_X.dim
     if A.shape[1] != n or p_X.dim != n:
@@ -453,7 +478,7 @@ def deterministic_union_kl(q_X: GaussianDist, p_X: GaussianDist, A_map):
     p_A = GaussianDist(A @ p_X.mean, A @ p_X.cov @ A.T)
     marginal_term = mvn_kl(q_A, p_A)
     if a == n:
-        return {"kl_union": marginal_term, "kl_X": mvn_kl(q_X, p_X)}
+        return marginal_term
     # Shared chart for both fiber conditionals: x = pinv(A) u + N xi,
     # with N an orthonormal basis of the null space of A.
     _, _, Vt = np.linalg.svd(A)
@@ -473,7 +498,4 @@ def deterministic_union_kl(q_X: GaussianDist, p_X: GaussianDist, A_map):
     conditional_term = expected_conditional_kl(
         fiber_conditional(q_X), fiber_conditional(p_X), q_A
     )
-    return {
-        "kl_union": conditional_term + marginal_term,
-        "kl_X": mvn_kl(q_X, p_X),
-    }
+    return conditional_term + marginal_term

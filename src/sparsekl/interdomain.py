@@ -242,25 +242,35 @@ def _gl_nodes(order):
 
 
 def _adaptive_gl(f, lo, hi, abs_tol, order=20, max_depth=40):
-    """Adaptive Gauss-Legendre panel integration of a vectorized integrand."""
+    """Adaptive Gauss-Legendre panel integration of a vectorized integrand.
+
+    ``f`` maps a vector of nodes to its values there, shape ``(nodes,)``,
+    or to ``k`` integrands at once, shape ``(k, nodes)``; the result is a
+    float or a ``(k,)`` array.  The ``k`` integrands share one panel
+    tree: a panel is split in two until ``max |left + right - whole|``
+    over all components is within its share of ``abs_tol`` (halved at
+    each level), so every component meets the tolerance it would meet
+    alone, and panels stop splitting at ``max_depth``.
+    """
     nodes, weights = _gl_nodes(order)
 
     def panel(a, b):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * float(weights @ f(mid + half * nodes))
+        return half * (f(mid + half * nodes) @ weights)
 
     def recurse(a, b, whole, tol, depth):
         mid = 0.5 * (a + b)
         left = panel(a, mid)
         right = panel(mid, b)
-        if abs(left + right - whole) <= tol or depth >= max_depth:
+        if np.max(np.abs(left + right - whole)) <= tol or depth >= max_depth:
             return left + right
         return recurse(a, mid, left, 0.5 * tol, depth + 1) + recurse(
             mid, b, right, 0.5 * tol, depth + 1
         )
 
-    return recurse(lo, hi, panel(lo, hi), abs_tol, 0)
+    total = recurse(lo, hi, panel(lo, hi), abs_tol, 0)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def _window_density(s, center, width):
@@ -317,17 +327,16 @@ def feature_feature_cov_quadrature(f1, f2, kernel: Kernel, abs_tol=1e-9):
         t_hi = c2 + 8.0 * np.hypot(w2, ell)
 
         def outer(s_vec):
-            out = np.empty_like(s_vec)
-            for i, s in enumerate(s_vec):
-                inner = _adaptive_gl(
-                    lambda t: _window_density(t, c2, w2)
-                    * np.exp(-0.5 * ((s - t) / ell) ** 2),
-                    t_lo,
-                    t_hi,
-                    0.1 * abs_tol,
-                )
-                out[i] = _window_density(s, c1, w1) * inner
-            return out
+            # The inner integral at every outer node, as one vector-valued
+            # integrand over t with a row per node.
+            inner = _adaptive_gl(
+                lambda t: _window_density(t, c2, w2)
+                * np.exp(-0.5 * ((s_vec[:, None] - t) / ell) ** 2),
+                t_lo,
+                t_hi,
+                0.1 * abs_tol,
+            )
+            return _window_density(s_vec, c1, w1) * inner
 
         total *= _adaptive_gl(outer, s_lo, s_hi, abs_tol)
     return float(total)

@@ -7,6 +7,7 @@ import pytest
 
 from sparsekl.interdomain import (
     GaussianWindowFeature,
+    _adaptive_gl,
     PointFeature,
     assemble_Kuf,
     assemble_Kuu,
@@ -82,6 +83,33 @@ def test_window_window_matches_quadrature():
         closed = feature_feature_cov(f1, f2, k)
         quad = feature_feature_cov_quadrature(f1, f2, k)
         assert closed == pytest.approx(quad, abs=1e-7)
+
+
+def _normal_mass(lo, hi, centre, width):
+    scale = width * math.sqrt(2.0)
+    return 0.5 * (math.erf((hi - centre) / scale) - math.erf((lo - centre) / scale))
+
+
+def test_adaptive_gl_integrates_every_component_of_a_vector_integrand():
+    # k scaled Gaussian densities, from narrow to wide, some cut off by
+    # the interval; each component must meet the tolerance on its own
+    centres = np.array([-1.0, 0.0, 0.4, 0.9, 2.5])
+    widths = np.array([0.02, 0.3, 1.0, 0.07, 2.0])
+    amps = np.array([1.0, 2.5, 0.7, 3.0, 1.6])
+    lo, hi, tol = -1.5, 1.0, 1e-9
+
+    def densities(s):
+        z = (s - centres[:, None]) / widths[:, None]
+        return amps[:, None] * np.exp(-0.5 * z * z) / (widths[:, None] * math.sqrt(2 * math.pi))
+
+    exact = [a * _normal_mass(lo, hi, c, w) for a, c, w in zip(amps, centres, widths)]
+    out = _adaptive_gl(densities, lo, hi, tol)
+    assert out.shape == (len(amps),)
+    assert np.max(np.abs(out - exact)) <= tol
+    for i in range(len(amps)):
+        alone = _adaptive_gl(lambda s, i=i: densities(s)[i], lo, hi, tol)
+        assert isinstance(alone, float)
+        assert abs(alone - exact[i]) <= tol
 
 
 def test_mixed_window_point_pair():

@@ -3,12 +3,24 @@
 import json
 
 import numpy as np
+import pytest
 
+from sparsekl import finite_oracle, verify
+from sparsekl.finite_oracle import (
+    augmentation_gap,
+    deterministic_union_kl,
+    exact_posterior,
+    extend_approx,
+    noisy_copy_conditional,
+    pushforward_check,
+)
+from sparsekl.gaussians import expected_conditional_kl
 from sparsekl.verify import (
     REGIMES,
     instance_record,
     quadrature_crosschecks,
     random_finite_instance,
+    random_gaussian_pair,
     run_verification,
 )
 
@@ -69,6 +81,16 @@ def test_quadrature_crosschecks_pass():
     assert out["max_gauss_lik_quadrature_error"] <= 1e-10
 
 
+def test_quadrature_error_fields_are_python_floats():
+    out = quadrature_crosschecks(0)
+    for key in (
+        "max_feature_point_error",
+        "max_feature_feature_error",
+        "max_gauss_lik_quadrature_error",
+    ):
+        assert type(out[key]) is float
+
+
 def test_run_verification_small():
     report = run_verification(seed=0, n_instances=6)
     assert report["all_pass"] is True
@@ -84,3 +106,60 @@ def test_regime_forcing():
     assert not (set(m.data_idx) & set(m.inducing_idx))
     m, _ = random_finite_instance(3, regime="subset")
     assert set(m.inducing_idx) < set(m.data_idx)
+
+
+def _instance_maps(seed, n):
+    """The selection and averaging maps ``instance_record`` draws."""
+    rng = np.random.default_rng(seed + 10_000_019)
+    dim = int(rng.integers(2, 9))
+    random_gaussian_pair(rng, dim)
+    rng.integers(1, dim)
+    sel = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+    selection = np.zeros((sel.size, n))
+    selection[np.arange(sel.size), sel] = 1.0
+    return selection, np.full((1, n), 1.0 / n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_instance_record_matches_standalone_routes(seed):
+    # seeds 0-5 cover every regime twice; each record field built from
+    # shared objects must equal the public call made from scratch
+    assert {REGIMES[s % len(REGIMES)] for s in range(6)} == set(REGIMES)
+    rec = instance_record(seed)
+    m, q = random_finite_instance(seed)
+    matched = noisy_copy_conditional(m)
+    mismatched = noisy_copy_conditional(m, cov_scale=2.0)
+    assert rec["aug_matched_gap"] == pytest.approx(
+        augmentation_gap(m, q, matched).gap, abs=1e-12
+    )
+    assert rec["aug_gap"] == pytest.approx(augmentation_gap(m, q, mismatched).gap, abs=1e-12)
+    assert rec["aug_gap_closed_form"] == pytest.approx(
+        expected_conditional_kl(mismatched, matched, extend_approx(m, q)), abs=1e-12
+    )
+    push_diff = union_residual = 0.0
+    for A in _instance_maps(seed, m.n_points):
+        push_diff = max(push_diff, pushforward_check(extend_approx(m, q), A).max_diff)
+        union = deterministic_union_kl(extend_approx(m, q), exact_posterior(m), A)
+        union_residual = max(union_residual, abs(union["kl_union"] - union["kl_X"]))
+    assert rec["push_diff"] == pytest.approx(push_diff, abs=1e-12)
+    assert rec["union_residual"] == pytest.approx(union_residual, abs=1e-12)
+
+
+def test_instance_record_builds_each_oracle_quantity_once(monkeypatch):
+    # the full_kl route builds its own q_X and p_X; every other check
+    # shares one of each
+    calls = {"exact_posterior": 0, "extend_approx": 0}
+    for name in calls:
+        original = getattr(finite_oracle, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(finite_oracle, name, counting)
+        monkeypatch.setattr(verify, name, counting)
+    for seed in range(3):
+        calls.update(exact_posterior=0, extend_approx=0)
+        assert instance_record(seed)["pass"] is True
+        assert calls["exact_posterior"] <= 2
+        assert calls["extend_approx"] <= 2
