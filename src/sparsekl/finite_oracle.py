@@ -19,15 +19,17 @@ verified numerically instead of trusted:
 
 Deterministic (singular) joints are never factorized directly; they are
 handled through marginals and through a fiber decomposition on the null
-space of the map.
+space of the map.  Each map is factorized once: one SVD gives its rank
+check and its null space, and each image law's cached Cholesky factor
+gives the conditional of f on the image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .gaussians import (
     AffineConditional,
@@ -63,7 +65,8 @@ __all__ = [
     "PushforwardReport",
     "pushforward_check",
     "deterministic_union_kl",
-    "deterministic_union_term",
+    "DeterministicMapReport",
+    "deterministic_map_report",
 ]
 
 
@@ -254,10 +257,19 @@ def _reorder(q: ApproxPosterior, m: FiniteModel, union) -> GaussianDist:
 
 @dataclass(frozen=True)
 class FiniteEquivalenceReport:
+    """The three routes to the divergence and their largest pairwise gap.
+
+    ``q_X`` and ``p_X`` are the extended approximation and the exact
+    posterior the full route was computed from, so later checks on the
+    same instance can reuse them (and their cached factors).
+    """
+
     full: float
     titsias: float
     elbo_gap: float
     max_abs_diff: float
+    q_X: GaussianDist = field(compare=False, repr=False)
+    p_X: GaussianDist = field(compare=False, repr=False)
 
 
 def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquivalenceReport:
@@ -276,7 +288,9 @@ def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquiva
     from .interdomain import PointFeature
     from .svgp import GaussianNoise, SVGPState, elbo
 
-    full = full_kl(m, q)
+    q_X = extend_approx(m, q)
+    p_X = exact_posterior(m)
+    full = mvn_kl(q_X, p_X)
     tits = titsias_kl(m, q)
     z = np.asarray(m.inducing_idx, dtype=int)
     Lq, _ = _chol_with_fallback(q.q_u.cov)
@@ -292,7 +306,7 @@ def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquiva
     gap = log_marginal_likelihood(m) - bound
     vals = (full, tits, gap)
     max_abs_diff = max(abs(a - b) for a in vals for b in vals)
-    return FiniteEquivalenceReport(full, tits, gap, max_abs_diff)
+    return FiniteEquivalenceReport(full, tits, gap, max_abs_diff, q_X, p_X)
 
 
 @dataclass(frozen=True)
@@ -405,18 +419,57 @@ class PushforwardReport:
     max_diff: float
 
 
-def _require_full_row_rank(A):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+def _require_full_row_rank(A_map, n):
+    """Validate a map on n coordinates; return it with its right singular vectors.
+
+    One full SVD serves both the rank check (its singular values) and
+    the null space of the map (the trailing rows of ``Vt``).
+    """
+    A = np.atleast_2d(np.asarray(A_map, dtype=float))
+    if A.shape[0] == 0:
+        raise ValueError(f"map has no rows: shape {A.shape}")
     if A.shape[0] > A.shape[1]:
         raise ValueError(
             f"map must have full row rank: shape {A.shape} has more rows than columns"
         )
-    s = np.linalg.svd(A, compute_uv=False)
+    if A.shape[1] != n:
+        raise ValueError(
+            f"map has {A.shape[1]} columns but the distribution has dimension {n}"
+        )
+    if not np.all(np.isfinite(A)):
+        raise ValueError("map entries must be finite")
+    _, s, Vt = np.linalg.svd(A)
     if s[-1] <= 1e-10 * max(s[0], 1.0):
         raise ValueError(
             f"map is rank deficient: smallest singular value {s[-1]:.3e}"
         )
-    return A
+    return A, Vt
+
+
+def _condition_on_image(dist: GaussianDist, A):
+    """The image law of ``u = A f`` under ``f ~ dist``, and the gain ``B``.
+
+    ``B = S A^T (A S A^T)^-1`` gives ``E[f | u] = m + B (u - A m)`` and
+    ``cov(f | u) = S - B A S``.  It is one Cholesky solve against the
+    image law's cached factor, which later uses of the image law share.
+    """
+    SA = dist.cov @ A.T
+    image = GaussianDist(A @ dist.mean, A @ SA)
+    return image, cho_solve((image.chol, True), SA.T).T
+
+
+def _pushforward_report(dist: GaussianDist, A, image, B) -> PushforwardReport:
+    """Rebuild the image law through the conditional of f given u = A f."""
+    cov_given_u = dist.cov - B @ (A @ dist.cov)
+    # Mix the conditional over the candidate law of u, then transform.
+    mean_rebuilt = dist.mean + B @ (image.mean - A @ dist.mean)
+    cov_rebuilt = cov_given_u + B @ image.cov @ B.T
+    constructed = GaussianDist(A @ mean_rebuilt, A @ cov_rebuilt @ A.T)
+    max_diff = max(
+        float(np.max(np.abs(constructed.mean - image.mean))),
+        float(np.max(np.abs(constructed.cov - image.cov))),
+    )
+    return PushforwardReport(constructed, image, max_diff)
 
 
 def pushforward_check(q_X: GaussianDist, A_map) -> PushforwardReport:
@@ -428,26 +481,8 @@ def pushforward_check(q_X: GaussianDist, A_map) -> PushforwardReport:
     agree whenever the candidate really is the image law; the singular
     joint of (f, A f) is never factorized.
     """
-    A = _require_full_row_rank(A_map)
-    if A.shape[1] != q_X.dim:
-        raise ValueError(
-            f"map has {A.shape[1]} columns but the distribution has dimension {q_X.dim}"
-        )
-    pushed = GaussianDist(A @ q_X.mean, A @ q_X.cov @ A.T)
-    # Condition f on u = A f through the factor of A S A^T.
-    Lu, _ = _chol_with_fallback(pushed.cov)
-    half = solve_triangular(Lu, A @ q_X.cov, lower=True)
-    B = solve_triangular(Lu.T, half, lower=False).T
-    cov_given_u = q_X.cov - B @ (A @ q_X.cov)
-    # Mix the conditional over the candidate law of u, then transform.
-    mean_rebuilt = q_X.mean + B @ (pushed.mean - A @ q_X.mean)
-    cov_rebuilt = cov_given_u + B @ pushed.cov @ B.T
-    constructed = GaussianDist(A @ mean_rebuilt, A @ cov_rebuilt @ A.T)
-    max_diff = max(
-        float(np.max(np.abs(constructed.mean - pushed.mean))),
-        float(np.max(np.abs(constructed.cov - pushed.cov))),
-    )
-    return PushforwardReport(constructed, pushed, max_diff)
+    A, _ = _require_full_row_rank(A_map, q_X.dim)
+    return _pushforward_report(q_X, A, *_condition_on_image(q_X, A))
 
 
 def deterministic_union_kl(q_X: GaussianDist, p_X: GaussianDist, A_map):
@@ -461,41 +496,51 @@ def deterministic_union_kl(q_X: GaussianDist, p_X: GaussianDist, A_map):
     Returns a dict with ``kl_union`` and ``kl_X``.
     """
     return {
-        "kl_union": deterministic_union_term(q_X, p_X, A_map),
+        "kl_union": deterministic_map_report(q_X, p_X, A_map).kl_union,
         "kl_X": mvn_kl(q_X, p_X),
     }
 
 
-def deterministic_union_term(q_X: GaussianDist, p_X: GaussianDist, A_map) -> float:
-    """The ``kl_union`` of :func:`deterministic_union_kl` alone, for a
-    caller that already holds ``KL(q_X || p_X)``."""
-    A = _require_full_row_rank(A_map)
-    n = q_X.dim
-    if A.shape[1] != n or p_X.dim != n:
+@dataclass(frozen=True)
+class DeterministicMapReport:
+    push_diff: float
+    kl_union: float
+
+
+def deterministic_map_report(
+    q_X: GaussianDist, p_X: GaussianDist, A_map
+) -> DeterministicMapReport:
+    """Both deterministic-map checks in one pass over the map.
+
+    ``push_diff`` is :func:`pushforward_check`'s ``max_diff`` and
+    ``kl_union`` is :func:`deterministic_union_kl`'s, for a caller that
+    already holds ``KL(q_X || p_X)``.  One SVD of the map gives its rank
+    check and null space; one image law of each side, with its cached
+    factor and gain, serves the pushforward, the image KL and the fiber
+    conditionals.
+    """
+    A, Vt = _require_full_row_rank(A_map, q_X.dim)
+    if p_X.dim != q_X.dim:
         raise ValueError("map and distributions must share one dimension")
+    q_image, q_gain = _condition_on_image(q_X, A)
+    p_image, p_gain = _condition_on_image(p_X, A)
+    push_diff = _pushforward_report(q_X, A, q_image, q_gain).max_diff
+    kl_union = mvn_kl(q_image, p_image)
     a = A.shape[0]
-    q_A = GaussianDist(A @ q_X.mean, A @ q_X.cov @ A.T)
-    p_A = GaussianDist(A @ p_X.mean, A @ p_X.cov @ A.T)
-    marginal_term = mvn_kl(q_A, p_A)
-    if a == n:
-        return marginal_term
-    # Shared chart for both fiber conditionals: x = pinv(A) u + N xi,
-    # with N an orthonormal basis of the null space of A.
-    _, _, Vt = np.linalg.svd(A)
-    N = Vt[a:].T
-    A_pinv = np.linalg.pinv(A)
+    if a < q_X.dim:
+        # Chart for both fiber conditionals: f = pinv(A) u + N xi, with N
+        # an orthonormal basis of the null space of A, so xi = N^T f.  The
+        # columns of pinv(A) lie in the row space of A, orthogonal to N,
+        # so N^T pinv(A) = 0: the weights of xi given u are just N^T B
+        # (a chart term would cancel in Wq - Wp anyway).
+        N = Vt[a:].T
 
-    def fiber_conditional(dist):
-        img_cov = A @ dist.cov @ A.T
-        L, _ = _chol_with_fallback(img_cov)
-        half = solve_triangular(L, A @ dist.cov, lower=True)
-        B = solve_triangular(L.T, half, lower=False).T
-        cov_given = dist.cov - B @ (A @ dist.cov)
-        weights = N.T @ (B - A_pinv)
-        offset = N.T @ (dist.mean - B @ (A @ dist.mean))
-        return AffineConditional(weights, offset, N.T @ cov_given @ N)
+        def fiber_conditional(dist, B):
+            cov_given = dist.cov - B @ (A @ dist.cov)
+            offset = N.T @ (dist.mean - B @ (A @ dist.mean))
+            return AffineConditional(N.T @ B, offset, N.T @ cov_given @ N)
 
-    conditional_term = expected_conditional_kl(
-        fiber_conditional(q_X), fiber_conditional(p_X), q_A
-    )
-    return conditional_term + marginal_term
+        kl_union += expected_conditional_kl(
+            fiber_conditional(q_X, q_gain), fiber_conditional(p_X, p_gain), q_image
+        )
+    return DeterministicMapReport(push_diff, kl_union)

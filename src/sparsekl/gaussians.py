@@ -4,7 +4,8 @@ Everything downstream (the finite-dimensional verification oracle, the
 sparse variational bounds, the Cox process objective) reduces to a small
 set of operations on explicit mean/covariance pairs: factorize, solve,
 marginalize, condition, and compute KL divergences.  All solves go
-through triangular factors; no explicit matrix inverse is ever formed.
+through Cholesky factors, one LAPACK call per solve with every
+right-hand side stacked; no explicit matrix inverse is ever formed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -194,11 +195,13 @@ def mvn_kl(q: GaussianDist, p: GaussianDist) -> float:
     n = q.dim
     if n == 0:
         return 0.0
-    Lp = p.chol
-    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2
-    half = solve_triangular(Lp, q.chol, lower=True)
-    trace_term = float(np.sum(half * half))
-    alpha = solve_triangular(Lp, q.mean - p.mean, lower=True)
+    # One solve against [Lq | mq - mp]: tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2
+    # from the first n columns, the Mahalanobis term from the last.
+    half = solve_triangular(
+        p.chol, np.column_stack([q.chol, q.mean - p.mean]), lower=True
+    )
+    trace_term = float(np.sum(half[:, :n] * half[:, :n]))
+    alpha = half[:, n]
     maha = float(alpha @ alpha)
     kl = 0.5 * (trace_term + maha - n) + p.half_log_det() - q.half_log_det()
     return max(kl, 0.0)
@@ -299,9 +302,7 @@ def conditional_from_joint(joint: GaussianDist, dep_idx, given_idx) -> AffineCon
     S_gg = joint.cov[np.ix_(given_idx, given_idx)]
     S_dd = joint.cov[np.ix_(dep_idx, dep_idx)]
     Lg, _ = _chol_with_fallback(S_gg)
-    # W = S_dg S_gg^-1 via two triangular solves
-    half = solve_triangular(Lg, S_dg.T, lower=True)
-    W = solve_triangular(Lg.T, half, lower=False).T
+    W = cho_solve((Lg, True), S_dg.T).T  # S_dg S_gg^-1
     offset = joint.mean[dep_idx] - W @ joint.mean[given_idx]
     cov = S_dd - W @ S_dg.T
     return AffineConditional(W, offset, cov)
@@ -326,16 +327,19 @@ def expected_conditional_kl(
     k = q_cond.out_dim
     Lp, _ = _chol_with_fallback(p_cond.cov)
     Lq, _ = _chol_with_fallback(q_cond.cov)
-    half = solve_triangular(Lp, Lq, lower=True)
-    trace_term = float(np.sum(half * half))
     log_det_p = float(np.sum(np.log(np.diag(Lp))))
     log_det_q = float(np.sum(np.log(np.diag(Lq))))
     M = q_cond.weights - p_cond.weights
     d = q_cond.offset - p_cond.offset
-    # tr(Cp^-1 M S M^T) with S = cov of the mixing distribution
-    TM = solve_triangular(Lp, M @ over.chol, lower=True)
-    spread = float(np.sum(TM * TM))
-    alpha = solve_triangular(Lp, M @ over.mean + d, lower=True)
+    # One solve against [Lq | M Lv | M mv + d], with Lv the factor of the
+    # mixing covariance S: the blocks give tr(Cp^-1 Cq), tr(Cp^-1 M S M^T)
+    # and the Mahalanobis term at the mixing mean.
+    half = solve_triangular(
+        Lp, np.column_stack([Lq, M @ over.chol, M @ over.mean + d]), lower=True
+    )
+    trace_term = float(np.sum(half[:, :k] * half[:, :k]))
+    spread = float(np.sum(half[:, k:-1] * half[:, k:-1]))
+    alpha = half[:, -1]
     maha = float(alpha @ alpha)
     kl = 0.5 * (trace_term + spread + maha - k) + log_det_p - log_det_q
     return max(kl, 0.0)

@@ -359,6 +359,21 @@ class TestPushforward:
         with pytest.raises(ValueError, match="rows"):
             pushforward_check(q_X, np.eye(3)[:, :2].T.T)
 
+    def test_map_without_rows_rejected(self):
+        q_X = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="no rows"):
+            pushforward_check(q_X, np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="no rows"):
+            deterministic_union_kl(q_X, q_X, np.zeros((0, 3)))
+
+    def test_non_finite_map_rejected(self):
+        q_X = GaussianDist(np.zeros(3), np.eye(3))
+        A = np.array([[1.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            pushforward_check(q_X, A)
+        with pytest.raises(ValueError, match="finite"):
+            deterministic_union_kl(q_X, q_X, A)
+
 
 class TestDeterministicUnion:
     def test_union_kl_equals_base_kl(self):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, norm
 
@@ -25,6 +27,7 @@ from sparsekl.gaussians import (
     mvn_logpdf,
     mvn_marginal,
 )
+from sparsekl.verify import EQUIVALENCE_RTOL, random_gaussian_pair
 
 # standard normal log density at zero
 LOGPDF_STD_AT_ZERO = -0.9189385332046727
@@ -323,3 +326,70 @@ class TestAffineConditional:
             expected_conditional_kl(cond, cond, GaussianDist(np.zeros(2), np.eye(2)))
         with pytest.raises(ValueError, match="shapes"):
             AffineConditional(np.ones((2, 3)), np.zeros(3), np.eye(2))
+
+
+def dense_kl(mq, Sq, mp, Sp):
+    """KL(N(mq, Sq) || N(mp, Sp)) from dense solves and log determinants."""
+    d = mq - mp
+    _, logdet_p = np.linalg.slogdet(Sp)
+    _, logdet_q = np.linalg.slogdet(Sq)
+    return 0.5 * (
+        np.trace(np.linalg.solve(Sp, Sq))
+        + d @ np.linalg.solve(Sp, d)
+        - mq.shape[0]
+        + logdet_p
+        - logdet_q
+    )
+
+
+MEAN_SCALES = st.sampled_from([0.0, 1e-3, 1.0, 30.0])
+
+
+class TestStackedSolvesAgainstDenseReference:
+    """The stacked single-solve KL forms against np.linalg.solve/slogdet."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9), scale=MEAN_SCALES)
+    @example(seed=0, dim=1, scale=1.0)
+    def test_mvn_kl(self, seed, dim, scale):
+        q, p = random_gaussian_pair(np.random.default_rng(seed), dim)
+        q = GaussianDist(scale * q.mean, q.cov)
+        p = GaussianDist(-scale * p.mean, p.cov)
+        expected = dense_kl(q.mean, q.cov, p.mean, p.cov)
+        assert abs(mvn_kl(q, p) - expected) <= EQUIVALENCE_RTOL * (1.0 + abs(expected))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        out_dim=st.integers(1, 9),
+        in_dim=st.integers(1, 9),
+        scale=MEAN_SCALES,
+    )
+    @example(seed=0, out_dim=1, in_dim=3, scale=1.0)
+    @example(seed=1, out_dim=1, in_dim=1, scale=30.0)
+    def test_expected_conditional_kl(self, seed, out_dim, in_dim, scale):
+        # Both joints over (v, x) share the marginal of v, so their KL is
+        # exactly the expected conditional KL.
+        rng = np.random.default_rng(seed)
+        over, _ = random_gaussian_pair(rng, in_dim)
+        over = GaussianDist(scale * over.mean, over.cov)
+        conds = []
+        for _ in range(2):
+            _, noise = random_gaussian_pair(rng, out_dim)
+            conds.append(
+                AffineConditional(
+                    rng.standard_normal((out_dim, in_dim)),
+                    scale * rng.standard_normal(out_dim),
+                    noise.cov,
+                )
+            )
+        joints = []
+        S = over.cov
+        for c in conds:
+            W = c.weights
+            mean = np.concatenate([over.mean, W @ over.mean + c.offset])
+            cov = np.block([[S, S @ W.T], [W @ S, W @ S @ W.T + c.cov]])
+            joints.append((mean, cov))
+        expected = dense_kl(*joints[0], *joints[1])
+        got = expected_conditional_kl(conds[0], conds[1], over)
+        assert abs(got - expected) <= EQUIVALENCE_RTOL * (1.0 + abs(expected))

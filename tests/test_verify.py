@@ -163,3 +163,27 @@ def test_instance_record_builds_each_oracle_quantity_once(monkeypatch):
         assert instance_record(seed)["pass"] is True
         assert calls["exact_posterior"] <= 2
         assert calls["extend_approx"] <= 2
+
+
+def test_instance_record_factors_each_oracle_matrix_once(monkeypatch):
+    # the full route's q_X and p_X serve every check; each deterministic
+    # map is factorized by one SVD and never pseudo-inverted
+    calls = {"exact_posterior": 0, "extend_approx": 0, "svd": 0, "pinv": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("exact_posterior", "extend_approx"):
+        wrapper = counting(name, getattr(finite_oracle, name))
+        monkeypatch.setattr(finite_oracle, name, wrapper)
+        monkeypatch.setattr(verify, name, wrapper, raising=False)
+    for name in ("svd", "pinv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for seed in range(3):
+        calls.update(dict.fromkeys(calls, 0))
+        assert instance_record(seed)["pass"] is True
+        assert calls == {"exact_posterior": 1, "extend_approx": 1, "svd": 2, "pinv": 0}
