@@ -44,6 +44,11 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         super().__init__(message)
         self.jitter = jitter
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone and loses ``jitter``;
+        # a verify worker sends this error to the parent by pickle
+        return type(self), (self.args[0], self.jitter), self.__dict__
+
 
 def _check_symmetric(A, rel_tol, what="matrix"):
     A = np.asarray(A, dtype=float)

@@ -9,18 +9,19 @@ instance makes failures reproducible from the seed alone.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
-# exact_posterior and extend_approx stay importable from verify, where tests
-# patch them.
-from .finite_oracle import (  # noqa: F401
+from .finite_oracle import (
     ApproxPosterior,
     FiniteModel,
     augmented_report,
     check_finite_equivalence,
     deterministic_map_report,
-    exact_posterior,
-    extend_approx,
     kl_chain_rule_decompose,
     noisy_copy_conditional,
 )
@@ -56,6 +57,9 @@ IDENTITY_ATOL = 1e-9
 MIN_COUNTEREXAMPLE_GAP = 0.01
 QUAD_ATOL = 1e-6
 GH_GAUSSIAN_ATOL = 1e-10
+# chunks of instances per worker: enough to even out uneven instance and
+# worker speeds, few enough that sending them costs little
+CHUNKS_PER_WORKER = 8
 
 
 def random_finite_instance(seed: int, regime: str = None):
@@ -240,15 +244,41 @@ def quadrature_crosschecks(seed: int, n_draws: int = 12) -> dict:
     }
 
 
+def _instance(seed, regime):
+    return instance_record(seed, regime)
+
+
+def _quadrature(seed):
+    return quadrature_crosschecks(seed)
+
+
 def run_verification(seed: int = 0, n_instances: int = 100) -> dict:
-    """The whole battery; ``all_pass`` gates the CLI exit status."""
+    """The whole battery; ``all_pass`` gates the CLI exit status.
+
+    The instances are independent, so they run in a pool of forked
+    workers, one per available CPU, and come back in seed order; the
+    quadrature cross-checks go first and run beside them.  Workers reach
+    ``instance_record`` and ``quadrature_crosschecks`` through this
+    module's names as bound when the pool forks, so a rebinding made
+    before the call reaches them.
+    """
     if n_instances < 1:
         raise ValueError(f"n_instances must be positive, got {n_instances}")
-    instances = [
-        instance_record(seed + i, REGIMES[i % len(REGIMES)])
-        for i in range(n_instances)
-    ]
-    quad = quadrature_crosschecks(seed + 777_777)
+    workers = min(len(os.sched_getaffinity(0)), n_instances)
+    # fork, not the platform default: forkserver and spawn re-import this
+    # package in each worker and would lose those rebindings.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        quad_future = pool.submit(_quadrature, seed + 777_777)
+        instances = list(
+            pool.map(
+                _instance,
+                range(seed, seed + n_instances),
+                itertools.cycle(REGIMES),
+                chunksize=max(1, n_instances // (CHUNKS_PER_WORKER * workers)),
+            )
+        )
+        quad = quad_future.result()
     all_pass = all(r["pass"] for r in instances) and quad["pass"]
     return {
         "seed": int(seed),

@@ -11,9 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from sparsekl import cli
+from sparsekl import cli, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
 from sparsekl.cox import sample_inhomogeneous_pp
+from sparsekl.gaussians import NotPositiveDefiniteError
 from sparsekl.svgp import elbo, load_checkpoint
 
 
@@ -424,3 +425,23 @@ class TestVerifyTask:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "failing instance seeds: [12, 13]" in captured.err
+
+    def test_worker_numerical_failure_exits_numerical_code(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the error is raised in a pool worker and must reach main intact
+        original = verify.instance_record
+
+        def failing_record(seed, regime=None):
+            if seed == 2:
+                raise NotPositiveDefiniteError("Kuu is not positive definite", 1e-2)
+            return original(seed, regime)
+
+        monkeypatch.setattr(verify, "instance_record", failing_record)
+        cfg = write_config(
+            tmp_path,
+            "v.json",
+            {"out": str(tmp_path / "v"), "seed": 0, "verify": {"instances": 4}},
+        )
+        assert main(["verify", "--config", cfg]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err

@@ -6,6 +6,7 @@ random sweep seeded.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestCholeskyJittered:
             cholesky_jittered(A)
         assert err.value.jitter == pytest.approx(1e-2)
         assert "not positive definite" in str(err.value)
+
+    def test_error_survives_pickle_round_trip(self):
+        err = NotPositiveDefiniteError("Kuu is not positive definite", 1e-3)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NotPositiveDefiniteError
+        assert str(back) == str(err)
+        assert back.jitter == 1e-3
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
