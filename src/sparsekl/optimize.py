@@ -1,4 +1,4 @@
-"""Flat parameter vectors, gradients, monotone ascent.
+"""Flat parameter vectors, gradients, L-BFGS-B ascent.
 
 Objectives are functions of a flat unconstrained vector.  Named blocks
 carry a transform tag saying how raw coordinates map to model values
@@ -6,11 +6,11 @@ carry a transform tag saying how raw coordinates map to model values
 pure reshuffles and constraints can never be violated by an
 optimization step.
 
-The fits pass ``maximize`` analytic gradients: :func:`raw_gradient`
-chains the model-space gradients of ``elbo_and_grad`` and
-``cox_elbo_and_grad`` through the transforms.  Central differences
-(:func:`numeric_grad`) are the default for black-box objectives and the
-oracle the analytic gradients are tested against.
+The fits pass ``maximize`` fused values and analytic gradients:
+:func:`raw_gradient` chains the model-space gradients of
+``elbo_and_grad`` and ``cox_elbo_and_grad`` through the transforms.
+Central differences (:func:`numeric_grad`) serve black-box objectives
+and are the oracle the analytic gradients are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from .interdomain import GaussianWindowFeature, PointFeature
@@ -247,9 +248,13 @@ def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
 class OptimizeResult:
     """Result of :func:`maximize`.
 
-    ``evaluations`` counts every objective call, the central-difference
-    probes included; ``gradient_evaluations`` counts calls of an
-    analytic gradient.
+    ``trace`` is the start value followed by the objective at each
+    accepted iterate, and ``records`` holds one ``(iter, objective,
+    step_scale, grad_norm)`` row per accepted iterate, ``step_scale``
+    being the largest raw coordinate change of its step.  ``message``
+    says why the run stopped.  ``evaluations`` counts every objective
+    call, the central-difference probes included;
+    ``gradient_evaluations`` counts fused value-and-gradient calls.
     """
 
     x: ParamVector
@@ -257,9 +262,14 @@ class OptimizeResult:
     trace: np.ndarray
     iterations: int
     converged: bool
+    message: str
     records: tuple
     evaluations: int
     gradient_evaluations: int
+
+
+class _NonFiniteProbe(Exception):
+    pass
 
 
 def maximize(
@@ -267,88 +277,89 @@ def maximize(
     x0: ParamVector,
     max_iters: int = 2000,
     tol: float = 1e-8,
-    init_step: float = 0.1,
     grad_h: float = 1e-5,
-    gradient=None,
+    jac: bool = False,
 ) -> OptimizeResult:
-    """Deterministic full-batch ascent with per-parameter adaptive steps.
+    """Maximize ``objective`` over the raw coordinates of ``x0`` by L-BFGS-B.
 
-    Each iteration moves along the sign of the gradient with
-    per-coordinate step sizes that grow when the gradient sign persists
-    and shrink when it flips.  ``gradient`` maps a parameter vector to
-    the raw gradient; without it, central differences with step
-    ``grad_h`` are used.  A proposal that would decrease the objective is
-    halved until it does not, so the recorded trace is non-decreasing.
-    Terminates on ``max_iters`` or when the accepted improvement falls
-    below ``tol * (1 + |objective|)``.
+    With ``jac=True`` the objective returns ``(value, raw_gradient)``
+    from one fused call; otherwise central differences with step
+    ``grad_h`` supply the gradient.  ``tol`` is L-BFGS-B's ``ftol`` (the
+    relative reduction that counts as convergence) and ``max_iters`` its
+    ``maxiter``.  Accepted iterates satisfy sufficient increase, so the
+    trace is non-decreasing.
+
+    A non-finite objective at the start raises, as does a non-finite
+    analytic gradient coordinate.  A non-finite objective at a later
+    probe ends the run at the last accepted iterate with ``converged``
+    false: L-BFGS-B would instead report convergence there (on +inf) or
+    wander off (on NaN).
     """
     counts = {"objective": 0, "gradient": 0}
+    probes = {}  # raw bytes -> (value, gradient norm) since the last accepted iterate
+    accepted = [x0.raw]
+    trace = []
+    records = []
 
     def counted(pv):
         counts["objective"] += 1
         return objective(pv)
 
-    def grad_at(raw):
-        if gradient is None:
-            return numeric_grad(counted, x0.with_raw(raw), grad_h)
-        counts["gradient"] += 1
-        g = np.asarray(gradient(x0.with_raw(raw)), dtype=float)
-        if not np.all(np.isfinite(g)):
-            bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(g)))]
-            raise ValueError(f"gradient is non-finite at coordinate {bad}")
-        return g
+    def negated(raw):
+        pv = x0.with_raw(raw)
+        if jac:
+            counts["gradient"] += 1
+            value, grad = counted(pv)
+        else:
+            value = counted(pv)
+        value = float(value)
+        if not math.isfinite(value):
+            if not trace:
+                raise ValueError(f"objective is non-finite at the starting point: {value}")
+            raise _NonFiniteProbe(
+                f"STOP: objective is non-finite ({value}) at a line-search probe; "
+                "the last accepted iterate is returned"
+            )
+        if jac:
+            grad = np.asarray(grad, dtype=float)
+            if not np.all(np.isfinite(grad)):
+                bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
+                raise ValueError(f"gradient is non-finite at coordinate {bad}")
+        else:
+            grad = numeric_grad(counted, pv, grad_h)
+        if not trace:
+            trace.append(value)
+        probes[raw.tobytes()] = (value, float(np.linalg.norm(grad)))
+        return -value, -grad
 
-    x = x0.raw.copy()
-    f = float(counted(x0))
-    if not math.isfinite(f):
-        raise ValueError(f"objective is non-finite at the starting point: {f}")
-    steps = init_step * (1.0 + np.abs(x))
-    prev_sign = np.zeros_like(x)
-    trace = [f]
-    records = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
-        g = grad_at(x)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm == 0.0:
-            converged = True
-            records.append((it, f, float(np.max(steps)), grad_norm))
-            trace.append(f)
-            break
-        sign = np.sign(g)
-        agree = sign * prev_sign
-        steps = np.where(agree > 0, steps * 1.2, np.where(agree < 0, steps * 0.5, steps))
-        prev_sign = sign
-        accepted = False
-        scale = 1.0
-        for _ in range(60):
-            cand = x + scale * steps * sign
-            fc = float(counted(x0.with_raw(cand)))
-            if math.isfinite(fc) and fc >= f:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            converged = True
-            records.append((it, f, float(np.max(steps) * scale), grad_norm))
-            trace.append(f)
-            break
-        steps = steps * scale
-        delta = fc - f
-        x, f = cand, fc
-        records.append((it, f, float(np.max(steps)), grad_norm))
-        trace.append(f)
-        if delta <= tol * (1.0 + abs(f)):
-            converged = True
-            break
+    def accept(intermediate_result):
+        x = intermediate_result.x
+        value, grad_norm = probes[x.tobytes()]
+        probes.clear()
+        step = float(np.max(np.abs(x - accepted[-1])))
+        records.append((len(records) + 1, value, step, grad_norm))
+        trace.append(value)
+        accepted.append(x.copy())
+
+    try:
+        result = minimize(
+            negated,
+            x0.raw,
+            jac=True,
+            method="L-BFGS-B",
+            callback=accept,
+            options={"maxiter": max_iters, "ftol": tol},
+        )
+        converged, message = bool(result.success), str(result.message)
+    except _NonFiniteProbe as stop:
+        converged, message = False, str(stop)
     return OptimizeResult(
-        x=x0.with_raw(x),
-        objective=f,
+        x=x0.with_raw(accepted[-1]),
+        objective=trace[-1],
         trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(records),
         converged=converged,
+        message=message,
         records=tuple(records),
         evaluations=counts["objective"],
         gradient_evaluations=counts["gradient"],

@@ -1,9 +1,11 @@
-"""Analytic gradients of elbo and cox_elbo against central differences.
+"""Analytic gradients of elbo, cox_elbo and the collapsed bound against
+central differences.
 
 ``numeric_grad`` is the oracle: for every likelihood and Cox link, point
 and window features, and each choice of exposed blocks, the raw
 gradient built from ``elbo_and_grad``/``cox_elbo_and_grad`` must match
-it coordinate by coordinate.
+it coordinate by coordinate.  The regression fit's collapsed fused call
+must match central differences of ``collapsed_bound``.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsekl.cli import _collapsed_value_and_grad, _with_optimal_q
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_and_grad
 from sparsekl.gaussians import _chol_with_fallback
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
@@ -23,9 +26,11 @@ from sparsekl.svgp import (
     GaussianNoise,
     PoissonCounts,
     SVGPState,
+    collapsed_bound,
     elbo,
     elbo_and_grad,
 )
+from sparsekl.verify import REGIMES
 
 OBJECTIVES = ("gaussian", "probit", "poisson", "cox-exp", "cox-square")
 N_DATA = 30
@@ -157,3 +162,78 @@ class TestGradientOracle:
         g = raw_gradient(x0, elbo_and_grad(state, X, Y)[1])
         g_fd = numeric_grad(lambda pv: elbo(rebuild(pv), X, Y), x0, h=h)
         assert g[i] == pytest.approx(g_fd[i], rel=1e-3)
+
+
+def collapsed_problem(seed, regime, window):
+    """A seeded regression state whose features meet the data as ``regime`` says.
+
+    As in :func:`sparsekl.verify.random_finite_instance`, inputs are
+    spaced at least 1.2 lengthscales apart.  ``disjoint`` features sit
+    between inputs, ``subset`` features on some of them and ``equal``
+    features on all of them.  q is arbitrary: the collapsed call
+    replaces it.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 13))
+    ell = float(rng.uniform(0.5, 1.5))
+    gaps = rng.uniform(1.2 * ell, 2.5 * ell, size=n - 1)
+    X = np.concatenate([[0.0], np.cumsum(gaps)])
+    kernel = Kernel(rng.uniform(0.3, 2.0), [ell], rng.uniform(-1.0, 1.0))
+    Y = kernel.mean_const + np.sin(X / ell) + 0.3 * rng.standard_normal(n)
+    if regime == "disjoint":
+        midpoints = X[:-1] + 0.5 * gaps
+        centres = rng.choice(midpoints, size=int(rng.integers(1, 5)), replace=False)
+    elif regime == "subset":
+        centres = rng.choice(X, size=int(rng.integers(1, n)), replace=False)
+    else:
+        centres = X
+    if window:
+        features = [
+            GaussianWindowFeature([c], [rng.uniform(0.05, 0.3) * ell]) for c in centres
+        ]
+    else:
+        features = [PointFeature([c]) for c in centres]
+    M = len(features)
+    state = SVGPState(
+        features=features,
+        q_mean=rng.standard_normal(M),
+        q_chol=np.eye(M),
+        kernel=kernel,
+        likelihood=GaussianNoise(rng.uniform(0.1, 1.0)),
+    )
+    return state, X, Y
+
+
+class TestCollapsedGradientOracle:
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_central_differences_of_collapsed_bound(self, regime, window, seed):
+        state, X, Y = collapsed_problem(seed, regime, window)
+        x0, rebuild = svgp_parameterization(state, optimize_features=True)
+        value, grads = _collapsed_value_and_grad(state, X, Y)
+        bound_of = lambda s: collapsed_bound(
+            s.features, s.kernel, X, Y, s.likelihood.noise_var
+        )
+        assert value == pytest.approx(bound_of(state), rel=1e-10, abs=1e-10)
+        g = raw_gradient(x0, grads)
+        g_fd = numeric_grad(lambda pv: bound_of(rebuild(pv)), x0)
+        names = x0.layout.coordinate_names()
+        for i, name in enumerate(names):
+            if name.startswith("q_"):
+                assert g[i] == 0.0, name
+            else:
+                assert abs(g[i] - g_fd[i]) <= 1e-6 * (1.0 + abs(g_fd[i])), (
+                    f"{name}: collapsed {g[i]!r}, central difference {g_fd[i]!r}"
+                )
+
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_optimal_q_zeroes_the_q_gradient(self, regime, window, seed):
+        state, X, Y = collapsed_problem(seed, regime, window)
+        _, grads = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
+        assert np.max(np.abs(grads["q_mean"])) <= 1e-8
+        assert np.max(np.abs(grads["q_chol"])) <= 1e-8

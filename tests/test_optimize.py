@@ -1,4 +1,4 @@
-"""Parameter packing, finite differences, and the monotone ascent loop."""
+"""Parameter packing, finite differences, and the L-BFGS-B ascent."""
 
 import math
 
@@ -167,33 +167,47 @@ class TestMaximize:
         np.testing.assert_array_equal(objs, res.trace[1:])
 
     def test_analytic_gradient_replaces_central_differences(self):
-        # same signs, hence the same trajectory, at one gradient per iteration
+        # the same optimum, at one fused value-and-gradient call per evaluation
         layout = ParamLayout((ParamBlock("x", 3),))
         target = np.array([1.0, -2.0, 0.5])
         f = lambda v: float(-np.sum((v.raw - target) ** 2))
-        grad = lambda v: -2.0 * (v.raw - target)
+        fused = lambda v: (f(v), -2.0 * (v.raw - target))
         x0 = ParamVector(layout, np.zeros(3))
         probed = maximize(f, x0, max_iters=50, tol=1e-12)
-        exact = maximize(f, x0, max_iters=50, tol=1e-12, gradient=grad)
-        np.testing.assert_array_equal(exact.x.raw, probed.x.raw)
-        assert exact.iterations == probed.iterations
-        assert [r[:3] for r in exact.records] == [r[:3] for r in probed.records]
-        assert exact.gradient_evaluations == exact.iterations
+        exact = maximize(fused, x0, max_iters=50, tol=1e-12, jac=True)
+        np.testing.assert_allclose(exact.x.raw, probed.x.raw, rtol=0.0, atol=1e-6)
+        assert exact.objective == pytest.approx(probed.objective, abs=1e-6)
+        assert exact.evaluations == exact.gradient_evaluations > 0
         assert probed.gradient_evaluations == 0
-        assert probed.evaluations - exact.evaluations == 2 * 3 * probed.iterations
 
     def test_non_finite_gradient_names_coordinate(self):
         layout = ParamLayout((ParamBlock("a", 2), ParamBlock("b", 1)))
-        f = lambda v: float(-np.sum(v.raw**2))
-        grad = lambda v: np.array([0.0, 1.0, np.nan])
+        fused = lambda v: (float(-np.sum(v.raw**2)), np.array([0.0, 1.0, np.nan]))
         with pytest.raises(ValueError, match="b\\[0\\]"):
-            maximize(f, ParamVector(layout, np.ones(3)), gradient=grad)
+            maximize(fused, ParamVector(layout, np.ones(3)), jac=True)
 
     def test_non_finite_start_rejected(self):
         layout = ParamLayout((ParamBlock("x", 1),))
-        f = lambda v: float("inf")
+        fused = lambda v: (float("inf"), np.zeros(1))
         with pytest.raises(ValueError, match="starting point"):
-            maximize(f, ParamVector(layout, np.array([0.0])))
+            maximize(fused, ParamVector(layout, np.array([0.0])), jac=True)
+
+    def test_non_finite_probe_is_not_convergence(self):
+        # Minimizing (x - 1)^2 behind a +inf wall at x > 0.5 from x = -3,
+        # L-BFGS-B probes x = 1 and reports convergence at x = -2.
+        layout = ParamLayout((ParamBlock("x", 1),))
+
+        def walled(v):
+            x = v.raw[0]
+            value = -math.inf if x > 0.5 else -((x - 1.0) ** 2)
+            return value, np.array([-2.0 * (x - 1.0)])
+
+        res = maximize(walled, ParamVector(layout, np.array([-3.0])), jac=True)
+        assert math.isfinite(res.objective) and res.objective >= res.trace[0]
+        assert res.x.raw[0] <= 0.5
+        assert np.all(np.diff(res.trace) >= 0.0)
+        assert not res.converged
+        assert "non-finite" in res.message and "probe" in res.message
 
 
 class TestSvgpParameterization:
