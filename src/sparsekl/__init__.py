@@ -55,6 +55,7 @@ from .interdomain import (
 )
 from .kernels import Kernel, kernel_matrix, prior_at
 from .optimize import (
+    NonFiniteObjectiveError,
     ParamBlock,
     ParamLayout,
     ParamVector,
@@ -70,6 +71,7 @@ from .svgp import (
     PoissonCounts,
     SVGPState,
     collapsed_bound,
+    collapsed_bound_and_grad,
     collapsed_optimal_q,
     elbo,
     elbo_and_grad,

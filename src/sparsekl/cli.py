@@ -39,12 +39,13 @@ from .interdomain import (
     feature_prior_mean,
 )
 from .kernels import Kernel
-from .optimize import maximize, raw_gradient, svgp_parameterization
+from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_parameterization
 from .svgp import (
     BernoulliProbit,
     GaussianNoise,
     SVGPState,
     collapsed_bound,
+    collapsed_bound_and_grad,
     collapsed_optimal_q,
     elbo,
     elbo_and_grad,
@@ -79,15 +80,26 @@ class DataError(ValueError):
 # A validator returns the coerced value or raises ValueError.
 
 
+def _is_number(x):
+    """A finite JSON number: not a bool, a string, NaN or Infinity."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _real(x):
+    if not _is_number(x):
+        raise ValueError(f"must be a finite number, got {x!r}")
+    return float(x)
+
+
 def _positive(x):
-    x = float(x)
+    x = _real(x)
     if x <= 0:
         raise ValueError(f"must be positive, got {x}")
     return x
 
 
 def _nonneg_int(x):
-    if isinstance(x, bool) or int(x) != x or int(x) < 0:
+    if not _is_number(x) or int(x) != x or x < 0:
         raise ValueError(f"must be a nonnegative integer, got {x!r}")
     return int(x)
 
@@ -105,12 +117,6 @@ def _string(x):
     return x
 
 
-def _real(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"must be a number, got {x!r}")
-    return float(x)
-
-
 def _bool(x):
     if not isinstance(x, bool):
         raise ValueError(f"must be true or false, got {x!r}")
@@ -118,18 +124,21 @@ def _bool(x):
 
 
 def _positive_vector(x):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or np.any(arr <= 0):
-        raise ValueError(f"must be a list of positive numbers, got {x!r}")
-    return arr
+    items = x if isinstance(x, list) else [x]
+    if not items or not all(_is_number(v) and v > 0 for v in items):
+        raise ValueError(f"must be a list of positive finite numbers, got {x!r}")
+    return np.array(items, dtype=float)
 
 
 def _domain(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] not in (1, 2):
+    rows = x if isinstance(x, list) else []
+    if len(rows) not in (1, 2) or not all(
+        isinstance(r, list) and len(r) == 2 and all(map(_is_number, r)) for r in rows
+    ):
         raise ValueError(
-            f"must be [[lo, hi]] or [[lo1, hi1], [lo2, hi2]], got {x!r}"
+            f"must be [[lo, hi]] or [[lo1, hi1], [lo2, hi2]] of finite numbers, got {x!r}"
         )
+    arr = np.array(rows, dtype=float)
     if np.any(arr[:, 0] >= arr[:, 1]):
         raise ValueError(f"every lower bound must be below its upper bound: {x!r}")
     return arr
@@ -145,10 +154,12 @@ def _choice(*options):
 
 
 def _order_list(x):
-    arr = [int(v) for v in np.atleast_1d(np.asarray(x))]
-    if any(v < 2 for v in arr) or len(arr) not in (1, 2):
-        raise ValueError(f"must be 1 or 2 orders, each >= 2, got {x!r}")
-    return tuple(arr)
+    items = x if isinstance(x, list) else [x]
+    if len(items) not in (1, 2) or not all(
+        _is_number(v) and int(v) == v and v >= 2 for v in items
+    ):
+        raise ValueError(f"must be 1 or 2 integer orders, each >= 2, got {x!r}")
+    return tuple(int(v) for v in items)
 
 
 KERNEL_SCHEMA = {
@@ -239,7 +250,7 @@ def _validate_level(cfg, schema, path, unknown, missing, bad):
             _, validator = node
             try:
                 out[key] = validator(value)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 bad.append(f"{dotted}: {exc}")
     for key, node in schema.items():
         dotted = f"{path}.{key}" if path else key
@@ -417,16 +428,18 @@ def _initial_state(features, kernel, likelihood) -> SVGPState:
 def _fit(state, value_and_grad_of, cfg):
     """One L-BFGS-B fit over q, the hyperparameters and, if asked, the features.
 
-    ``value_and_grad_of`` maps a state to the objective and its
-    model-space gradient (``elbo_and_grad`` or ``cox_elbo_and_grad``).
+    ``value_and_grad_of`` maps a state to the objective and its model-space
+    gradient (``collapsed_bound_and_grad``, ``elbo_and_grad``, ``cox_elbo_and_grad``).
     Returns the fitted state, the trace rows and the summary fields.
     """
     opt = cfg.get("optimizer", {})
     x0, rebuild = svgp_parameterization(state, True, opt.get("optimize_features", False))
 
     def fused(pv):
-        value, grads = value_and_grad_of(rebuild(pv))
-        return value, raw_gradient(pv, grads)
+        # maximize checks every value and gradient for finiteness itself
+        with np.errstate(all="ignore"):
+            value, grads = value_and_grad_of(rebuild(pv))
+            return value, raw_gradient(pv, grads)
 
     result = maximize(
         fused, x0, max_iters=opt.get("max_iters", 300), tol=opt.get("tol", 1e-8), jac=True
@@ -446,20 +459,6 @@ def _with_optimal_q(state, X, Y):
     q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
     L, _ = _chol_with_fallback(q.cov)
     return replace(state, q_mean=q.mean, q_chol=L)
-
-
-def _collapsed_value_and_grad(state, X, Y):
-    """The collapsed bound at the state's hyperparameters and features, and its gradient.
-
-    The collapsed bound is the elbo at the optimal q (Titsias 2009).  By
-    the envelope theorem its gradient is the elbo's with q held there, so
-    the q entries, zero at the optimum up to rounding, are set to zero
-    and the q blocks of a fit never move.
-    """
-    value, grads = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
-    grads["q_mean"] = np.zeros_like(grads["q_mean"])
-    grads["q_chol"] = np.zeros_like(grads["q_chol"])
-    return value, grads
 
 
 def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):
@@ -485,18 +484,16 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
     X, Y = read_xy_data(cfg["data"], d)
     if task == "fit-regression":
         likelihood = GaussianNoise(model_cfg["noise_var"])
+        value_and_grad_of = lambda s: collapsed_bound_and_grad(s, X, Y)
     else:
         likelihood = BernoulliProbit()
+        value_and_grad_of = lambda s: elbo_and_grad(s, X, Y)
     try:
         likelihood.validate_targets(Y)
     except ValueError as exc:
         raise DataError(f"{cfg['data']}: {exc}") from exc
     features = _make_features(model_cfg, _spread_locations(X, model_cfg["num_inducing"]))
     state = _initial_state(features, kernel, likelihood)
-    if task == "fit-regression":
-        value_and_grad_of = lambda s: _collapsed_value_and_grad(s, X, Y)
-    else:
-        value_and_grad_of = lambda s: elbo_and_grad(s, X, Y)
     started = time.perf_counter()
     state, rows, fields = _fit(state, value_and_grad_of, cfg)
     if task == "fit-regression":
@@ -680,7 +677,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NotPositiveDefiniteError as exc:
+    except (NotPositiveDefiniteError, NonFiniteObjectiveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -218,7 +218,7 @@ class CoxTerms:
 def _terms_and_pass(state: SVGPState, model: CoxModel):
     pts, wts = model.grid
     # one predictive pass over events and grid together
-    fp = _WhitenedPass(state, np.vstack([model.events, pts]))
+    fp = _WhitenedPass.at_state(state, np.vstack([model.events, pts]))
     mu, var = fp.mean, fp.var
     ne = model.n_events
     if ne:

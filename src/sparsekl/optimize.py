@@ -8,7 +8,8 @@ optimization step.
 
 The fits pass ``maximize`` fused values and analytic gradients:
 :func:`raw_gradient` chains the model-space gradients of
-``elbo_and_grad`` and ``cox_elbo_and_grad`` through the transforms.
+``collapsed_bound_and_grad``, ``elbo_and_grad`` and ``cox_elbo_and_grad``
+through the transforms.
 Central differences (:func:`numeric_grad`) serve black-box objectives
 and are the oracle the analytic gradients are tested against.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "numeric_grad",
     "raw_gradient",
     "OptimizeResult",
+    "NonFiniteObjectiveError",
     "maximize",
     "svgp_parameterization",
 ]
@@ -196,11 +198,17 @@ def from_constrained(layout: ParamLayout, values: dict) -> ParamVector:
     return pack(layout, raw)
 
 
+class NonFiniteObjectiveError(ValueError):
+    """The objective or a gradient coordinate is non-finite where the
+    optimizer needs a value: at the starting point, or at a probe of the
+    gradient."""
+
+
 def numeric_grad(objective, x: ParamVector, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient with per-coordinate step ``h * (1 + |x_i|)``.
 
-    Raises if the objective is non-finite at any probe, naming the
-    coordinate by block and offset.
+    Raises :class:`NonFiniteObjectiveError` if the objective is non-finite
+    at any probe, naming the coordinate by block and offset.
     """
     raw = x.raw
     grad = np.empty(raw.shape[0])
@@ -214,7 +222,7 @@ def numeric_grad(objective, x: ParamVector, h: float = 1e-5) -> np.ndarray:
         f_plus = objective(x.with_raw(plus))
         f_minus = objective(x.with_raw(minus))
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError(
+            raise NonFiniteObjectiveError(
                 f"objective is non-finite when probing coordinate {names[i]}: "
                 f"f(+)={f_plus}, f(-)={f_minus}"
             )
@@ -289,11 +297,11 @@ def maximize(
     ``maxiter``.  Accepted iterates satisfy sufficient increase, so the
     trace is non-decreasing.
 
-    A non-finite objective at the start raises, as does a non-finite
-    analytic gradient coordinate.  A non-finite objective at a later
-    probe ends the run at the last accepted iterate with ``converged``
-    false: L-BFGS-B would instead report convergence there (on +inf) or
-    wander off (on NaN).
+    A non-finite objective at the start raises
+    :class:`NonFiniteObjectiveError`, as does a non-finite gradient
+    coordinate.  A non-finite objective at a later probe ends the run at
+    the last accepted iterate with ``converged`` false: L-BFGS-B would
+    instead report convergence there (on +inf) or wander off (on NaN).
     """
     counts = {"objective": 0, "gradient": 0}
     probes = {}  # raw bytes -> (value, gradient norm) since the last accepted iterate
@@ -315,7 +323,9 @@ def maximize(
         value = float(value)
         if not math.isfinite(value):
             if not trace:
-                raise ValueError(f"objective is non-finite at the starting point: {value}")
+                raise NonFiniteObjectiveError(
+                    f"objective is non-finite at the starting point: {value}"
+                )
             raise _NonFiniteProbe(
                 f"STOP: objective is non-finite ({value}) at a line-search probe; "
                 "the last accepted iterate is returned"
@@ -324,7 +334,7 @@ def maximize(
             grad = np.asarray(grad, dtype=float)
             if not np.all(np.isfinite(grad)):
                 bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
-                raise ValueError(f"gradient is non-finite at coordinate {bad}")
+                raise NonFiniteObjectiveError(f"gradient is non-finite at coordinate {bad}")
         else:
             grad = numeric_grad(counted, pv, grad_h)
         if not trace:

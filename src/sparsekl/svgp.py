@@ -47,6 +47,7 @@ __all__ = [
     "elbo_and_grad",
     "collapsed_optimal_q",
     "collapsed_bound",
+    "collapsed_bound_and_grad",
     "to_checkpoint_dict",
     "from_checkpoint_dict",
     "save_checkpoint",
@@ -289,20 +290,39 @@ class SVGPState:
         )
 
 
+class _FeatureFactors:
+    """The q-independent half of one evaluation at the rows of ``X``.
+
+    Validated inputs (``Y`` against ``lik`` when given), ``Kuu``, its
+    jittered Cholesky factor ``Luu``, ``Kuf`` and ``A = Luu^-1 Kuf``
+    (M x n): the one place this module builds feature covariances.
+    """
+
+    def __init__(self, features, kernel: Kernel, X, Y=None, lik=None):
+        if Y is not None and lik is None:
+            raise ValueError("no likelihood given and the state carries none")
+        self.features, self.kernel, self.lik = features, kernel, lik
+        self.X = as_points(X, kernel.input_dim)
+        self.Y = None if Y is None else lik.validate_targets(Y)
+        if Y is not None and self.Y.shape[0] != self.X.shape[0]:
+            raise ValueError(f"{self.X.shape[0]} inputs but {self.Y.shape[0]} targets")
+        self.Kuu = assemble_Kuu(features, kernel)
+        self.Luu, self.jitter = _chol_with_fallback(self.Kuu)
+        self.Kuf = assemble_Kuf(features, kernel, self.X)
+        self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
+        self.prior_mean_u = feature_prior_mean(features, kernel)
+
+
 class _WhitenedPass:
-    """One evaluation's whitened factors at the rows of ``X``, and its pullback.
+    """The q half of one evaluation, and its pullback.
 
-    ``Kuu`` is assembled and factorized once; with ``Luu`` its (jittered)
-    Cholesky factor, ``L = q_chol`` and ``m_u`` the prior mean of the
-    features:
+    q(u) enters whitened, as ``alpha = Luu^-1 (q_mean - m_u)`` and
+    ``half`` with ``S = Luu half half^T Luu^T``.  With ``A`` of ``factors``:
 
-        A     = Luu^-1 Kuf                 (M x n)
-        half  = Luu^-1 L                   (M x M)
-        alpha = Luu^-1 (q_mean - m_u)
         mean  = m + A^T alpha
         var   = kff - colsum(A * A) + colsum((half^T A)^2),  clamped at 0
         kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M)
-                + sum log diag Luu - sum log diag L,         clamped at 0
+                + sum log diag Luu - log |S|^(1/2),          clamped at 0
 
     which is KL(q(u) || p(u)) in the form of :func:`mvn_kl`.
     :meth:`backward` turns derivatives of a data term in ``mean`` and
@@ -310,31 +330,41 @@ class _WhitenedPass:
     to every model parameter.  Nothing larger than M x n is formed.
     """
 
-    def __init__(self, state: SVGPState, X):
-        kernel = state.kernel
-        self.state = state
-        self.X = as_points(X, kernel.input_dim)
-        self.Kuu = assemble_Kuu(state.features, kernel)
-        self.Luu, self.jitter = _chol_with_fallback(self.Kuu)
-        self.Kuf = assemble_Kuf(state.features, kernel, self.X)
-        self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
-        self.half = solve_triangular(self.Luu, state.q_chol, lower=True)
-        prior_mean_u = feature_prior_mean(state.features, kernel)
-        self.alpha = solve_triangular(self.Luu, state.q_mean - prior_mean_u, lower=True)
-        self.mean = kernel.mean_const + self.A.T @ self.alpha
-        T = self.half.T @ self.A
-        var = kernel.variance - np.sum(self.A * self.A, axis=0)
+    def __init__(self, factors, alpha, half, q_half_logdet, q_chol=None):
+        A = factors.A
+        self.factors, self.alpha, self.half, self.q_chol = factors, alpha, half, q_chol
+        self.mean = factors.kernel.mean_const + A.T @ alpha
+        T = half.T @ A
+        var = factors.kernel.variance - np.sum(A * A, axis=0)
         var += np.sum(T * T, axis=0)
         self.positive = var > 0.0
         self.var = np.maximum(var, 0.0)
-        kl = 0.5 * (
-            float(np.sum(self.half * self.half))
-            + float(self.alpha @ self.alpha)
-            - state.num_inducing
-        )
-        kl += float(np.sum(np.log(np.diag(self.Luu))))
-        kl -= float(np.sum(np.log(np.diag(state.q_chol))))
+        kl = 0.5 * (float(np.sum(half * half)) + float(alpha @ alpha) - A.shape[0])
+        kl += float(np.sum(np.log(np.diag(factors.Luu))))
+        kl -= q_half_logdet
         self.kl = max(kl, 0.0)
+
+    @classmethod
+    def at_state(cls, state: SVGPState, X, Y=None, lik=None):
+        """The pass at the state's own q; ``lik`` defaults to the state's."""
+        f = _FeatureFactors(state.features, state.kernel, X, Y, lik or state.likelihood)
+        alpha = solve_triangular(f.Luu, state.q_mean - f.prior_mean_u, lower=True)
+        half = solve_triangular(f.Luu, state.q_chol, lower=True)
+        return cls(f, alpha, half, float(np.sum(np.log(np.diag(state.q_chol)))), state.q_chol)
+
+    def expected_log_lik(self, quad_order):
+        f = self.factors
+        return math.fsum(f.lik.variational_expectations(self.mean, self.var, f.Y, quad_order))
+
+    def value_and_grad(self, quad_order):
+        """``expected_log_lik - kl`` and its gradient (see :func:`elbo_and_grad`)."""
+        f = self.factors
+        d_mean, d_var, d_lik = f.lik.variational_expectation_grads(
+            self.mean, self.var, f.Y, quad_order
+        )
+        grads = self.backward(d_mean, d_var)
+        grads.update(d_lik)
+        return self.expected_log_lik(quad_order) - self.kl, grads
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl``, where ``d_mean``/``d_var`` are the
@@ -355,10 +385,12 @@ class _WhitenedPass:
         and those of the KL are ``beta``, ``Kuu^-1 L - diag(1/L_ii)`` and
         ``(Kuu^-1 - Kuu^-1 S Kuu^-1 - beta beta^T) / 2``.  The jitter
         ``_chol_with_fallback`` adds is a fixed multiple of mean(diag Kuu),
-        so it passes its share of the trace back to the diagonal.  Besides
-        the pass's own, at most three M x n arrays are alive at a time.
+        so it passes its share of the trace back to the diagonal.  Without
+        ``q_chol`` the pass is at the collapsed optimum and reports the q
+        blocks as 0.  Besides the pass's own, at most three M x n arrays
+        are alive at a time.
         """
-        state, Luu, A, half = self.state, self.Luu, self.A, self.half
+        f, Luu, A, half = self.factors, self.factors.Luu, self.factors.A, self.half
         M = Luu.shape[0]
         g_var = np.where(self.positive, d_var, 0.0)
         beta = solve_triangular(Luu.T, self.alpha, lower=False)
@@ -371,24 +403,27 @@ class _WhitenedPass:
         Pg = P @ d_mean
         DvPt = Dv @ P.T
 
-        d_chol = 2.0 * ((Pv @ A.T) @ half) - Kuu_inv_L
-        d_chol = np.tril(d_chol) + np.diag(1.0 / np.diag(state.q_chol))
+        if self.q_chol is not None:
+            d_chol = 2.0 * ((Pv @ A.T) @ half) - Kuu_inv_L
+            d_chol = np.tril(d_chol) + np.diag(1.0 / np.diag(self.q_chol))
         d_q_mean = Pg - beta
         d_Kuu = -(Pv @ P.T) - DvPt - DvPt.T - np.outer(Pg, beta)
         del P, Pv
         d_Kuu += 0.5 * (Kuu_inv_L @ Kuu_inv_L.T + np.outer(beta, beta) - Kuu_inv)
-        if self.jitter:
-            share = self.jitter / float(np.sum(np.diag(self.Kuu)))
+        if f.jitter:
+            share = f.jitter / float(np.sum(np.diag(f.Kuu)))
             d_Kuu += share * np.trace(d_Kuu) * np.eye(M)
         d_Kuf = Dv
         d_Kuf *= 2.0
         d_Kuf += np.multiply.outer(beta, d_mean)
 
-        d_Kuu *= self.Kuu
-        d_Kuf *= self.Kuf
-        grads = assemble_vjp(state.features, state.kernel, self.X, d_Kuu, d_Kuf)
+        d_Kuu *= f.Kuu
+        d_Kuf *= f.Kuf
+        grads = assemble_vjp(f.features, f.kernel, f.X, d_Kuu, d_Kuf)
         grads["kernel_variance"] += float(np.sum(g_var))
         grads["kernel_mean"] = float(np.sum(d_mean)) - float(np.sum(d_q_mean))
+        if self.q_chol is None:
+            d_q_mean, d_chol = np.zeros(M), np.zeros((M, M))
         grads["q_mean"] = d_q_mean
         grads["q_chol"] = d_chol
         return grads
@@ -407,19 +442,8 @@ def predictive_marginals(state: SVGPState, Xstar):
     :class:`_WhitenedPass`).  Fails with the jitter cap in the error if
     the feature covariance cannot be factorized.
     """
-    fp = _WhitenedPass(state, Xstar)
+    fp = _WhitenedPass.at_state(state, Xstar)
     return fp.mean, fp.var
-
-
-def _validated_data(state: SVGPState, X, Y, lik):
-    lik = lik if lik is not None else state.likelihood
-    if lik is None:
-        raise ValueError("no likelihood given and the state carries none")
-    X = as_points(X, state.kernel.input_dim)
-    Y = lik.validate_targets(Y)
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} targets")
-    return lik, X, Y
 
 
 def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
@@ -428,18 +452,13 @@ def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_O
     Summed with exact accumulation so the result does not depend on the
     ordering of the data.
     """
-    lik, X, Y = _validated_data(state, X, Y, lik)
-    mu, var = predictive_marginals(state, X)
-    values = lik.variational_expectations(mu, var, Y, quad_order)
-    return math.fsum(np.asarray(values, dtype=float))
+    return _WhitenedPass.at_state(state, X, Y, lik).expected_log_lik(quad_order)
 
 
 def elbo(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
-    lik, X, Y = _validated_data(state, X, Y, lik)
-    fp = _WhitenedPass(state, X)
-    values = lik.variational_expectations(fp.mean, fp.var, Y, quad_order)
-    return math.fsum(np.asarray(values, dtype=float)) - fp.kl
+    fp = _WhitenedPass.at_state(state, X, Y, lik)
+    return fp.expected_log_lik(quad_order) - fp.kl
 
 
 def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
@@ -449,40 +468,17 @@ def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDE
     :meth:`_WhitenedPass.backward`, plus the likelihood's own parameters
     (``noise_var`` for Gaussian noise).
     """
-    lik, X, Y = _validated_data(state, X, Y, lik)
-    fp = _WhitenedPass(state, X)
-    values = lik.variational_expectations(fp.mean, fp.var, Y, quad_order)
-    d_mean, d_var, d_lik = lik.variational_expectation_grads(
-        fp.mean, fp.var, Y, quad_order
-    )
-    grads = fp.backward(d_mean, d_var)
-    grads.update(d_lik)
-    return math.fsum(np.asarray(values, dtype=float)) - fp.kl, grads
+    return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad(quad_order)
 
 
-def _collapsed_factors(features, kernel: Kernel, X, Y, noise_var: float):
-    """Validated inputs and the whitened factors both collapsed routines share.
+def _collapsed_factors(f: _FeatureFactors, noise_var: float):
+    """What the collapsed routines add to the shared ``A``, with ``r = Y - m_X``:
 
-    With ``Luu`` the (jittered) Cholesky factor of Kuu, the same one
-    :func:`predictive_marginals` and the KL term use:
-
-        A  = Luu^-1 Kuf                      (M x n)
-        LB = chol(I + A A^T / noise_var)     (M x M)
-        c  = LB^-1 A r / noise_var,          r = Y - m_X
-
-    Returns ``(r, Luu, A, LB, c)``.  Nothing larger than M x n is formed.
+        LB = chol(I + A A^T / noise_var) (M x M),   c = LB^-1 A r / noise_var
     """
-    noise = GaussianNoise(noise_var)
-    X = as_points(X, kernel.input_dim)
-    Y = noise.validate_targets(Y)
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} inputs but {Y.shape[0]} targets")
-    Luu, _ = _chol_with_fallback(assemble_Kuu(features, kernel))
-    A = solve_triangular(Luu, assemble_Kuf(features, kernel, X), lower=True)
-    LB = np.linalg.cholesky(np.eye(A.shape[0]) + (A @ A.T) / noise.noise_var)
-    r = Y - kernel.mean_const
-    c = solve_triangular(LB, A @ r, lower=True) / noise.noise_var
-    return r, Luu, A, LB, c
+    LB = np.linalg.cholesky(np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var)
+    c = solve_triangular(LB, f.A @ (f.Y - f.kernel.mean_const), lower=True) / noise_var
+    return LB, c
 
 
 def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> GaussianDist:
@@ -498,11 +494,10 @@ def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> Gau
     :func:`elbo`, so the elbo at this q equals the collapsed bound even
     when Kuu needs jitter.  O(n M^2) time, O(n M) memory.
     """
-    _, Luu, _, LB, c = _collapsed_factors(features, kernel, X, Y, noise_var)
-    half = solve_triangular(LB, Luu.T, lower=True)
-    m_opt = feature_prior_mean(features, kernel) + Luu @ solve_triangular(
-        LB.T, c, lower=False
-    )
+    f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
+    LB, c = _collapsed_factors(f, noise_var)
+    half = solve_triangular(LB, f.Luu.T, lower=True)
+    m_opt = f.prior_mean_u + f.Luu @ solve_triangular(LB.T, c, lower=False)
     return GaussianDist(m_opt, half.T @ half)
 
 
@@ -523,7 +518,9 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
 
     O(n M^2) time, O(n M) memory; no n x n matrix is formed.
     """
-    r, _, A, LB, c = _collapsed_factors(features, kernel, X, Y, noise_var)
+    f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
+    LB, c = _collapsed_factors(f, noise_var)
+    r = f.Y - kernel.mean_const
     n = r.shape[0]
     fit = -0.5 * (
         n * math.log(2.0 * math.pi * noise_var)
@@ -531,8 +528,25 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
         + float(r @ r) / noise_var
         - float(c @ c)
     )
-    trace_term = (n * kernel.variance - float(np.sum(A * A))) / (2.0 * noise_var)
+    trace_term = (n * kernel.variance - float(np.sum(f.A * f.A))) / (2.0 * noise_var)
     return fit - trace_term
+
+
+def collapsed_bound_and_grad(state: SVGPState, X, Y):
+    """:func:`collapsed_bound` and its gradient from one forward and one reverse pass.
+
+    The pass is the elbo's at the optimal q(u) (Titsias 2009), whitened as
+    ``alpha = LB^-T c`` and ``half = LB^-T``.  By the envelope theorem the
+    gradient is the elbo's with q held there; its q entries are reported as 0.
+    """
+    lik = state.likelihood
+    if not isinstance(lik, GaussianNoise):
+        raise ValueError(f"the collapsed bound needs Gaussian noise, got {lik!r}")
+    f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
+    LB, c = _collapsed_factors(f, lik.noise_var)
+    half = solve_triangular(LB, np.eye(LB.shape[0]), lower=True).T
+    q_half_logdet = float(np.sum(np.log(np.diag(f.Luu)))) - float(np.sum(np.log(np.diag(LB))))
+    return _WhitenedPass(f, half @ c, half, q_half_logdet).value_and_grad(DEFAULT_QUAD_ORDER)
 
 
 def to_checkpoint_dict(state: SVGPState) -> dict:

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from sparsekl import cli, verify
+from sparsekl import cli, svgp, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
 from sparsekl.cox import sample_inhomogeneous_pp
 from sparsekl.gaussians import NotPositiveDefiniteError
@@ -90,23 +90,43 @@ class TestConfigValidation:
         assert "missing required" in err
         assert "model.kernel" in err and "model.noise_var" in err
 
-    def test_bad_value_types(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            "bad.json",
-            {
-                "data": "x.csv",
-                "model": {
-                    "kernel": {"variance": -2.0, "lengthscales": [1.0]},
-                    "num_inducing": 2,
-                    "noise_var": 0.1,
-                },
-            },
-        )
-        rc = main(["fit-regression", "--config", cfg])
+    @pytest.mark.parametrize(
+        "task, key, value, phrase",
+        [
+            ("fit-regression", "model.kernel.variance", -2.0, "positive"),
+            # json parses NaN and Infinity; neither is a usable number
+            ("fit-regression", "model.noise_var", math.nan, "finite"),
+            ("fit-regression", "model.kernel.variance", math.inf, "finite"),
+            ("fit-regression", "model.kernel.lengthscales", [math.nan], "finite"),
+            ("fit-regression", "model.kernel.mean", math.nan, "finite"),
+            # a string or a bool is not a number, whatever float() makes of it
+            ("fit-regression", "model.kernel.variance", "2", "number"),
+            ("fit-regression", "model.kernel.variance", True, "number"),
+            ("fit-cox", "model.domain", [[0.0, math.inf]], "finite"),
+            # an order is not truncated to an integer
+            ("fit-cox", "model.quad_orders", [20.7], "integer"),
+        ],
+        ids=[
+            "negative", "nan", "infinity", "nan-in-list", "nan-mean",
+            "string", "bool", "infinite-domain", "fractional-order",
+        ],
+    )
+    def test_bad_value_types(self, tmp_path, capsys, task, key, value, phrase):
+        model = {"kernel": {"variance": 1.0, "lengthscales": [1.0]}, "num_inducing": 2}
+        if task == "fit-regression":
+            model["noise_var"] = 0.1
+        else:
+            model["domain"] = [[0.0, 1.0]]
+        doc = {"data": "x.csv", "model": model}
+        *parents, leaf = key.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+        rc = main([task, "--config", write_config(tmp_path, "bad.json", doc)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "model.kernel.variance" in err and "positive" in err
+        assert key in err and phrase in err
 
     def test_removed_step_key_is_rejected(self, tmp_path, capsys):
         data = regression_dataset(tmp_path)
@@ -360,6 +380,41 @@ class TestFitRegression:
         assert free["final_elbo"] >= fixed["final_elbo"]
         assert free["collapsed_gap"] <= 1e-3
 
+    def test_one_evaluation_factorizes_Kuu_once(self, tmp_path, monkeypatch):
+        # the fit's evaluations share one assembly and one factorization
+        # of the feature covariances: value, optimal q and gradient alike
+        calls = {"assemble_Kuu": 0, "assemble_Kuf": 0, "_chol_with_fallback": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (svgp, cli):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+        class OneEvaluation(Exception):
+            pass
+
+        def one_evaluation(fused, x0, **kwargs):
+            calls.update(dict.fromkeys(calls, 0))
+            value, grad = fused(x0)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+            raise OneEvaluation(dict(calls))
+
+        monkeypatch.setattr(cli, "maximize", one_evaluation)
+        data = regression_dataset(tmp_path)
+        cfg = small_fit_config(tmp_path, data, str(tmp_path / "fit"))
+        with pytest.raises(OneEvaluation) as stop:
+            main(["fit-regression", "--config", cfg])
+        assert stop.value.args[0] == {
+            "assemble_Kuu": 1, "assemble_Kuf": 1, "_chol_with_fallback": 1
+        }
+
     def test_bad_labels_exit_data_error(self, tmp_path, capsys):
         data = regression_dataset(tmp_path)  # continuous targets
         out = str(tmp_path / "fc")
@@ -464,6 +519,29 @@ class TestFitCox:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["objective_evaluations"] == summary["gradient_evaluations"] > 0
         assert 0 < summary["iterations"] <= 8
+
+
+    def test_non_finite_start_exits_numerical_code(self, tmp_path, capsys):
+        # exp(800) overflows, so the expected integrated rate is inf at the start
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], [[0.2], [0.5], [0.7]])
+        cfg = write_config(
+            tmp_path,
+            "cox.json",
+            {
+                "data": str(data),
+                "out": str(tmp_path / "out"),
+                "model": {
+                    "kernel": {"variance": 1.0, "lengthscales": [0.3], "mean": 800.0},
+                    "num_inducing": 3,
+                    "domain": [[0.0, 1.0]],
+                },
+            },
+        )
+        assert main(["fit-cox", "--config", cfg]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: objective is non-finite at the starting point")
 
 
 class TestVerifyTask:

@@ -4,8 +4,9 @@ central differences.
 ``numeric_grad`` is the oracle: for every likelihood and Cox link, point
 and window features, and each choice of exposed blocks, the raw
 gradient built from ``elbo_and_grad``/``cox_elbo_and_grad`` must match
-it coordinate by coordinate.  The regression fit's collapsed fused call
-must match central differences of ``collapsed_bound``.
+it coordinate by coordinate.  ``collapsed_bound_and_grad``, which the
+regression fit calls, must match central differences of
+``collapsed_bound``.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsekl.cli import _collapsed_value_and_grad, _with_optimal_q
+from sparsekl.cli import _with_optimal_q
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_and_grad
 from sparsekl.gaussians import _chol_with_fallback
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
@@ -27,6 +28,7 @@ from sparsekl.svgp import (
     PoissonCounts,
     SVGPState,
     collapsed_bound,
+    collapsed_bound_and_grad,
     elbo,
     elbo_and_grad,
 )
@@ -170,8 +172,8 @@ def collapsed_problem(seed, regime, window):
     As in :func:`sparsekl.verify.random_finite_instance`, inputs are
     spaced at least 1.2 lengthscales apart.  ``disjoint`` features sit
     between inputs, ``subset`` features on some of them and ``equal``
-    features on all of them.  q is arbitrary: the collapsed call
-    replaces it.
+    features on all of them.  q is arbitrary: the collapsed routes do
+    not read it.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 13))
@@ -212,7 +214,7 @@ class TestCollapsedGradientOracle:
     def test_matches_central_differences_of_collapsed_bound(self, regime, window, seed):
         state, X, Y = collapsed_problem(seed, regime, window)
         x0, rebuild = svgp_parameterization(state, optimize_features=True)
-        value, grads = _collapsed_value_and_grad(state, X, Y)
+        value, grads = collapsed_bound_and_grad(state, X, Y)
         bound_of = lambda s: collapsed_bound(
             s.features, s.kernel, X, Y, s.likelihood.noise_var
         )

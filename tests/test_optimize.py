@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature
 from sparsekl.kernels import Kernel
 from sparsekl.optimize import (
+    NonFiniteObjectiveError,
     ParamBlock,
     ParamLayout,
     ParamVector,
@@ -127,7 +128,7 @@ class TestNumericGrad:
                 return float("nan")
             return float(np.sum(v.raw))
 
-        with pytest.raises(ValueError, match="b\\[0\\]"):
+        with pytest.raises(NonFiniteObjectiveError, match="b\\[0\\]"):
             numeric_grad(f, ParamVector(layout, np.array([0.0, 0.0, 0.5])))
 
 
@@ -183,13 +184,13 @@ class TestMaximize:
     def test_non_finite_gradient_names_coordinate(self):
         layout = ParamLayout((ParamBlock("a", 2), ParamBlock("b", 1)))
         fused = lambda v: (float(-np.sum(v.raw**2)), np.array([0.0, 1.0, np.nan]))
-        with pytest.raises(ValueError, match="b\\[0\\]"):
+        with pytest.raises(NonFiniteObjectiveError, match="b\\[0\\]"):
             maximize(fused, ParamVector(layout, np.ones(3)), jac=True)
 
     def test_non_finite_start_rejected(self):
         layout = ParamLayout((ParamBlock("x", 1),))
         fused = lambda v: (float("inf"), np.zeros(1))
-        with pytest.raises(ValueError, match="starting point"):
+        with pytest.raises(NonFiniteObjectiveError, match="starting point"):
             maximize(fused, ParamVector(layout, np.array([0.0])), jac=True)
 
     def test_non_finite_probe_is_not_convergence(self):

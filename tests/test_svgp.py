@@ -29,6 +29,7 @@ from sparsekl.svgp import (
     PoissonCounts,
     SVGPState,
     collapsed_bound,
+    collapsed_bound_and_grad,
     collapsed_optimal_q,
     elbo,
     expected_log_lik,
@@ -258,7 +259,7 @@ class TestWhitenedKL:
 
     @staticmethod
     def whitened_kl(state):
-        return _WhitenedPass(state, np.zeros((0, state.kernel.input_dim))).kl
+        return _WhitenedPass.at_state(state, np.zeros((0, state.kernel.input_dim))).kl
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.booleans())
@@ -463,6 +464,13 @@ class TestCollapsed:
             fn(feats, k, X, Y_nan, noise)
         with pytest.raises(ValueError, match="noise_var must be positive"):
             fn(feats, k, X, Y, 0.0)
+
+    def test_bound_and_grad_needs_gaussian_noise(self):
+        k, X, Y, _, feats = self._instance(0, n=10)
+        M = len(feats)
+        state = SVGPState(feats, np.zeros(M), np.eye(M), k, BernoulliProbit())
+        with pytest.raises(ValueError, match="needs Gaussian noise"):
+            collapsed_bound_and_grad(state, X, np.sign(Y))
 
 
 class TestCheckpoint:
