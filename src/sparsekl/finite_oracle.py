@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .gaussians import (
     AffineConditional,
     GaussianDist,
     _chol_with_fallback,
+    cho_solve,
     conditional_from_joint,
     expected_conditional_kl,
     joint_from_marginal_and_conditional,
@@ -42,6 +42,7 @@ from .gaussians import (
     mvn_kl,
     mvn_logpdf,
     mvn_marginal,
+    solve_triangular,
 )
 from .kernels import Kernel, as_points, prior_at
 
@@ -143,10 +144,9 @@ def _data_joint(prior: GaussianDist, idx, data_idx, noise_var, n_obs):
     idx = np.asarray(idx, dtype=int)
     data = np.asarray(data_idx, dtype=int)
     S = prior.cov
-    top = np.hstack([S[np.ix_(idx, idx)], S[np.ix_(idx, data)]])
-    bottom = np.hstack(
-        [S[np.ix_(data, idx)], S[np.ix_(data, data)] + noise_var * np.eye(n_obs)]
-    )
+    rows_i, rows_d = S[idx], S[data]
+    top = np.hstack([rows_i[:, idx], rows_i[:, data]])
+    bottom = np.hstack([rows_d[:, idx], rows_d[:, data] + noise_var * np.eye(n_obs)])
     mean = np.concatenate([prior.mean[idx], prior.mean[data]])
     return GaussianDist(mean, np.vstack([top, bottom]))
 
@@ -167,7 +167,7 @@ def exact_posterior(m: FiniteModel) -> GaussianDist:
 def log_marginal_likelihood(m: FiniteModel) -> float:
     """Exact log evidence ``log N(Y | m_D, S_DD + noise_var I)``."""
     data = np.asarray(m.data_idx, dtype=int)
-    cov = m.prior.cov[np.ix_(data, data)] + m.noise_var * np.eye(len(data))
+    cov = m.prior.cov[data][:, data] + m.noise_var * np.eye(len(data))
     return mvn_logpdf(GaussianDist(m.prior.mean[data], cov), m.Y)
 
 
@@ -183,13 +183,14 @@ def collapsed_bound_dense(m: FiniteModel) -> float:
     data = np.asarray(m.data_idx, dtype=int)
     z = np.asarray(m.inducing_idx, dtype=int)
     K = m.prior.cov
-    Lzz, _ = _chol_with_fallback(K[np.ix_(z, z)])
-    A = solve_triangular(Lzz, K[np.ix_(z, data)], lower=True)
+    rows_z = K[z]
+    Lzz, _ = _chol_with_fallback(rows_z[:, z])
+    A = solve_triangular(Lzz, rows_z[:, data], lower=True)
     Qff = A.T @ A
     fit = mvn_logpdf(
         GaussianDist(m.prior.mean[data], Qff + m.noise_var * np.eye(len(data))), m.Y
     )
-    return fit - float(np.trace(K[np.ix_(data, data)] - Qff)) / (2.0 * m.noise_var)
+    return fit - float(np.trace(K[data][:, data] - Qff)) / (2.0 * m.noise_var)
 
 
 def _extend_within(prior: GaussianDist, q_u: GaussianDist, positions) -> GaussianDist:
@@ -208,15 +209,13 @@ def _extend_within(prior: GaussianDist, q_u: GaussianDist, positions) -> Gaussia
     if rest.size == 0:
         inverse = np.empty(n, dtype=int)
         inverse[z] = np.arange(n)
-        return GaussianDist(q_u.mean[inverse], q_u.cov[np.ix_(inverse, inverse)])
+        return GaussianDist(q_u.mean[inverse], q_u.cov[inverse][:, inverse])
     cond = conditional_from_joint(prior, rest, z)
     joint_zr = joint_from_marginal_and_conditional(q_u, cond)
     order = np.concatenate([z, rest])
     inverse = np.empty(n, dtype=int)
     inverse[order] = np.arange(n)
-    return GaussianDist(
-        joint_zr.mean[inverse], joint_zr.cov[np.ix_(inverse, inverse)]
-    )
+    return GaussianDist(joint_zr.mean[inverse], joint_zr.cov[inverse][:, inverse])
 
 
 def extend_approx(m: FiniteModel, q: ApproxPosterior) -> GaussianDist:
@@ -250,9 +249,7 @@ def _reorder(q: ApproxPosterior, m: FiniteModel, union) -> GaussianDist:
     """q over the inducing block, permuted to ascending position within the union."""
     z = np.asarray(m.inducing_idx, dtype=int)
     order = np.argsort(np.searchsorted(union, z))
-    return GaussianDist(
-        q.q_u.mean[order], q.q_u.cov[np.ix_(order, order)]
-    )
+    return GaussianDist(q.q_u.mean[order], q.q_u.cov[order][:, order])
 
 
 @dataclass(frozen=True)
@@ -361,7 +358,7 @@ def noisy_copy_conditional(m: FiniteModel, cov_scale: float = 1.0) -> AffineCond
     z = np.asarray(m.inducing_idx, dtype=int)
     G = np.zeros((z.shape[0], m.n_points))
     G[np.arange(z.shape[0]), z] = 1.0
-    noise = 0.5 * float(np.mean(np.diag(m.prior.cov[np.ix_(z, z)])))
+    noise = 0.5 * float(np.mean(m.prior.cov[z, z]))
     return AffineConditional(G, np.zeros(z.shape[0]), cov_scale * noise * np.eye(z.shape[0]))
 
 

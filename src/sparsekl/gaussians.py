@@ -4,8 +4,17 @@ Everything downstream (the finite-dimensional verification oracle, the
 sparse variational bounds, the Cox process objective) reduces to a small
 set of operations on explicit mean/covariance pairs: factorize, solve,
 marginalize, condition, and compute KL divergences.  All solves go
-through Cholesky factors, one LAPACK call per solve with every
-right-hand side stacked; no explicit matrix inverse is ever formed.
+through Cholesky factors; no explicit matrix inverse is ever formed.
+
+One LAPACK call per factorization or solve, with every right-hand side
+stacked: :func:`cholesky`, :func:`solve_triangular` and :func:`cho_solve`
+call ``dpotrf``, ``dtrtrs`` and ``dpotrs`` directly and are the only
+route to them in the package.  The oracle's matrices are at most about
+12 x 12, where LAPACK takes 2-3 us and the general wrappers
+(``np.linalg.cholesky``, ``scipy.linalg.solve_triangular``/``cho_solve``)
+spend 7-22 us per call on dispatch, batching and validation; the kernels
+keep those wrappers' checks (finite inputs to a solve, shapes, failure
+as ``LinAlgError``) and drop the rest.
 """
 
 from __future__ import annotations
@@ -15,10 +24,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "NotPositiveDefiniteError",
+    "cholesky",
+    "solve_triangular",
+    "cho_solve",
     "cholesky_jittered",
     "GaussianDist",
     "AffineConditional",
@@ -50,12 +62,86 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         return type(self), (self.args[0], self.jitter), self.__dict__
 
 
+def cholesky(A):
+    """Lower Cholesky factor of ``A`` (Fortran-ordered) from one ``dpotrf``.
+
+    Reads the lower triangle only.  Like ``np.linalg.cholesky`` it makes
+    no finiteness check: a NaN entry gives a NaN factor, which a fit's
+    optimizer then sees as a non-finite objective.  Raises
+    ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    """
+    L, info = dpotrf(A, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return L
+
+
+def _check_solve_inputs(L, B):
+    """``scipy.linalg``'s checks on a factor and right-hand side, with its messages."""
+    if not (np.isfinite(L).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise ValueError("expected square matrix")
+    if L.shape[0] != B.shape[0]:
+        raise ValueError(f"shapes of a {L.shape} and b {B.shape} are incompatible")
+
+
+def solve_triangular(L, B, *, lower=False, trans=0):
+    """``L^-1 B`` (``trans=0``) or ``L^-T B`` (``trans=1``) from one ``dtrtrs``.
+
+    ``B`` is a vector or a matrix of stacked right-hand sides.  A
+    C-ordered ``L`` goes in as its Fortran-ordered transpose with
+    ``lower`` and ``trans`` flipped, so it is not copied.  Raises
+    ``ValueError`` on a non-finite input and ``np.linalg.LinAlgError`` on
+    a zero diagonal, as ``scipy.linalg.solve_triangular`` does.
+    """
+    _check_solve_inputs(L, B)
+    if B.size == 0:
+        return np.zeros(B.shape)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, B, lower=lower, trans=trans)
+    else:
+        x, info = dtrtrs(L.T, B, lower=not lower, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
+def cho_solve(factor, B):
+    """``(L L^T)^-1 B`` from one ``dpotrs``, with ``factor = (L, lower)``.
+
+    ``lower`` false means ``L`` is upper triangular and the matrix is
+    ``L^T L``.  Checks and ordering as :func:`solve_triangular`;
+    ``dpotrs`` itself does not test the diagonal, so a zero on it raises
+    ``np.linalg.LinAlgError`` here rather than giving infinities.
+    """
+    L, lower = factor
+    _check_solve_inputs(L, B)
+    if not L.diagonal().all():
+        raise np.linalg.LinAlgError("singular matrix: the factor has a zero diagonal")
+    if B.size == 0:
+        return np.zeros(B.shape)
+    if L.flags.f_contiguous:
+        x, info = dpotrs(L, B, lower=lower)
+    else:
+        x, info = dpotrs(L.T, B, lower=not lower)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 def _check_symmetric(A, rel_tol, what="matrix"):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    asym = float(np.max(np.abs(A - A.T))) if A.size else 0.0
+    scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
+    asym = float(np.abs(A - A.T).max()) if A.size else 0.0
     if asym > rel_tol * scale:
         raise ValueError(
             f"{what} is not symmetric: max |A - A^T| = {asym:.3e} "
@@ -87,9 +173,16 @@ def cholesky_jittered(A, base_jitter=None):
     Raises
     ------
     NotPositiveDefiniteError
-        If the factorization still fails at the jitter cap.  The error
+        If ``A`` has a non-finite entry (jitter 0, nothing attempted) or
+        the factorization still fails at the jitter cap.  The error
         carries the largest jitter attempted.
     """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise NotPositiveDefiniteError(
+            "matrix is not positive definite: cholesky input has non-finite entries",
+            0.0,
+        )
     A = _check_symmetric(A, 1e-10, "cholesky input")
     if A.shape[0] == 0:
         return np.zeros((0, 0)), 0.0
@@ -109,8 +202,7 @@ def cholesky_jittered(A, base_jitter=None):
     eye = np.eye(A.shape[0])
     while True:
         try:
-            L = np.linalg.cholesky(A + jitter * eye)
-            return L, jitter
+            return cholesky(A + jitter * eye), jitter
         except np.linalg.LinAlgError:
             if jitter >= cap:
                 raise NotPositiveDefiniteError(
@@ -130,7 +222,7 @@ def _chol_with_fallback(A):
     if A.shape[0] == 0:
         return np.zeros((0, 0)), 0.0
     try:
-        return np.linalg.cholesky(A), 0.0
+        return cholesky(A), 0.0
     except np.linalg.LinAlgError:
         return cholesky_jittered(A)
 
@@ -157,7 +249,7 @@ class GaussianDist:
                 f"mean has dimension {mean.shape[0]} but covariance is "
                 f"{cov.shape[0]}x{cov.shape[1]}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -227,9 +319,9 @@ def _validate_indices(idx, n, what="index"):
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
     if idx.size == 0:
         raise ValueError(f"{what} set must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= n):
+    if (idx < 0).any() or (idx >= n).any():
         raise ValueError(f"{what} {idx.tolist()} out of range for dimension {n}")
-    if np.unique(idx).size != idx.size:
+    if len(set(idx.tolist())) != idx.size:
         raise ValueError(f"{what} set contains duplicates: {idx.tolist()}")
     return idx
 
@@ -237,7 +329,7 @@ def _validate_indices(idx, n, what="index"):
 def mvn_marginal(p: GaussianDist, idx) -> GaussianDist:
     """Marginal of ``p`` on the coordinates ``idx`` (in the given order)."""
     idx = _validate_indices(idx, p.dim, "marginal index")
-    return GaussianDist(p.mean[idx], p.cov[np.ix_(idx, idx)])
+    return GaussianDist(p.mean[idx], p.cov[idx][:, idx])
 
 
 def mvn_condition(joint: GaussianDist, obs_idx, obs_val) -> GaussianDist:
@@ -301,11 +393,10 @@ def conditional_from_joint(joint: GaussianDist, dep_idx, given_idx) -> AffineCon
     """
     dep_idx = _validate_indices(dep_idx, joint.dim, "dependent index")
     given_idx = _validate_indices(given_idx, joint.dim, "conditioning index")
-    if np.intersect1d(dep_idx, given_idx).size:
+    if not set(dep_idx.tolist()).isdisjoint(given_idx.tolist()):
         raise ValueError("dependent and conditioning index sets overlap")
-    S_dg = joint.cov[np.ix_(dep_idx, given_idx)]
-    S_gg = joint.cov[np.ix_(given_idx, given_idx)]
-    S_dd = joint.cov[np.ix_(dep_idx, dep_idx)]
+    rows_d, rows_g = joint.cov[dep_idx], joint.cov[given_idx]
+    S_dg, S_dd, S_gg = rows_d[:, given_idx], rows_d[:, dep_idx], rows_g[:, given_idx]
     Lg, _ = _chol_with_fallback(S_gg)
     W = cho_solve((Lg, True), S_dg.T).T  # S_dg S_gg^-1
     offset = joint.mean[dep_idx] - W @ joint.mean[given_idx]

@@ -201,7 +201,8 @@ def from_constrained(layout: ParamLayout, values: dict) -> ParamVector:
 class NonFiniteObjectiveError(ValueError):
     """The objective or a gradient coordinate is non-finite where the
     optimizer needs a value: at the starting point, or at a probe of the
-    gradient."""
+    gradient; or a probe's parameters leave the range their transform can
+    represent, so the objective has no value there."""
 
 
 def numeric_grad(objective, x: ParamVector, h: float = 1e-5) -> np.ndarray:
@@ -386,7 +387,10 @@ def svgp_parameterization(
     Returns ``(x0, rebuild)`` where ``rebuild`` maps any parameter
     vector with the same layout back to a state.  The variational
     Cholesky diagonal lives behind a softplus, scale parameters behind a
-    log, everything else is unconstrained.
+    log, everything else is unconstrained.  ``rebuild`` raises
+    :class:`NonFiniteObjectiveError` when such a transform underflows to
+    0 or overflows to inf (a far line-search probe on an objective that
+    is unbounded above, such as a single data point).
     """
     M = state.num_inducing
     d = state.kernel.input_dim
@@ -438,6 +442,13 @@ def svgp_parameterization(
 
     def rebuild(pv: ParamVector) -> SVGPState:
         vals = pv.constrained()
+        for b in layout.blocks:
+            v = vals[b.name]
+            if b.transform != "identity" and not ((v > 0.0) & (v < np.inf)).all():
+                raise NonFiniteObjectiveError(
+                    f"parameter {b.name} is {v.tolist()}: its {b.transform} transform "
+                    f"leaves (0, inf) at raw {pv.unpack()[b.name].tolist()}"
+                )
         q_chol = np.zeros((M, M))
         q_chol[np.diag_indices(M)] = vals["q_chol_diag"]
         if M > 1:

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln, log_ndtr
 
-from .gaussians import LOG_2PI, GaussianDist, _chol_with_fallback
+from .gaussians import (
+    LOG_2PI,
+    GaussianDist,
+    NotPositiveDefiniteError,
+    _chol_with_fallback,
+    cholesky,
+    solve_triangular,
+)
 from .interdomain import (
     assemble_Kuf,
     assemble_Kuu,
@@ -131,7 +137,9 @@ class GaussianNoise:
         """Derivatives of the summed expectations: in ``mu`` and ``var``
         per point, and in the likelihood's own parameters by name."""
         resid = y - mu
-        d_noise = 0.5 * float(np.sum(resid**2 + var)) / self.noise_var**2
+        # noise_var**2 underflows to 0 on a far probe: numpy division gives
+        # inf, which maximize names, where float division would raise
+        d_noise = 0.5 * float(np.sum(resid**2 + var)) / np.square(self.noise_var)
         d_noise -= 0.5 * resid.shape[0] / self.noise_var
         d_var = np.full(resid.shape[0], -0.5 / self.noise_var)
         return resid / self.noise_var, d_var, {"noise_var": d_noise}
@@ -475,8 +483,19 @@ def _collapsed_factors(f: _FeatureFactors, noise_var: float):
     """What the collapsed routines add to the shared ``A``, with ``r = Y - m_X``:
 
         LB = chol(I + A A^T / noise_var) (M x M),   c = LB^-1 A r / noise_var
+
+    The matrix is positive definite in exact arithmetic; when round-off at
+    a tiny ``noise_var`` breaks that, the bound cannot be evaluated and
+    :class:`NotPositiveDefiniteError` says so.
     """
-    LB = np.linalg.cholesky(np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var)
+    try:
+        LB = cholesky(np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "I + A A^T / noise_var is not positive definite in floating point "
+            f"at noise_var {noise_var:.3e}: the collapsed bound cannot be evaluated",
+            0.0,
+        ) from None
     c = solve_triangular(LB, f.A @ (f.Y - f.kernel.mean_const), lower=True) / noise_var
     return LB, c
 

@@ -27,6 +27,7 @@ from .finite_oracle import (
 )
 from .gaussians import (
     GaussianDist,
+    cholesky,
     expected_conditional_kl,
     joint_from_marginal_and_conditional,
     mvn_kl,
@@ -102,7 +103,7 @@ def random_finite_instance(seed: int, regime: str = None):
         inducing_idx = data_idx
     prior_mean = np.full(n, kernel.mean_const)
     K = kernel_matrix(kernel, X, X)
-    L = np.linalg.cholesky(K)
+    L = cholesky(K)
     f = prior_mean + L @ rng.standard_normal(n)
     Y = f[list(data_idx)] + np.sqrt(noise_var) * rng.standard_normal(len(data_idx))
     model = FiniteModel.from_kernel(kernel, X, data_idx, inducing_idx, Y, noise_var)

@@ -415,6 +415,39 @@ class TestFitRegression:
             "assemble_Kuu": 1, "assemble_Kuf": 1, "_chol_with_fallback": 1
         }
 
+    @staticmethod
+    def assert_named_ending(tmp_path, capsys, rows, model):
+        """The fit ends with a summary (exit 0) or one numerical-failure line
+        (exit 5); a traceback would escape ``main`` and fail the test."""
+        data = tmp_path / "train.csv"
+        write_csv(data, ["x1", "y"], rows)
+        out = tmp_path / "fit"
+        cfg = write_config(tmp_path, "fit.json", {"data": str(data), "out": str(out), "model": model})
+        rc = main(["fit-regression", "--config", cfg])
+        err = capsys.readouterr().err
+        if rc == cli.EXIT_OK:
+            assert json.loads((out / "summary.json").read_text())["n_data"] == len(rows)
+        else:
+            assert rc == cli.EXIT_NUMERICAL
+            assert err.count("\n") == 1 and err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("num_inducing", [1, 5])
+    def test_single_point_ends_with_a_named_outcome(self, tmp_path, capsys, num_inducing):
+        # the bound is unbounded above as noise_var falls, so L-BFGS-B can
+        # probe far enough for exp to underflow or noise_var**2 to reach 0
+        model = {
+            "kernel": {"variance": 1.0, "lengthscales": [0.3]},
+            "num_inducing": num_inducing,
+            "noise_var": 0.1,
+        }
+        self.assert_named_ending(tmp_path, capsys, [[0.5, 1.0]], model)
+
+    def test_constant_targets_end_with_a_named_outcome(self, tmp_path, capsys):
+        # noise_var falls to ~1e-44, where I + A A^T / noise_var is not
+        # positive definite in floating point
+        rows = np.column_stack([np.linspace(0.0, 1.0, 50), np.full(50, 2.0)])
+        self.assert_named_ending(tmp_path, capsys, rows, TEST_11_MODEL)
+
     def test_bad_labels_exit_data_error(self, tmp_path, capsys):
         data = regression_dataset(tmp_path)  # continuous targets
         out = str(tmp_path / "fc")

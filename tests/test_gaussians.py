@@ -5,16 +5,21 @@ grid quadrature, and scipy's own density implementations, with every
 random sweep seeded.
 """
 
+import ast
 import math
+import pathlib
 import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, norm
 
+import sparsekl
+from sparsekl import gaussians
 from sparsekl.gaussians import (
     AffineConditional,
     GaussianDist,
@@ -95,6 +100,19 @@ class TestCholeskyJittered:
         A = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             cholesky_jittered(A)
+
+    @pytest.mark.parametrize(
+        "A", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])], ids=["nan", "inf"]
+    )
+    def test_non_finite_input_rejected_before_jitter(self, monkeypatch, A):
+        # a NaN matrix used to come back as a NaN factor with jitter nan, and
+        # an inf entry ran the whole escalation before failing
+        calls = []
+        monkeypatch.setattr(gaussians, "cholesky", lambda A: calls.append(A))
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite") as err:
+            cholesky_jittered(A)
+        assert err.value.jitter == 0.0
+        assert calls == []
 
     def test_custom_base_jitter(self):
         _, jitter = cholesky_jittered(np.eye(2), base_jitter=1e-6)
@@ -401,3 +419,153 @@ class TestStackedSolvesAgainstDenseReference:
         expected = dense_kl(*joints[0], *joints[1])
         got = expected_conditional_kl(conds[0], conds[1], over)
         assert abs(got - expected) <= EQUIVALENCE_RTOL * (1.0 + abs(expected))
+
+
+ORDERS = st.sampled_from(["C", "F"])
+
+
+def triangular_factor(rng, dim, lower, order):
+    """A well-conditioned triangular factor in the requested memory order."""
+    L = np.linalg.cholesky(random_spd(rng, dim, floor=1.0))
+    return np.asarray(L if lower else L.T, order=order)
+
+
+def right_hand_side(rng, dim, columns):
+    return rng.standard_normal(dim) if columns == 0 else rng.standard_normal((dim, columns))
+
+
+def assert_equivalent(got, expected):
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= EQUIVALENCE_RTOL * (1.0 + np.abs(expected)))
+
+
+class TestLapackKernelsAgainstScipy:
+    """The direct LAPACK kernels against the scipy and numpy wrappers they replace.
+
+    ``columns`` 0 draws a 1-D right-hand side.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(0, 9),
+        columns=st.integers(0, 4),
+        lower=st.booleans(),
+        trans=st.sampled_from([0, 1]),
+        order=ORDERS,
+    )
+    @example(seed=0, dim=0, columns=0, lower=True, trans=0, order="C")
+    @example(seed=1, dim=9, columns=3, lower=False, trans=1, order="F")
+    def test_solve_triangular(self, seed, dim, columns, lower, trans, order):
+        rng = np.random.default_rng(seed)
+        L = triangular_factor(rng, dim, lower, order)
+        B = right_hand_side(rng, dim, columns)
+        expected = scipy.linalg.solve_triangular(L, B, lower=lower, trans=trans)
+        assert_equivalent(gaussians.solve_triangular(L, B, lower=lower, trans=trans), expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(0, 9),
+        columns=st.integers(0, 4),
+        lower=st.booleans(),
+        order=ORDERS,
+    )
+    @example(seed=0, dim=0, columns=2, lower=True, order="C")
+    @example(seed=1, dim=9, columns=0, lower=False, order="C")
+    def test_cho_solve(self, seed, dim, columns, lower, order):
+        rng = np.random.default_rng(seed)
+        L = triangular_factor(rng, dim, lower, order)
+        B = right_hand_side(rng, dim, columns)
+        expected = scipy.linalg.cho_solve((L, lower), B)
+        assert_equivalent(gaussians.cho_solve((L, lower), B), expected)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 9), order=ORDERS)
+    @example(seed=0, dim=0, order="C")
+    def test_cholesky(self, seed, dim, order):
+        A = np.asarray(random_spd(np.random.default_rng(seed), dim), order=order)
+        assert_equivalent(gaussians.cholesky(A), np.linalg.cholesky(A))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_non_finite_solve_input_raises_value_error(self, bad, where):
+        L, B = np.linalg.cholesky(random_spd(np.random.default_rng(0), 3)), np.ones((3, 2))
+        (L if where == "factor" else B)[1, 0] = bad
+        for solve in (
+            lambda: gaussians.solve_triangular(L, B, lower=True),
+            lambda: gaussians.cho_solve((L, True), B),
+        ):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_diagonal_raises_linalg_error(self, order):
+        L = np.asarray(np.tril(np.ones((3, 3))) - np.diag([0.0, 1.0, 0.0]), order=order)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            gaussians.solve_triangular(L, np.ones(3), lower=True)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            gaussians.cho_solve((L, True), np.ones(3))
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gaussians.cholesky(np.array([[1.0, 3.0], [3.0, 1.0]]))
+
+    def test_shape_mismatch_raises_value_error(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            gaussians.solve_triangular(np.eye(3), np.ones(2), lower=True)
+        with pytest.raises(ValueError, match="square"):
+            gaussians.cho_solve((np.ones((2, 3)), True), np.ones(2))
+
+    def test_cholesky_passes_nan_through(self):
+        # no finiteness check, as in np.linalg.cholesky: a NaN probe in a fit
+        # must reach the optimizer as a non-finite value, not an error
+        L = gaussians.cholesky(np.full((2, 2), np.nan))
+        assert np.isnan(L[1, 1]) and L[0, 1] == 0.0
+
+
+WRAPPERS = {"cholesky", "solve_triangular", "cho_solve"}
+
+
+def wrapper_uses(source, filename="<source>"):
+    """Lines of ``source`` that reach a factorization or solve around the kernels:
+    ``from scipy.linalg import ...`` (or ``numpy.linalg``) of a wrapper name, or
+    an attribute such as ``np.linalg.cholesky``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[:2] in (["scipy", "linalg"], ["numpy", "linalg"]) and any(
+                alias.name in WRAPPERS for alias in node.names
+            ):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in WRAPPERS:
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if name == "linalg":
+                found.append(node.lineno)
+    return found
+
+
+def test_factorizations_and_solves_go_through_the_kernels():
+    offenders = [
+        f"{path}:{line}"
+        for path in sorted(pathlib.Path(sparsekl.__file__).parent.glob("*.py"))
+        for line in wrapper_uses(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert offenders == [], "use sparsekl.gaussians' LAPACK kernels: " + ", ".join(offenders)
+
+
+def test_wrapper_scan_finds_each_route():
+    source = "\n".join(
+        [
+            "from scipy.linalg import cho_solve",
+            "from scipy.linalg.lapack import dpotrf",
+            "import numpy as np",
+            "L = np.linalg.cholesky(A)",
+            "x = scipy.linalg.solve_triangular(L, b)",
+            "from numpy.linalg import cholesky",
+            "y = gaussians.cholesky(A)",
+        ]
+    )
+    assert sorted(wrapper_uses(source)) == [1, 4, 5, 6]

@@ -238,6 +238,20 @@ class TestSvgpParameterization:
         )
         assert back.likelihood.noise_var == pytest.approx(0.3, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "block, raw", [("kernel_variance", -800.0), ("noise_var", 800.0), ("q_chol_diag", -800.0)]
+    )
+    def test_rebuild_names_a_transform_that_leaves_its_range(self, block, raw):
+        # exp(-800) underflows to 0 and exp(800) overflows: a far line-search
+        # probe whose model cannot be built, named instead of a bare ValueError
+        x0, rebuild = svgp_parameterization(self.make_state())
+        blocks = x0.unpack()
+        blocks[block][0] = raw
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteObjectiveError, match=f"parameter {block} is"
+        ):
+            rebuild(pack(x0.layout, blocks))
+
     def test_variational_only_freezes_hypers(self):
         state = self.make_state()
         x0, rebuild = svgp_parameterization(state, optimize_hypers=False)
