@@ -321,24 +321,28 @@ class _FeatureFactors:
         self.prior_mean_u = feature_prior_mean(features, kernel)
 
 
+def _solve_t(Luu, B):
+    """``Luu^-T B``; a non-finite column of ``B`` (an overflowed link) gives NaN, not an error."""
+    bad = ~np.isfinite(B).all(axis=0)
+    return np.where(bad, np.nan, solve_triangular(Luu, np.where(bad, 0.0, B), lower=True, trans=1))
+
+
 class _WhitenedPass:
-    """The q half of one evaluation, and its pullback.
+    """The q half of one evaluation, and its reverse pass.
 
     q(u) enters whitened, as ``alpha = Luu^-1 (q_mean - m_u)`` and
     ``half`` with ``S = Luu half half^T Luu^T``.  With ``A`` of ``factors``:
 
         mean  = m + A^T alpha
         var   = kff - colsum(A * A) + colsum((half^T A)^2),  clamped at 0
-        kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M)
-                + sum log diag Luu - log |S|^(1/2),          clamped at 0
+        kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M) - log |det half|,  clamped at 0
 
-    which is KL(q(u) || p(u)) in the form of :func:`mvn_kl`.
-    :meth:`backward` turns derivatives of a data term in ``mean`` and
-    ``var`` into the exact gradient of ``data term - kl`` with respect
-    to every model parameter.  Nothing larger than M x n is formed.
+    which is KL(q(u) || p(u)) in the form of :func:`mvn_kl`.  :meth:`backward`
+    holds q fixed in whitened coordinates (``q_chol`` None: the collapsed optimum,
+    whose q blocks it reports as 0) or in the state's (:meth:`at_state`).
     """
 
-    def __init__(self, factors, alpha, half, q_half_logdet, q_chol=None):
+    def __init__(self, factors, alpha, half, half_logdet, q_chol=None):
         A = factors.A
         self.factors, self.alpha, self.half, self.q_chol = factors, alpha, half, q_chol
         self.mean = factors.kernel.mean_const + A.T @ alpha
@@ -348,9 +352,7 @@ class _WhitenedPass:
         self.positive = var > 0.0
         self.var = np.maximum(var, 0.0)
         kl = 0.5 * (float(np.sum(half * half)) + float(alpha @ alpha) - A.shape[0])
-        kl += float(np.sum(np.log(np.diag(factors.Luu))))
-        kl -= q_half_logdet
-        self.kl = max(kl, 0.0)
+        self.kl = max(kl - half_logdet, 0.0)
 
     @classmethod
     def at_state(cls, state: SVGPState, X, Y=None, lik=None):
@@ -358,7 +360,8 @@ class _WhitenedPass:
         f = _FeatureFactors(state.features, state.kernel, X, Y, lik or state.likelihood)
         alpha = solve_triangular(f.Luu, state.q_mean - f.prior_mean_u, lower=True)
         half = solve_triangular(f.Luu, state.q_chol, lower=True)
-        return cls(f, alpha, half, float(np.sum(np.log(np.diag(state.q_chol)))), state.q_chol)
+        logdet = float(np.sum(np.log(np.diag(state.q_chol))))
+        return cls(f, alpha, half, logdet - float(np.sum(np.log(np.diag(f.Luu)))), state.q_chol)
 
     def expected_log_lik(self, quad_order):
         f = self.factors
@@ -376,62 +379,58 @@ class _WhitenedPass:
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl``, where ``d_mean``/``d_var`` are the
-        derivatives of the data term in ``mean``/``var``.
+        derivatives of the data term in ``mean``/``var``; keyed ``q_mean``,
+        ``q_chol`` (lower triangular), ``kernel_mean`` and as :func:`assemble_vjp`.
 
-        Keys: ``q_mean``, ``q_chol`` (lower triangular), ``kernel_mean``,
-        plus those of :func:`assemble_vjp`.  With ``P = Kuu^-1 Kuf``,
-        ``beta = Kuu^-1 (q_mean - m_u)``, ``S = L L^T`` and
-        ``D = (Kuu^-1 S - I) P``, the derivatives through the predictive
-        marginals are
+        Plain reverse mode through the forward pass.  With ``g_var`` the
+        unclamped part of ``d_var``, the whitened cotangents
 
-            d/dq_mean = P g_mean
-            d/dL      = 2 P diag(g_var) P^T L
-            d/dKuf    = beta g_mean^T + 2 D diag(g_var)
-            d/dKuu    = -P g_mean beta^T - P diag(g_var) (P + D)^T
-                        - D diag(g_var) P^T
+            G_A     = 2 (half half^T - I) A diag(g_var) + alpha d_mean^T
+            G_alpha = A d_mean - alpha,   G_half = 2 A diag(g_var) A^T half - half
 
-        and those of the KL are ``beta``, ``Kuu^-1 L - diag(1/L_ii)`` and
-        ``(Kuu^-1 - Kuu^-1 S Kuu^-1 - beta beta^T) / 2``.  The jitter
-        ``_chol_with_fallback`` adds is a fixed multiple of mean(diag Kuu),
-        so it passes its share of the trace back to the diagonal.  Without
-        ``q_chol`` the pass is at the collapsed optimum and reports the q
-        blocks as 0.  Besides the pass's own, at most three M x n arrays
-        are alive at a time.
+        go through ``Luu^-T`` in one solve with M-row right-hand sides,
+        ``R = Luu^-T [2 (half half^T - I) | alpha | G_alpha | G_half]``:
+
+            d/dKuf    = Luu^-T G_A = R_1 A diag(g_var) + r_alpha d_mean^T
+            d/dLuu    = -R_1 A diag(g_var) A^T - r_alpha (A d_mean)^T      (= -d/dKuf A^T)
+                        - r_Galpha alpha^T - R_Ghalf half^T - diag(1 / Luu_ii)
+            d/dq_mean = r_Galpha,   d/dq_chol = tril(R_Ghalf) + diag(1 / q_chol_ii)
+
+        With q fixed in whitened coordinates only ``G_A`` and the first line of
+        ``d/dLuu`` exist.  The Cholesky pullback (Murray 2016, arXiv:1602.07527),
+        ``sym(Luu^-T Phi(Luu^T d/dLuu) Luu^-1)`` with ``Phi`` the lower triangle
+        at half diagonal, takes ``Luu`` to ``Kuu``; the jitter of
+        ``_chol_with_fallback``, a fixed multiple of mean(diag Kuu), passes its
+        share of the trace back.  At most two M x n arrays beyond the pass's
+        own are alive at a time.
         """
-        f, Luu, A, half = self.factors, self.factors.Luu, self.factors.A, self.half
-        M = Luu.shape[0]
+        f, alpha, half, Luu = self.factors, self.alpha, self.half, self.factors.Luu
+        A, M = f.A, Luu.shape[0]
         g_var = np.where(self.positive, d_var, 0.0)
-        beta = solve_triangular(Luu.T, self.alpha, lower=False)
-        Kuu_inv_L = solve_triangular(Luu.T, half, lower=False)
-        Kuu_inv = solve_triangular(Luu.T, solve_triangular(Luu, np.eye(M), lower=True))
-        P = solve_triangular(Luu.T, A, lower=False)
-        Dv = solve_triangular(Luu.T, half @ half.T - np.eye(M), lower=False) @ A
-        Dv *= g_var
-        Pv = P * g_var
-        Pg = P @ d_mean
-        DvPt = Dv @ P.T
-
+        Ag, AvAt = A @ d_mean, (A * g_var) @ A.T
+        blocks = [2.0 * (half @ half.T - np.eye(M)), alpha[:, None]]
         if self.q_chol is not None:
-            d_chol = 2.0 * ((Pv @ A.T) @ half) - Kuu_inv_L
-            d_chol = np.tril(d_chol) + np.diag(1.0 / np.diag(self.q_chol))
-        d_q_mean = Pg - beta
-        d_Kuu = -(Pv @ P.T) - DvPt - DvPt.T - np.outer(Pg, beta)
-        del P, Pv
-        d_Kuu += 0.5 * (Kuu_inv_L @ Kuu_inv_L.T + np.outer(beta, beta) - Kuu_inv)
-        if f.jitter:
-            share = f.jitter / float(np.sum(np.diag(f.Kuu)))
-            d_Kuu += share * np.trace(d_Kuu) * np.eye(M)
-        d_Kuf = Dv
-        d_Kuf *= 2.0
-        d_Kuf += np.multiply.outer(beta, d_mean)
-
+            blocks += [(Ag - alpha)[:, None], 2.0 * (AvAt @ half) - half]
+        R = _solve_t(Luu, np.hstack(blocks))
+        d_Kuf = R[:, :M] @ A
+        d_Kuf *= g_var
+        d_Kuf += np.multiply.outer(R[:, M], d_mean)
+        d_Luu = -(R[:, :M] @ AvAt) - np.outer(R[:, M], Ag)
+        d_q_mean, d_chol = np.zeros(M), np.zeros((M, M))
+        if self.q_chol is not None:
+            d_q_mean, R_half = R[:, M + 1], R[:, M + 2:]
+            d_Luu -= np.outer(d_q_mean, alpha) + R_half @ half.T + np.diag(1.0 / np.diag(Luu))
+            d_chol = np.tril(R_half) + np.diag(1.0 / np.diag(self.q_chol))
+        Phi = np.tril(Luu.T @ d_Luu)
+        Phi[np.diag_indices(M)] *= 0.5
+        Z = _solve_t(Luu, _solve_t(Luu, Phi).T)
+        d_Kuu = 0.5 * (Z + Z.T)
+        d_Kuu[np.diag_indices(M)] += f.jitter / np.trace(f.Kuu) * np.trace(d_Kuu)
         d_Kuu *= f.Kuu
         d_Kuf *= f.Kuf
         grads = assemble_vjp(f.features, f.kernel, f.X, d_Kuu, d_Kuf)
         grads["kernel_variance"] += float(np.sum(g_var))
         grads["kernel_mean"] = float(np.sum(d_mean)) - float(np.sum(d_q_mean))
-        if self.q_chol is None:
-            d_q_mean, d_chol = np.zeros(M), np.zeros((M, M))
         grads["q_mean"] = d_q_mean
         grads["q_chol"] = d_chol
         return grads
@@ -564,8 +563,8 @@ def collapsed_bound_and_grad(state: SVGPState, X, Y):
     f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
     LB, c = _collapsed_factors(f, lik.noise_var)
     half = solve_triangular(LB, np.eye(LB.shape[0]), lower=True).T
-    q_half_logdet = float(np.sum(np.log(np.diag(f.Luu)))) - float(np.sum(np.log(np.diag(LB))))
-    return _WhitenedPass(f, half @ c, half, q_half_logdet).value_and_grad(DEFAULT_QUAD_ORDER)
+    logdet = -float(np.sum(np.log(np.diag(LB))))
+    return _WhitenedPass(f, half @ c, half, logdet).value_and_grad(DEFAULT_QUAD_ORDER)
 
 
 def to_checkpoint_dict(state: SVGPState) -> dict:

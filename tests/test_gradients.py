@@ -16,10 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsekl import svgp
 from sparsekl.cli import _with_optimal_q
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_and_grad
-from sparsekl.gaussians import _chol_with_fallback
-from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
+from sparsekl.gaussians import _chol_with_fallback, solve_triangular
+from sparsekl.interdomain import (
+    GaussianWindowFeature,
+    PointFeature,
+    assemble_Kuf,
+    assemble_Kuu,
+)
 from sparsekl.kernels import Kernel
 from sparsekl.optimize import numeric_grad, raw_gradient, svgp_parameterization
 from sparsekl.svgp import (
@@ -239,3 +245,107 @@ class TestCollapsedGradientOracle:
         _, grads = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
         assert np.max(np.abs(grads["q_mean"])) <= 1e-8
         assert np.max(np.abs(grads["q_chol"])) <= 1e-8
+
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6))
+    def test_both_modes_agree_at_the_optimal_q(self, regime, window, seed):
+        # q fixed in whitened coordinates (the collapsed pass) and q fixed in
+        # state coordinates (elbo_and_grad) give one gradient at the optimum
+        state, X, Y = collapsed_problem(seed, regime, window)
+        value, grads = collapsed_bound_and_grad(state, X, Y)
+        value_q, grads_q = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
+        assert abs(value - value_q) <= 1e-9 * (1.0 + abs(value))
+        for name, g in grads.items():
+            if not name.startswith("q_"):
+                excess = np.abs(g - grads_q[name]) - 1e-9 * (1.0 + np.abs(g))
+                assert np.all(excess <= 0.0), name
+
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    def test_jittered_Kuu_gives_the_bound_s_gradient(self, window):
+        # TestGradientOracle's jittered case with q fixed in whitened
+        # coordinates: the Cholesky pullback runs through a factor with a
+        # pivot of 1.6e-5.  Here the jitter's trace share does not move the
+        # derivative beyond round-off: Kuf has no component along the null
+        # direction of the coincident features, which the jitter fills.
+        k = Kernel(variance=1.3, lengthscales=0.4, mean_const=0.2)
+        if window:
+            feats = [GaussianWindowFeature([c], [0.05]) for c in (0.2, 0.2, 0.7)]
+        else:
+            feats = [PointFeature([c]) for c in (0.2, 0.2, 0.7)]
+        _, jitter = _chol_with_fallback(assemble_Kuu(feats, k))
+        assert jitter > 0.0
+        state = SVGPState(
+            features=feats, q_mean=np.zeros(3), q_chol=np.eye(3), kernel=k,
+            likelihood=GaussianNoise(0.2),
+        )
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.0, 1.0, 20)
+        Y = np.sin(5.0 * X)
+        x0, rebuild = svgp_parameterization(state, optimize_hypers=True)
+        i = x0.layout.coordinate_names().index("kernel_variance[0]")
+        h = 1e-2
+        step = h * (1.0 + abs(x0.raw[i]))
+        for sign in (1.0, -1.0):
+            probe = x0.raw.copy()
+            probe[i] += sign * step
+            kp = rebuild(x0.with_raw(probe)).kernel
+            _, jp = _chol_with_fallback(assemble_Kuu(feats, kp))
+            assert jp / kp.variance == pytest.approx(jitter / k.variance, rel=1e-12)
+        g = raw_gradient(x0, collapsed_bound_and_grad(state, X, Y)[1])
+        g_fd = numeric_grad(
+            lambda pv: collapsed_bound(feats, rebuild(pv).kernel, X, Y, 0.2), x0, h=h
+        )
+        assert g[i] == pytest.approx(g_fd[i], rel=1e-3)
+
+
+class TestReversePassStructure:
+    def test_cotangents_go_back_through_Luu_alone(self, monkeypatch):
+        # Besides A = Luu^-1 Kuf, no solve of an evaluation has n columns,
+        # and the reverse pass solves against no identity: it forms neither
+        # Kuu^-1 nor P = Kuu^-1 Kuf.  The one identity right-hand side is
+        # the collapsed forward's LB^-T, q's whitened factor at the optimum.
+        solves, kufs, phase = [], [], ["forward"]
+
+        def recorded_solve(L, B, **kwargs):
+            solves.append((phase[0], B))
+            return solve_triangular(L, B, **kwargs)
+
+        def recorded_Kuf(*args):
+            kufs.append(assemble_Kuf(*args))
+            return kufs[-1]
+
+        def recorded_backward(fp, *args):
+            phase[0] = "backward"
+            try:
+                return backward(fp, *args)
+            finally:
+                phase[0] = "forward"
+
+        state, X, Y = collapsed_problem(0, "disjoint", False)
+        probit, _, probit_grad = random_problem(0, "probit", False)
+        cox, _, cox_grad = random_problem(0, "cox-exp", True)
+        evaluations = {
+            "collapsed": lambda: collapsed_bound_and_grad(state, X, Y),
+            "probit": lambda: probit_grad(probit),
+            "cox": lambda: cox_grad(cox),
+        }
+        backward = svgp._WhitenedPass.backward
+        monkeypatch.setattr(svgp, "solve_triangular", recorded_solve)
+        monkeypatch.setattr(svgp, "assemble_Kuf", recorded_Kuf)
+        monkeypatch.setattr(svgp._WhitenedPass, "backward", recorded_backward)
+        for name, evaluate in evaluations.items():
+            solves.clear()
+            kufs.clear()
+            evaluate()
+            (Kuf,) = kufs
+            n = Kuf.shape[1]
+            identities = [
+                p for p, B in solves
+                if B.ndim == 2 and B.shape[0] == B.shape[1] and np.array_equal(B, np.eye(len(B)))
+            ]
+            assert identities == (["forward"] if name == "collapsed" else []), name
+            wide = [B for _, B in solves if B.ndim == 2 and B.shape[1] >= n]
+            assert len(wide) == 1 and wide[0] is Kuf, name
+            assert any(p == "backward" for p, _ in solves), name
