@@ -47,9 +47,8 @@ from .svgp import (
     collapsed_bound,
     collapsed_bound_and_grad,
     collapsed_optimal_q,
-    elbo,
     elbo_and_grad,
-    predictive_marginals,
+    elbo_and_marginals,
     save_checkpoint,
 )
 from .verify import run_verification
@@ -253,28 +252,14 @@ def _validate_level(cfg, schema, path, unknown, missing, bad):
             except (ValueError, TypeError, OverflowError) as exc:
                 bad.append(f"{dotted}: {exc}")
     for key, node in schema.items():
-        dotted = f"{path}.{key}" if path else key
-        if isinstance(node, dict):
-            if key not in cfg:
-                # nested sections are required only if they contain a
-                # required leaf
-                if _has_required(node):
-                    missing.append(dotted)
-            continue
-        required, _ = node
-        if required and key not in cfg:
-            missing.append(dotted)
+        if key not in cfg and _required(node):
+            missing.append(f"{path}.{key}" if path else key)
     return out
 
 
-def _has_required(schema):
-    for node in schema.values():
-        if isinstance(node, dict):
-            if _has_required(node):
-                return True
-        elif node[0]:
-            return True
-    return False
+def _required(node):
+    """A required leaf, or a section that holds one."""
+    return any(map(_required, node.values())) if isinstance(node, dict) else node[0]
 
 
 def load_config(path: str, task: str) -> dict:
@@ -303,19 +288,17 @@ def load_config(path: str, task: str) -> dict:
 # CSV handling
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_csv(path, header, rows):
+    """Header, then one line per row, each value written as ``repr(float(v))``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_csv(path, expected_header):
-    """Strict CSV reader: exact header, rectangular, finite floats."""
+    """Strict CSV: exact header, rectangular, finite floats; an error names the first bad line."""
+    k = len(expected_header)
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -332,23 +315,27 @@ def read_csv(path, expected_header):
                 f"{path} line 1: header {','.join(header)!r} does not match "
                 f"expected {','.join(expected_header)!r}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise DataError(
-                    f"{path} line {lineno}: expected {len(expected_header)} "
-                    f"fields, got {len(row)}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path} line {lineno}: non-finite value")
-            rows.append(values)
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(expected_header))
+        values, lines, fault = [], [], None
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != k:
+                    raise DataError(f"{path} line {lineno}: expected {k} fields, got {len(row)}")
+                try:
+                    values.extend(map(float, row))
+                except ValueError as exc:
+                    raise DataError(f"{path} line {lineno}: {exc}") from exc
+                lines.append(lineno)
+        except (ValueError, OSError, csv.Error) as exc:  # raised after the finiteness check
+            fault = exc
+    data = np.array(values[:len(lines) * k], dtype=float).reshape(len(lines), k)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path} line {lines[int(np.argmin(finite))]}: non-finite value")
+    if fault is not None:
+        raise fault
+    return data
 
 
 def _x_header(d):
@@ -363,8 +350,7 @@ def read_xy_data(path, input_dim):
 
 
 def read_events(path, input_dim):
-    data = read_csv(path, _x_header(input_dim))
-    return data
+    return read_csv(path, _x_header(input_dim))
 
 
 def write_json(path, record):
@@ -390,9 +376,7 @@ def _spread_locations(X, M):
     locs = X[order[picks]]
     if locs.shape[0] < M:
         # duplicates collapsed; fall back to an even grid over the span
-        lo, hi = X.min(axis=0), X.max(axis=0)
-        t = (np.arange(M) + 0.5) / M
-        locs = lo + t[:, None] * (hi - lo)
+        locs = _grid_locations(X.min(axis=0), X.max(axis=0), M)
     return locs
 
 
@@ -499,8 +483,7 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
     if task == "fit-regression":
         state = _with_optimal_q(state, X, Y)
     wall = time.perf_counter() - started
-    final = elbo(state, X, Y)
-    mu, var = predictive_marginals(state, X)
+    final, mu, var = elbo_and_marginals(state, X, Y)
     preds = np.column_stack([X, mu, var])
     summary = {
         "task": task,
@@ -552,11 +535,9 @@ def _task_fit_cox(cfg, outdir, seed):
     state, rows, fields = _fit(state, lambda s: cox_elbo_and_grad(s, model), cfg)
     wall = time.perf_counter() - started
     final = cox_elbo(state, model)
-    if d == 1:
-        grid = np.linspace(model.lower[0], model.upper[0], 200)[:, None]
-    else:
-        axes = [np.linspace(lo, hi, 32) for lo, hi in zip(model.lower, model.upper)]
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    per_axis = 200 if d == 1 else 32
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     intensity = fitted_intensity(state, model, grid)
     pts, wts = model.grid
     integrated = math.fsum(wts * fitted_intensity(state, model, pts))

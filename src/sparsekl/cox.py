@@ -221,10 +221,7 @@ def _terms_and_pass(state: SVGPState, model: CoxModel):
     fp = _WhitenedPass.at_state(state, np.vstack([model.events, pts]))
     mu, var = fp.mean, fp.var
     ne = model.n_events
-    if ne:
-        event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
-    else:
-        event_term = 0.0
+    event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
     integral_term = math.fsum(wts * expected_rate(model.link, mu[ne:], var[ne:]))
     return CoxTerms(fp.kl, event_term, integral_term), fp
 

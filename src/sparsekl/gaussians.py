@@ -219,8 +219,6 @@ def _chol_with_fallback(A):
     Returns (L, jitter_used); jitter_used is 0.0 on the exact path.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape[0] == 0:
-        return np.zeros((0, 0)), 0.0
     try:
         return cholesky(A), 0.0
     except np.linalg.LinAlgError:

@@ -51,6 +51,7 @@ __all__ = [
     "expected_log_lik",
     "elbo",
     "elbo_and_grad",
+    "elbo_and_marginals",
     "collapsed_optimal_q",
     "collapsed_bound",
     "collapsed_bound_and_grad",
@@ -464,8 +465,13 @@ def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_O
 
 def elbo(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
+    return elbo_and_marginals(state, X, Y, lik, quad_order)[0]
+
+
+def elbo_and_marginals(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
+    """``(elbo, mean, var)``: :func:`elbo` and :func:`predictive_marginals` from one pass."""
     fp = _WhitenedPass.at_state(state, X, Y, lik)
-    return fp.expected_log_lik(quad_order) - fp.kl
+    return fp.expected_log_lik(quad_order) - fp.kl, fp.mean, fp.var
 
 
 def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):

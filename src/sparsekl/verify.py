@@ -9,12 +9,16 @@ instance makes failures reproducible from the seed alone.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from .finite_oracle import (
     ApproxPosterior,
@@ -253,6 +257,20 @@ def _quadrature(seed):
     return quadrature_crosschecks(seed)
 
 
+def _one_blas_thread():
+    """Pool initializer: numpy's and scipy's OpenBLAS on one thread, unless set by the user."""
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        for package, pattern, symbol in (
+            (np, "numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+            (scipy, "scipy.libs/libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+        ):
+            for path in glob.glob(os.path.join(os.path.dirname(package.__path__[0]), pattern)):
+                with contextlib.suppress(OSError, AttributeError):
+                    set_threads = getattr(ctypes.CDLL(path), symbol)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    set_threads(1)
+
+
 def run_verification(seed: int = 0, n_instances: int = 100) -> dict:
     """The whole battery; ``all_pass`` gates the CLI exit status.
 
@@ -269,7 +287,7 @@ def run_verification(seed: int = 0, n_instances: int = 100) -> dict:
     # fork, not the platform default: forkserver and spawn re-import this
     # package in each worker and would lose those rebindings.
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
         quad_future = pool.submit(_quadrature, seed + 777_777)
         instances = list(
             pool.map(

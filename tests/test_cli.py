@@ -91,6 +91,28 @@ class TestConfigValidation:
         assert "model.kernel" in err and "model.noise_var" in err
 
     @pytest.mark.parametrize(
+        "task, doc, missing",
+        [
+            ("fit-regression", {}, "data, model"),
+            ("fit-regression", {"data": "x.csv", "model": {"kernel": {}}},
+             "model.kernel.lengthscales, model.kernel.variance, model.noise_var, "
+             "model.num_inducing"),
+            ("fit-cox", {"data": "x.csv", "optimizer": {}}, "model"),
+            ("generate", {"generate": {"n": 5}}, "generate.kind"),
+            ("generate", {"out": "o"}, "generate"),
+        ],
+    )
+    def test_missing_keys_name_required_leaves_and_sections(self, tmp_path, task, doc, missing):
+        # a section is missing only when it holds a required key; optimizer,
+        # verify and the optional leaves never are
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_config(write_config(tmp_path, "c.json", doc), task)
+        assert str(err.value).endswith(f": missing required keys: {missing}")
+
+    def test_config_without_required_keys_loads(self, tmp_path):
+        assert cli.load_config(write_config(tmp_path, "v.json", {}), "verify") == {}
+
+    @pytest.mark.parametrize(
         "task, key, value, phrase",
         [
             ("fit-regression", "model.kernel.variance", -2.0, "positive"),
@@ -231,6 +253,113 @@ class TestCsvHandling:
         path.write_text("a,b\n1.0,nan\n", encoding="utf-8")
         with pytest.raises(Exception, match="non-finite"):
             read_csv(str(path), ["a", "b"])
+
+    @staticmethod
+    def per_cell_reference(header, rows):
+        lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_write_matches_per_cell_repr(self, tmp_path):
+        rows = np.array([
+            [-0.0, 5e-324, 1e16],
+            [1e-5, 1e22, -1.0 / 3.0],
+            [0.1, -2.5e-310, 123456789.0],
+            [np.float64(np.pi), 1.7976931348623157e308, 4.0],
+            [1e15, 1e-4, 9.999999999999999e21],
+        ])
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == self.per_cell_reference(["a", "b", "c"], rows)
+
+    def test_write_trace_tuples_with_integer_iter(self, tmp_path):
+        header = ["iter", "objective", "step_scale", "grad_norm"]
+        rows = [(0, -12.5, 0.0, 3.25), (1, -3.0, 0.125, 1e-5), (12, -0.0, 2.0, 5e-324)]
+        path = tmp_path / "trace.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == self.per_cell_reference(header, rows)
+        assert path.read_text().splitlines()[2].startswith("1.0,")
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 3))])
+    def test_write_zero_rows_gives_header_alone(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == b"a,b,c\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("a,b\r\n1.5,2\r\n-3,4e-3\r\n", [[1.5, 2.0], [-3.0, 4e-3]]),
+            ('a,b\n"1.5",2\n3," 4 "\n', [[1.5, 2.0], [3.0, 4.0]]),
+            ("a,b\n1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ('"a", b\r\n\r\n5,6\r\n', [[5.0, 6.0]]),
+        ],
+        ids=["crlf", "quoted", "blank-lines", "quoted-header-crlf-blank"],
+    )
+    def test_read_accepts_csv_variants(self, tmp_path, text, expected):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        back = read_csv(str(path), ["a", "b"])
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, np.array(expected))
+
+    @pytest.mark.parametrize("text", ["a,b,c\n", "a,b,c\n\n\n", "a,b,c"])
+    def test_read_header_only_gives_no_rows(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_csv(str(path), ["a", "b", "c"]).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a,b\n1.0,inf\n3.0\n", 2),
+            ("a,b\n1.0,2.0\n-inf,nan\n1.0,fish\n", 3),
+            ("a,b\n1.0,2.0\n\n\n3.0,nan\n", 5),
+            ("a,b\n\n1.0,2.0\n3.0,4.0\n5.0,NaN\n6.0,7.0\n", 5),
+        ],
+    )
+    def test_non_finite_is_named_before_a_later_error(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value) == f"{path} line {line}: non-finite value"
+
+    @pytest.mark.parametrize(
+        "later",
+        [b"2," + b"1" * 200_000 + b"\n", b"2,3\n" * 5000 + b"\xff\xfe,1\n"],
+        ids=["field-over-csv-limit", "invalid-utf8"],
+    )
+    def test_non_finite_is_named_before_a_reader_error(self, tmp_path, later):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1.0,nan\n" + later)
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value) == f"{path} line 2: non-finite value"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "{path}: empty file, expected header a,b"),
+            ("a,c\n1,2\n", "{path} line 1: header 'a,c' does not match expected 'a,b'"),
+            ("a,b\n1.0,2.0\n3.0\n", "{path} line 3: expected 2 fields, got 1"),
+            ("a,b\n1.0,2.0,3.0\n", "{path} line 2: expected 2 fields, got 3"),
+            ("a,b\n1.0,fish\n", "{path} line 2: could not convert string to float: 'fish'"),
+            ("a,b\n\n1.0,\n", "{path} line 3: could not convert string to float: ''"),
+            ("a,b\n1.0,2.0\n1e999,0\n", "{path} line 3: non-finite value"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value) == message.format(path=path)
+
+    def test_missing_file_message(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value).startswith(f"cannot read {path}: ")
 
     def test_read_xy_shapes(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -492,6 +621,65 @@ class TestFitClassification:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["task"] == "fit-classification"
         assert "collapsed_bound" not in summary
+
+
+def classification_dataset(tmp_path, n=30, seed=1):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, size=n))
+    y = np.where(np.sin(2 * np.pi * x) + 0.3 * rng.standard_normal(n) >= 0, 1.0, -1.0)
+    path = tmp_path / "cls.csv"
+    write_csv(path, ["x1", "y"], np.column_stack([x, y]))
+    return str(path)
+
+
+class TestPostFitPass:
+    """``final_elbo`` and the predictions come from one pass at the fitted state."""
+
+    @pytest.mark.parametrize("task", ["fit-regression", "fit-classification"])
+    def test_artifacts_equal_elbo_and_marginals_of_checkpoint(self, tmp_path, task):
+        model = {"kernel": {"variance": 1.0, "lengthscales": [0.3]}, "num_inducing": 4}
+        if task == "fit-regression":
+            data, model["noise_var"] = regression_dataset(tmp_path), 0.1
+        else:
+            data = classification_dataset(tmp_path)
+        out = str(tmp_path / "fit")
+        cfg = write_config(
+            tmp_path, "fit.json",
+            {"data": data, "out": out, "model": model, "optimizer": {"max_iters": 6}},
+        )
+        assert main([task, "--config", cfg]) == 0
+        summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        X, Y = read_xy_data(data, 1)
+        mean, var = svgp.predictive_marginals(state, X)
+        preds = read_csv(os.path.join(out, "predictions.csv"), ["x1", "mean", "variance"])
+        assert summary["final_elbo"] == elbo(state, X, Y)
+        np.testing.assert_array_equal(preds, np.column_stack([X, mean, var]))
+
+    def test_regression_builds_feature_factors_three_times_after_the_fit(
+        self, tmp_path, monkeypatch
+    ):
+        # optimal q, the shared elbo-and-predictions pass, collapsed_bound
+        builds = []
+        real = svgp._FeatureFactors
+
+        class Counted(real):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        def fit_then_reset(*args, **kwargs):
+            result = real_maximize(*args, **kwargs)
+            builds.clear()
+            return result
+
+        real_maximize = cli.maximize
+        monkeypatch.setattr(svgp, "_FeatureFactors", Counted)
+        monkeypatch.setattr(cli, "maximize", fit_then_reset)
+        data = regression_dataset(tmp_path)
+        cfg = small_fit_config(tmp_path, data, str(tmp_path / "fit"), iters=3)
+        assert main(["fit-regression", "--config", cfg]) == 0
+        assert len(builds) == 3
 
 
 class TestFitCox:

@@ -1,5 +1,6 @@
 """The self-verification battery itself: instance generation and reports."""
 
+import ctypes
 import json
 import multiprocessing
 
@@ -112,6 +113,58 @@ def test_parallel_battery_equals_sequential(n, monkeypatch):
         instance_record(seed + i, REGIMES[i % len(REGIMES)]) for i in range(n)
     ]
     assert report["quadrature"] == quadrature_crosschecks(seed + 777_777)
+
+
+class FakeOpenBlas:
+    """Stands in for ``ctypes.CDLL``: records each thread-count call."""
+
+    calls = []
+
+    def __init__(self, path, symbols):
+        self.path, self.symbols = path, symbols
+
+    def __getattr__(self, symbol):
+        if symbol not in self.symbols:
+            raise AttributeError(symbol)
+
+        def set_threads(n):
+            assert set_threads.argtypes == [ctypes.c_int] and set_threads.restype is None
+            FakeOpenBlas.calls.append((self.path.rsplit("/", 1)[-1], symbol, n))
+
+        return set_threads
+
+
+def pin_with_fakes(monkeypatch, symbols):
+    FakeOpenBlas.calls = []
+    monkeypatch.setattr(verify.glob, "glob", lambda pattern: [pattern.replace("*", "X")])
+    monkeypatch.setattr(verify.ctypes, "CDLL", lambda path: FakeOpenBlas(path, symbols))
+    verify._one_blas_thread()
+    return FakeOpenBlas.calls
+
+
+BOTH_SYMBOLS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def test_workers_pin_both_openblas_copies_to_one_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert pin_with_fakes(monkeypatch, BOTH_SYMBOLS) == [
+        ("libscipy_openblas64_X.so", "scipy_openblas_set_num_threads64_", 1),
+        ("libscipy_openblasX.so", "scipy_openblas_set_num_threads", 1),
+    ]
+    # a library without the symbol is left alone, and nothing is raised
+    assert pin_with_fakes(monkeypatch, BOTH_SYMBOLS[1:]) == [
+        ("libscipy_openblasX.so", "scipy_openblas_set_num_threads", 1),
+    ]
+    assert pin_with_fakes(monkeypatch, ()) == []
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_workers_keep_a_thread_count_the_user_set(monkeypatch, var):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv(var, "2")
+    assert pin_with_fakes(monkeypatch, BOTH_SYMBOLS) == []
 
 
 def test_regime_forcing():
