@@ -26,8 +26,8 @@ import numpy as np
 
 from .cox import (
     CoxModel,
-    cox_elbo,
     cox_elbo_and_grad,
+    cox_elbo_terms,
     fitted_intensity,
     sample_inhomogeneous_pp,
 )
@@ -296,6 +296,21 @@ def write_csv(path, header, rows):
             fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+def _reader_error(path, reader, exc):
+    """A ``csv`` or UTF-8 decoding failure as a ``DataError`` that names its line; the
+    text layer decodes ahead of the reader, so the bytes are decoded again line by line."""
+    lineno = reader.line_num
+    if isinstance(exc, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    exc = line_exc
+                    break
+    return DataError(f"{path} line {lineno}: {exc}")
+
+
 def read_csv(path, expected_header):
     """Strict CSV: exact header, rectangular, finite floats; an error names the first bad line."""
     k = len(expected_header)
@@ -310,11 +325,15 @@ def read_csv(path, expected_header):
         except StopIteration:
             raise DataError(f"{path}: empty file, expected header "
                             f"{','.join(expected_header)}") from None
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _reader_error(path, reader, exc) from exc
         if [h.strip() for h in header] != list(expected_header):
             raise DataError(
                 f"{path} line 1: header {','.join(header)!r} does not match "
                 f"expected {','.join(expected_header)!r}"
             )
+        # a fault is raised after the finiteness check, so an earlier
+        # non-finite line is the one named
         values, lines, fault = [], [], None
         try:
             for lineno, row in enumerate(reader, start=2):
@@ -327,7 +346,9 @@ def read_csv(path, expected_header):
                 except ValueError as exc:
                     raise DataError(f"{path} line {lineno}: {exc}") from exc
                 lines.append(lineno)
-        except (ValueError, OSError, csv.Error) as exc:  # raised after the finiteness check
+        except (csv.Error, UnicodeDecodeError) as exc:
+            fault = _reader_error(path, reader, exc)
+        except (ValueError, OSError) as exc:
             fault = exc
     data = np.array(values[:len(lines) * k], dtype=float).reshape(len(lines), k)
     finite = np.isfinite(data).all(axis=1)
@@ -534,13 +555,15 @@ def _task_fit_cox(cfg, outdir, seed):
     started = time.perf_counter()
     state, rows, fields = _fit(state, lambda s: cox_elbo_and_grad(s, model), cfg)
     wall = time.perf_counter() - started
-    final = cox_elbo(state, model)
+    # the objective's integral term is the fitted intensity integrated over the
+    # quadrature grid, so one evaluation gives both
+    terms = cox_elbo_terms(state, model)
+    final = -terms.kl_term + terms.event_term - terms.integral_term
+    integrated = terms.integral_term
     per_axis = 200 if d == 1 else 32
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     intensity = fitted_intensity(state, model, grid)
-    pts, wts = model.grid
-    integrated = math.fsum(wts * fitted_intensity(state, model, pts))
     summary = {
         "task": "fit-cox",
         "n_events": model.n_events,

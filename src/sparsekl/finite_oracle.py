@@ -34,8 +34,11 @@ from .gaussians import (
     AffineConditional,
     GaussianDist,
     _chol_with_fallback,
+    _complement,
+    _conditional,
+    _joint_moments,
+    _validate_indices,
     cho_solve,
-    conditional_from_joint,
     expected_conditional_kl,
     joint_from_marginal_and_conditional,
     mvn_condition,
@@ -139,24 +142,15 @@ class ApproxPosterior:
     q_u: GaussianDist
 
 
-def _data_joint(prior: GaussianDist, idx, data_idx, noise_var, n_obs):
-    """Joint of (f[idx], Y) where Y observes f[data_idx] under noise."""
-    idx = np.asarray(idx, dtype=int)
-    data = np.asarray(data_idx, dtype=int)
-    S = prior.cov
-    rows_i, rows_d = S[idx], S[data]
-    top = np.hstack([rows_i[:, idx], rows_i[:, data]])
-    bottom = np.hstack([rows_d[:, idx], rows_d[:, data] + noise_var * np.eye(n_obs)])
-    mean = np.concatenate([prior.mean[idx], prior.mean[data]])
-    return GaussianDist(mean, np.vstack([top, bottom]))
-
-
 def _posterior_on(m: FiniteModel, idx) -> GaussianDist:
     """Exact posterior marginal on the points ``idx`` given the data."""
+    # the joint of (f[idx], Y), where Y observes f[data_idx] under noise
     nd = len(m.data_idx)
-    joint = _data_joint(m.prior, idx, m.data_idx, m.noise_var, nd)
-    k = len(idx)
-    return mvn_condition(joint, np.arange(k, k + nd), m.Y)
+    both = np.concatenate([np.asarray(idx, dtype=int), np.asarray(m.data_idx, dtype=int)])
+    cov = m.prior.cov[both[:, None], both]
+    cov[-nd:, -nd:] += m.noise_var * np.eye(nd)
+    joint = GaussianDist(m.prior.mean[both], cov)
+    return mvn_condition(joint, np.arange(len(idx), len(both)), m.Y)
 
 
 def exact_posterior(m: FiniteModel) -> GaussianDist:
@@ -167,7 +161,7 @@ def exact_posterior(m: FiniteModel) -> GaussianDist:
 def log_marginal_likelihood(m: FiniteModel) -> float:
     """Exact log evidence ``log N(Y | m_D, S_DD + noise_var I)``."""
     data = np.asarray(m.data_idx, dtype=int)
-    cov = m.prior.cov[data][:, data] + m.noise_var * np.eye(len(data))
+    cov = m.prior.cov[data[:, None], data] + m.noise_var * np.eye(len(data))
     return mvn_logpdf(GaussianDist(m.prior.mean[data], cov), m.Y)
 
 
@@ -193,34 +187,24 @@ def collapsed_bound_dense(m: FiniteModel) -> float:
     return fit - float(np.trace(K[data][:, data] - Qff)) / (2.0 * m.noise_var)
 
 
-def _extend_within(prior: GaussianDist, q_u: GaussianDist, positions) -> GaussianDist:
-    """Extend q over the inducing positions to the whole prior index set.
-
-    The remaining coordinates get the prior conditional given the
-    inducing block; the result is reassembled in the original order.
-    """
-    n = prior.dim
-    z = np.asarray(positions, dtype=int)
-    rest = np.setdiff1d(np.arange(n), z)
-    if q_u.dim != z.shape[0]:
+def _extend_within(prior: GaussianDist, q_mean, q_cov, z, rest) -> GaussianDist:
+    """q = N(q_mean, q_cov) on the prior's coordinates ``z``, extended to ``rest`` by the
+    prior conditional given ``z``: built in the order (z, rest), returned ascending."""
+    if q_mean.shape[0] != z.shape[0]:
         raise ValueError(
-            f"q has dimension {q_u.dim} but there are {z.shape[0]} inducing points"
+            f"q has dimension {q_mean.shape[0]} but there are {z.shape[0]} inducing points"
         )
-    if rest.size == 0:
-        inverse = np.empty(n, dtype=int)
-        inverse[z] = np.arange(n)
-        return GaussianDist(q_u.mean[inverse], q_u.cov[inverse][:, inverse])
-    cond = conditional_from_joint(prior, rest, z)
-    joint_zr = joint_from_marginal_and_conditional(q_u, cond)
-    order = np.concatenate([z, rest])
-    inverse = np.empty(n, dtype=int)
-    inverse[order] = np.arange(n)
-    return GaussianDist(joint_zr.mean[inverse], joint_zr.cov[inverse][:, inverse])
+    order = np.argsort(np.concatenate([z, rest]))
+    if rest.size:
+        Lz, _ = _chol_with_fallback(prior.cov[z[:, None], z])
+        q_mean, q_cov = _joint_moments(q_mean, q_cov, _conditional(prior, rest, z, Lz))
+    return GaussianDist(q_mean[order], q_cov[order[:, None], order])
 
 
 def extend_approx(m: FiniteModel, q: ApproxPosterior) -> GaussianDist:
     """The approximate posterior over all points of the model."""
-    return _extend_within(m.prior, q.q_u, m.inducing_idx)
+    z = np.asarray(m.inducing_idx, dtype=int)
+    return _extend_within(m.prior, q.q_u.mean, q.q_u.cov, z, _complement(z, m.n_points))
 
 
 def full_kl(m: FiniteModel, q: ApproxPosterior) -> float:
@@ -232,24 +216,23 @@ def titsias_kl(m: FiniteModel, q: ApproxPosterior) -> float:
     """The same divergence assembled directly on the union D u Z.
 
     Both sides are built as explicit Gaussians over the union: the
-    approximation extends q with the prior conditional restricted to the
-    union, and the posterior comes from conditioning the (f_union, Y)
-    joint.  No step reuses the all-of-X objects from :func:`full_kl`.
+    approximation extends q with the prior conditional of the points of
+    D outside Z, and the posterior comes from conditioning the
+    (f_union, Y) joint.  No step reuses the all-of-X objects from
+    :func:`full_kl`.
     """
-    union = np.unique(np.concatenate([m.data_idx, m.inducing_idx]))
-    prior_union = mvn_marginal(m.prior, union)
-    z_positions = np.searchsorted(union, np.asarray(m.inducing_idx, dtype=int))
-    z_positions = np.sort(z_positions)
-    q_union = _extend_within(prior_union, _reorder(q, m, union), z_positions)
-    p_union = _posterior_on(m, union)
-    return mvn_kl(q_union, p_union)
-
-
-def _reorder(q: ApproxPosterior, m: FiniteModel, union) -> GaussianDist:
-    """q over the inducing block, permuted to ascending position within the union."""
-    z = np.asarray(m.inducing_idx, dtype=int)
-    order = np.argsort(np.searchsorted(union, z))
-    return GaussianDist(q.q_u.mean[order], q.q_u.cov[order][:, order])
+    union = sorted(set(m.data_idx) | set(m.inducing_idx))
+    # q in ascending coordinate order, C-ordered like extend_approx's q.q_u.cov
+    # (one fancy index), so the products in _joint_moments round the same way
+    order = np.argsort(m.inducing_idx)
+    q_union = _extend_within(
+        m.prior,
+        q.q_u.mean[order],
+        q.q_u.cov[order[:, None], order],
+        np.sort(m.inducing_idx),
+        np.array(sorted(set(m.data_idx) - set(m.inducing_idx)), dtype=int),
+    )
+    return mvn_kl(q_union, _posterior_on(m, union))
 
 
 @dataclass(frozen=True)
@@ -289,17 +272,14 @@ def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquiva
     p_X = exact_posterior(m)
     full = mvn_kl(q_X, p_X)
     tits = titsias_kl(m, q)
-    z = np.asarray(m.inducing_idx, dtype=int)
-    Lq, _ = _chol_with_fallback(q.q_u.cov)
     state = SVGPState(
-        features=tuple(PointFeature(loc) for loc in m.X[z]),
+        features=tuple(PointFeature(loc) for loc in m.X[list(m.inducing_idx)]),
         q_mean=q.q_u.mean,
-        q_chol=Lq,
+        q_chol=q.q_u.chol,
         kernel=m.kernel,
         likelihood=GaussianNoise(m.noise_var),
     )
-    data = np.asarray(m.data_idx, dtype=int)
-    bound = elbo(state, m.X[data], m.Y)
+    bound = elbo(state, m.X[list(m.data_idx)], m.Y)
     gap = log_marginal_likelihood(m) - bound
     vals = (full, tits, gap)
     max_abs_diff = max(abs(a - b) for a in vals for b in vals)
@@ -337,8 +317,10 @@ def kl_chain_rule_decompose(joint_q: GaussianDist, joint_p: GaussianDist, u_idx,
         )
     q_v = mvn_marginal(joint_q, v)
     p_v = mvn_marginal(joint_p, v)
-    cond_q = conditional_from_joint(joint_q, u, v)
-    cond_p = conditional_from_joint(joint_p, u, v)
+    _validate_indices(u, joint_q.dim, "dependent index")  # the partition may leave U empty
+    # the marginals' cached factors are those of the conditioning blocks
+    cond_q = _conditional(joint_q, u, v, q_v.chol)
+    cond_p = _conditional(joint_p, u, v, p_v.chol)
     return KLDecomposition(
         conditional_term=expected_conditional_kl(cond_q, cond_p, q_v),
         marginal_term=mvn_kl(q_v, p_v),
@@ -356,10 +338,10 @@ def noisy_copy_conditional(m: FiniteModel, cov_scale: float = 1.0) -> AffineCond
     if cov_scale <= 0:
         raise ValueError(f"cov_scale must be positive, got {cov_scale}")
     z = np.asarray(m.inducing_idx, dtype=int)
-    G = np.zeros((z.shape[0], m.n_points))
-    G[np.arange(z.shape[0]), z] = 1.0
-    noise = 0.5 * float(np.mean(m.prior.cov[z, z]))
-    return AffineConditional(G, np.zeros(z.shape[0]), cov_scale * noise * np.eye(z.shape[0]))
+    noise = 0.5 * float(m.prior.cov[z, z].mean())
+    return AffineConditional(
+        np.eye(m.n_points)[z], np.zeros(z.shape[0]), cov_scale * noise * np.eye(z.shape[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -433,7 +415,7 @@ def _require_full_row_rank(A_map, n):
         raise ValueError(
             f"map has {A.shape[1]} columns but the distribution has dimension {n}"
         )
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("map entries must be finite")
     _, s, Vt = np.linalg.svd(A)
     if s[-1] <= 1e-10 * max(s[0], 1.0):
@@ -444,7 +426,7 @@ def _require_full_row_rank(A_map, n):
 
 
 def _condition_on_image(dist: GaussianDist, A):
-    """The image law of ``u = A f`` under ``f ~ dist``, and the gain ``B``.
+    """The image law of ``u = A f`` under ``f ~ dist``, the gain ``B`` and ``cov(f | u)``.
 
     ``B = S A^T (A S A^T)^-1`` gives ``E[f | u] = m + B (u - A m)`` and
     ``cov(f | u) = S - B A S``.  It is one Cholesky solve against the
@@ -452,19 +434,19 @@ def _condition_on_image(dist: GaussianDist, A):
     """
     SA = dist.cov @ A.T
     image = GaussianDist(A @ dist.mean, A @ SA)
-    return image, cho_solve((image.chol, True), SA.T).T
+    B = cho_solve((image.chol, True), SA.T).T
+    return image, B, dist.cov - B @ (A @ dist.cov)
 
 
-def _pushforward_report(dist: GaussianDist, A, image, B) -> PushforwardReport:
+def _pushforward_report(dist: GaussianDist, A, image, B, cov_given_u) -> PushforwardReport:
     """Rebuild the image law through the conditional of f given u = A f."""
-    cov_given_u = dist.cov - B @ (A @ dist.cov)
     # Mix the conditional over the candidate law of u, then transform.
     mean_rebuilt = dist.mean + B @ (image.mean - A @ dist.mean)
     cov_rebuilt = cov_given_u + B @ image.cov @ B.T
     constructed = GaussianDist(A @ mean_rebuilt, A @ cov_rebuilt @ A.T)
     max_diff = max(
-        float(np.max(np.abs(constructed.mean - image.mean))),
-        float(np.max(np.abs(constructed.cov - image.cov))),
+        float(np.abs(constructed.mean - image.mean).max()),
+        float(np.abs(constructed.cov - image.cov).max()),
     )
     return PushforwardReport(constructed, image, max_diff)
 
@@ -519,9 +501,9 @@ def deterministic_map_report(
     A, Vt = _require_full_row_rank(A_map, q_X.dim)
     if p_X.dim != q_X.dim:
         raise ValueError("map and distributions must share one dimension")
-    q_image, q_gain = _condition_on_image(q_X, A)
-    p_image, p_gain = _condition_on_image(p_X, A)
-    push_diff = _pushforward_report(q_X, A, q_image, q_gain).max_diff
+    q_image, *q_given = _condition_on_image(q_X, A)
+    p_image, *p_given = _condition_on_image(p_X, A)
+    push_diff = _pushforward_report(q_X, A, q_image, *q_given).max_diff
     kl_union = mvn_kl(q_image, p_image)
     a = A.shape[0]
     if a < q_X.dim:
@@ -532,12 +514,11 @@ def deterministic_map_report(
         # (a chart term would cancel in Wq - Wp anyway).
         N = Vt[a:].T
 
-        def fiber_conditional(dist, B):
-            cov_given = dist.cov - B @ (A @ dist.cov)
+        def fiber_conditional(dist, B, cov_given):
             offset = N.T @ (dist.mean - B @ (A @ dist.mean))
             return AffineConditional(N.T @ B, offset, N.T @ cov_given @ N)
 
         kl_union += expected_conditional_kl(
-            fiber_conditional(q_X, q_gain), fiber_conditional(p_X, p_gain), q_image
+            fiber_conditional(q_X, *q_given), fiber_conditional(p_X, *p_given), q_image
         )
     return DeterministicMapReport(push_diff, kl_union)

@@ -137,17 +137,19 @@ def cho_solve(factor, B):
 
 
 def _check_symmetric(A, rel_tol, what="matrix"):
+    """``A`` as floats and ``max |A|``, once ``A`` is found square and symmetric to ``rel_tol``;
+    ``max |A|`` is NaN or inf exactly when an entry is, which never fails the symmetry test."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()) if A.size else 1.0)
-    asym = float(np.abs(A - A.T).max()) if A.size else 0.0
-    if asym > rel_tol * scale:
+    peak = float(np.abs(A).max(initial=0.0))
+    asym = float(np.abs(A - A.T).max(initial=0.0))
+    if asym > rel_tol * max(1.0, peak):
         raise ValueError(
             f"{what} is not symmetric: max |A - A^T| = {asym:.3e} "
             f"exceeds {rel_tol:.1e} relative"
         )
-    return A
+    return A, peak
 
 
 def cholesky_jittered(A, base_jitter=None):
@@ -183,7 +185,7 @@ def cholesky_jittered(A, base_jitter=None):
             "matrix is not positive definite: cholesky input has non-finite entries",
             0.0,
         )
-    A = _check_symmetric(A, 1e-10, "cholesky input")
+    _check_symmetric(A, 1e-10, "cholesky input")
     if A.shape[0] == 0:
         return np.zeros((0, 0)), 0.0
     diag_mean = float(np.mean(np.diag(A)))
@@ -239,7 +241,7 @@ class GaussianDist:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = _check_symmetric(self.cov, 1e-12, "covariance")
+        cov, peak = _check_symmetric(self.cov, 1e-12, "covariance")
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         if cov.shape[0] != mean.shape[0]:
@@ -247,7 +249,7 @@ class GaussianDist:
                 f"mean has dimension {mean.shape[0]} but covariance is "
                 f"{cov.shape[0]}x{cov.shape[1]}"
             )
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        if not (math.isfinite(peak) and np.isfinite(mean).all()):
             raise ValueError("mean and covariance must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
@@ -257,21 +259,22 @@ class GaussianDist:
         return self.mean.shape[0]
 
     @cached_property
-    def _chol_and_jitter(self):
-        return _chol_with_fallback(self.cov)
+    def _factor(self):
+        L, jitter = _chol_with_fallback(self.cov)
+        return L, jitter, float(np.log(L.diagonal()).sum())
 
     @property
     def chol(self) -> np.ndarray:
         """Lower triangular factor of ``cov + jitter * I``."""
-        return self._chol_and_jitter[0]
+        return self._factor[0]
 
     @property
     def jitter(self) -> float:
-        return self._chol_and_jitter[1]
+        return self._factor[1]
 
     def half_log_det(self) -> float:
         """``0.5 * log det(cov + jitter * I)`` from the cached factor."""
-        return float(np.sum(np.log(np.diag(self.chol))))
+        return self._factor[2]
 
 
 def mvn_kl(q: GaussianDist, p: GaussianDist) -> float:
@@ -288,14 +291,11 @@ def mvn_kl(q: GaussianDist, p: GaussianDist) -> float:
     if q.dim != p.dim:
         raise ValueError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
     n = q.dim
-    if n == 0:
-        return 0.0
     # One solve against [Lq | mq - mp]: tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2
     # from the first n columns, the Mahalanobis term from the last.
-    half = solve_triangular(
-        p.chol, np.column_stack([q.chol, q.mean - p.mean]), lower=True
-    )
-    trace_term = float(np.sum(half[:, :n] * half[:, :n]))
+    rhs = np.concatenate([q.chol, (q.mean - p.mean)[:, None]], axis=1)
+    half = solve_triangular(p.chol, rhs, lower=True)
+    trace_term = float((half[:, :n] * half[:, :n]).sum())
     alpha = half[:, n]
     maha = float(alpha @ alpha)
     kl = 0.5 * (trace_term + maha - n) + p.half_log_det() - q.half_log_det()
@@ -317,7 +317,7 @@ def _validate_indices(idx, n, what="index"):
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
     if idx.size == 0:
         raise ValueError(f"{what} set must be nonempty")
-    if (idx < 0).any() or (idx >= n).any():
+    if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"{what} {idx.tolist()} out of range for dimension {n}")
     if len(set(idx.tolist())) != idx.size:
         raise ValueError(f"{what} set contains duplicates: {idx.tolist()}")
@@ -327,7 +327,14 @@ def _validate_indices(idx, n, what="index"):
 def mvn_marginal(p: GaussianDist, idx) -> GaussianDist:
     """Marginal of ``p`` on the coordinates ``idx`` (in the given order)."""
     idx = _validate_indices(idx, p.dim, "marginal index")
-    return GaussianDist(p.mean[idx], p.cov[idx][:, idx])
+    return GaussianDist(p.mean[idx], p.cov[idx[:, None], idx])
+
+
+def _complement(idx, n):
+    """The ascending indices below ``n`` that ``idx`` leaves out."""
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return np.flatnonzero(keep)
 
 
 def mvn_condition(joint: GaussianDist, obs_idx, obs_val) -> GaussianDist:
@@ -342,10 +349,11 @@ def mvn_condition(joint: GaussianDist, obs_idx, obs_val) -> GaussianDist:
         raise ValueError(
             f"{obs_idx.shape[0]} observed indices but {obs_val.shape[0]} values"
         )
-    keep = np.setdiff1d(np.arange(joint.dim), obs_idx)
+    keep = _complement(obs_idx, joint.dim)
     if keep.size == 0:
         raise ValueError("cannot condition on all coordinates at once")
-    cond = conditional_from_joint(joint, keep, obs_idx)
+    Lo, _ = _chol_with_fallback(joint.cov[obs_idx[:, None], obs_idx])
+    cond = _conditional(joint, keep, obs_idx, Lo)
     return GaussianDist(cond.weights @ obs_val + cond.offset, cond.cov)
 
 
@@ -360,7 +368,7 @@ class AffineConditional:
     def __post_init__(self):
         W = np.atleast_2d(np.asarray(self.weights, dtype=float))
         b = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        C = _check_symmetric(self.cov, 1e-10, "conditional covariance")
+        C, _ = _check_symmetric(self.cov, 1e-10, "conditional covariance")
         if W.shape[0] != b.shape[0] or W.shape[0] != C.shape[0]:
             raise ValueError(
                 f"inconsistent conditional shapes: weights {W.shape}, "
@@ -393,9 +401,14 @@ def conditional_from_joint(joint: GaussianDist, dep_idx, given_idx) -> AffineCon
     given_idx = _validate_indices(given_idx, joint.dim, "conditioning index")
     if not set(dep_idx.tolist()).isdisjoint(given_idx.tolist()):
         raise ValueError("dependent and conditioning index sets overlap")
-    rows_d, rows_g = joint.cov[dep_idx], joint.cov[given_idx]
-    S_dg, S_dd, S_gg = rows_d[:, given_idx], rows_d[:, dep_idx], rows_g[:, given_idx]
-    Lg, _ = _chol_with_fallback(S_gg)
+    Lg, _ = _chol_with_fallback(joint.cov[given_idx[:, None], given_idx])
+    return _conditional(joint, dep_idx, given_idx, Lg)
+
+
+def _conditional(joint: GaussianDist, dep_idx, given_idx, Lg) -> AffineConditional:
+    """:func:`conditional_from_joint` on valid index arrays; ``Lg`` factors the given block."""
+    rows_d = joint.cov[dep_idx]
+    S_dg, S_dd = rows_d[:, given_idx], rows_d[:, dep_idx]
     W = cho_solve((Lg, True), S_dg.T).T  # S_dg S_gg^-1
     offset = joint.mean[dep_idx] - W @ joint.mean[given_idx]
     cov = S_dd - W @ S_dg.T
@@ -421,18 +434,17 @@ def expected_conditional_kl(
     k = q_cond.out_dim
     Lp, _ = _chol_with_fallback(p_cond.cov)
     Lq, _ = _chol_with_fallback(q_cond.cov)
-    log_det_p = float(np.sum(np.log(np.diag(Lp))))
-    log_det_q = float(np.sum(np.log(np.diag(Lq))))
+    log_det_p = float(np.log(Lp.diagonal()).sum())
+    log_det_q = float(np.log(Lq.diagonal()).sum())
     M = q_cond.weights - p_cond.weights
     d = q_cond.offset - p_cond.offset
     # One solve against [Lq | M Lv | M mv + d], with Lv the factor of the
     # mixing covariance S: the blocks give tr(Cp^-1 Cq), tr(Cp^-1 M S M^T)
     # and the Mahalanobis term at the mixing mean.
-    half = solve_triangular(
-        Lp, np.column_stack([Lq, M @ over.chol, M @ over.mean + d]), lower=True
-    )
-    trace_term = float(np.sum(half[:, :k] * half[:, :k]))
-    spread = float(np.sum(half[:, k:-1] * half[:, k:-1]))
+    rhs = np.concatenate([Lq, M @ over.chol, (M @ over.mean + d)[:, None]], axis=1)
+    half = solve_triangular(Lp, rhs, lower=True)
+    trace_term = float((half[:, :k] * half[:, :k]).sum())
+    spread = float((half[:, k:-1] * half[:, k:-1]).sum())
     alpha = half[:, -1]
     maha = float(alpha @ alpha)
     kl = 0.5 * (trace_term + spread + maha - k) + log_det_p - log_det_q
@@ -451,10 +463,16 @@ def joint_from_marginal_and_conditional(
             f"conditional expects input dimension {cond.in_dim}, "
             f"marginal has {marg.dim}"
         )
-    W = cond.weights
-    S = marg.cov
+    return GaussianDist(*_joint_moments(marg.mean, marg.cov, cond))
+
+
+def _joint_moments(mean, S, cond: AffineConditional):
+    """Mean and covariance of (v, x) for ``v ~ N(mean, S)`` and ``x | v ~ cond``."""
+    W, k = cond.weights, mean.shape[0]
     cross = S @ W.T
-    mean = np.concatenate([marg.mean, W @ marg.mean + cond.offset])
-    top = np.hstack([S, cross])
-    bottom = np.hstack([cross.T, W @ cross + cond.cov])
-    return GaussianDist(mean, np.vstack([top, bottom]))
+    cov = np.empty((k + cond.out_dim,) * 2)
+    cov[:k, :k] = S
+    cov[:k, k:] = cross
+    cov[k:, :k] = cross.T
+    cov[k:, k:] = W @ cross + cond.cov
+    return np.concatenate([mean, W @ mean + cond.offset]), cov

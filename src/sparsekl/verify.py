@@ -105,15 +105,15 @@ def random_finite_instance(seed: int, regime: str = None):
         nd = int(rng.integers(1, 5))
         data_idx = tuple(perm[:nd])
         inducing_idx = data_idx
-    prior_mean = np.full(n, kernel.mean_const)
     K = kernel_matrix(kernel, X, X)
+    prior = GaussianDist(np.full(n, kernel.mean_const), K)
     L = cholesky(K)
-    f = prior_mean + L @ rng.standard_normal(n)
+    f = prior.mean + L @ rng.standard_normal(n)
     Y = f[list(data_idx)] + np.sqrt(noise_var) * rng.standard_normal(len(data_idx))
-    model = FiniteModel.from_kernel(kernel, X, data_idx, inducing_idx, Y, noise_var)
+    model = FiniteModel(X, data_idx, inducing_idx, prior, Y, noise_var, kernel)
     nz = len(inducing_idx)
     scale = float(np.sqrt(kernel.variance))
-    q_mean = prior_mean[list(inducing_idx)] + 0.5 * scale * rng.standard_normal(nz)
+    q_mean = prior.mean[list(inducing_idx)] + 0.5 * scale * rng.standard_normal(nz)
     W = 0.4 * scale * rng.standard_normal((nz, nz))
     q_cov = W @ W.T + 0.3 * kernel.variance * np.eye(nz)
     return model, ApproxPosterior(GaussianDist(q_mean, q_cov))

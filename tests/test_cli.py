@@ -4,6 +4,7 @@ Covers config validation, strict data parsing with line numbers, fit
 artifacts, determinism of outputs, and exit codes.
 """
 
+import csv
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from sparsekl import cli, svgp, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
-from sparsekl.cox import sample_inhomogeneous_pp
+from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_terms, sample_inhomogeneous_pp
 from sparsekl.gaussians import NotPositiveDefiniteError
 from sparsekl.svgp import elbo, load_checkpoint
 
@@ -355,6 +356,49 @@ class TestCsvHandling:
             read_csv(str(path), ["a", "b"])
         assert str(err.value) == message.format(path=path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                b"a,b\n" + b"2,3\n" * 3000 + b"4," + b"1" * 200_000 + b"\n",
+                "{path} line 3002: field larger than field limit ({limit})",
+            ),
+            (
+                b"a,b\n" + b"2,3\n" * 3000 + b"\xff,1\n",
+                "{path} line 3002: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte",
+            ),
+            (
+                b"a,\xffb\n1,2\n",
+                "{path} line 1: 'utf-8' codec can't decode byte 0xff in "
+                "position 2: invalid start byte",
+            ),
+            (
+                b'"' + b"a" * 200_000 + b'",b\n1,2\n',
+                "{path} line 1: field larger than field limit ({limit})",
+            ),
+        ],
+        ids=["field-over-csv-limit", "invalid-utf8", "invalid-utf8-header", "header-over-limit"],
+    )
+    def test_reader_errors_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value) == message.format(path=path, limit=csv.field_size_limit())
+
+    @pytest.mark.parametrize(
+        "later", [b"4," + b"1" * 200_000 + b"\n", b"\xff,1\n"], ids=["field", "utf8"]
+    )
+    def test_reader_error_exits_with_the_data_code(self, tmp_path, capsys, later):
+        data = tmp_path / "train.csv"
+        data.write_bytes(b"x1,y\n" + b"0.5,1.0\n" * 3000 + later)
+        cfg = small_fit_config(tmp_path, str(data), str(tmp_path / "fit"), iters=1)
+        assert main(["fit-regression", "--config", cfg]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data} line 3002: ")
+        assert err.count("\n") == 1
+
     def test_missing_file_message(self, tmp_path):
         path = tmp_path / "absent.csv"
         with pytest.raises(cli.DataError) as err:
@@ -656,10 +700,9 @@ class TestPostFitPass:
         assert summary["final_elbo"] == elbo(state, X, Y)
         np.testing.assert_array_equal(preds, np.column_stack([X, mean, var]))
 
-    def test_regression_builds_feature_factors_three_times_after_the_fit(
-        self, tmp_path, monkeypatch
-    ):
-        # optimal q, the shared elbo-and-predictions pass, collapsed_bound
+    @staticmethod
+    def builds_after_the_fit(monkeypatch, argv):
+        """``_FeatureFactors`` built by ``main(argv)`` once the optimizer returns."""
         builds = []
         real = svgp._FeatureFactors
 
@@ -676,10 +719,39 @@ class TestPostFitPass:
         real_maximize = cli.maximize
         monkeypatch.setattr(svgp, "_FeatureFactors", Counted)
         monkeypatch.setattr(cli, "maximize", fit_then_reset)
+        assert main(argv) == 0
+        return len(builds)
+
+    def test_regression_builds_feature_factors_three_times_after_the_fit(
+        self, tmp_path, monkeypatch
+    ):
+        # optimal q, the shared elbo-and-predictions pass, collapsed_bound
         data = regression_dataset(tmp_path)
         cfg = small_fit_config(tmp_path, data, str(tmp_path / "fit"), iters=3)
-        assert main(["fit-regression", "--config", cfg]) == 0
-        assert len(builds) == 3
+        assert self.builds_after_the_fit(monkeypatch, ["fit-regression", "--config", cfg]) == 3
+
+    def test_cox_builds_feature_factors_twice_after_the_fit(self, tmp_path, monkeypatch):
+        # one cox_elbo_terms gives final_elbo and integrated_intensity; the
+        # intensity on the prediction grid is the other pass
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], [[0.1], [0.25], [0.3], [0.6], [0.62], [0.9]])
+        out = str(tmp_path / "fit")
+        model = {
+            "kernel": {"variance": 0.5, "lengthscales": [0.25], "mean": 1.5},
+            "num_inducing": 4,
+            "domain": [[0.0, 1.0]],
+        }
+        cfg = write_config(
+            tmp_path, "cox.json",
+            {"data": str(data), "out": out, "model": model, "optimizer": {"max_iters": 3}},
+        )
+        assert self.builds_after_the_fit(monkeypatch, ["fit-cox", "--config", cfg]) == 2
+        summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        cox_model = CoxModel(lower=[0.0], upper=[1.0], events=read_csv(str(data), ["x1"]))
+        terms = cox_elbo_terms(state, cox_model)
+        assert summary["final_elbo"] == cox_elbo(state, cox_model)
+        assert summary["integrated_intensity"] == terms.integral_term
 
 
 class TestFitCox:

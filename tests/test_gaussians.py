@@ -133,13 +133,88 @@ class TestGaussianDist:
                 atol=1e-12,
             )
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussianDist(np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="dimension"):
-            GaussianDist(np.zeros(3), np.eye(2))
-        with pytest.raises(ValueError, match="finite"):
-            GaussianDist(np.array([np.nan, 0.0]), np.eye(2))
+
+def asymmetric(rel, scale=3.0):
+    """2 x 2 covariance with max |A| = scale and max |A - A^T| = rel * scale."""
+    return np.array([[scale, 0.0], [rel * scale, scale]])
+
+
+def not_symmetric(what, rel, tol, scale=3.0):
+    return f"{what} is not symmetric: max |A - A^T| = {rel * scale:.3e} exceeds {tol:.1e} relative"
+
+
+NAN, INF = float("nan"), float("inf")
+NOT_FINITE = "mean and covariance must be finite"
+COND_W, COND_B = np.ones((2, 3)), np.zeros(2)
+
+# (constructor, arguments, the ValueError message it raises)
+VALIDATION_REJECTS = {
+    "asymmetry-above-1e-12": (
+        GaussianDist, (np.zeros(2), asymmetric(1.01e-12)),
+        not_symmetric("covariance", 1.01e-12, 1e-12),
+    ),
+    "asymmetry-above-1e-10": (
+        GaussianDist, (np.zeros(2), asymmetric(1.01e-10)),
+        not_symmetric("covariance", 1.01e-10, 1e-12),
+    ),
+    "nan-cov": (GaussianDist, (np.zeros(2), [[1.0, NAN], [NAN, 1.0]]), NOT_FINITE),
+    "inf-cov": (GaussianDist, (np.zeros(2), [[INF, 0.0], [0.0, 1.0]]), NOT_FINITE),
+    "nan-mean": (GaussianDist, ([0.0, NAN], np.eye(2)), NOT_FINITE),
+    "nan-and-asymmetry": (GaussianDist, (np.zeros(2), [[1.0, NAN], [0.5, 1.0]]), NOT_FINITE),
+    "2d-mean": (
+        GaussianDist, (np.zeros((1, 2)), np.eye(2)), "mean must be a vector, got shape (1, 2)"
+    ),
+    "non-square-cov": (
+        GaussianDist, (np.zeros(2), np.zeros((2, 3))), "covariance must be square, got shape (2, 3)"
+    ),
+    "dimension-mismatch": (
+        GaussianDist, (np.zeros(3), np.eye(2)), "mean has dimension 3 but covariance is 2x2"
+    ),
+    "conditional-asymmetry-above-1e-10": (
+        AffineConditional, (COND_W, COND_B, asymmetric(1.01e-10)),
+        not_symmetric("conditional covariance", 1.01e-10, 1e-10),
+    ),
+    "conditional-non-square-cov": (
+        AffineConditional, (COND_W, COND_B, np.zeros((2, 3))),
+        "conditional covariance must be square, got shape (2, 3)",
+    ),
+    "conditional-dimension-mismatch": (
+        AffineConditional, (COND_W, np.zeros(3), np.eye(2)),
+        "inconsistent conditional shapes: weights (2, 3), offset (3,), cov (2, 2)",
+    ),
+}
+
+VALIDATION_ACCEPTS = {
+    "asymmetry-below-1e-12": (GaussianDist, (np.zeros(2), asymmetric(0.99e-12))),
+    "0d-mean": (GaussianDist, (1.5, [[2.0]])),
+    "0x0-cov": (GaussianDist, (np.zeros(0), np.zeros((0, 0)))),
+    "conditional-asymmetry-below-1e-10": (
+        AffineConditional, (COND_W, COND_B, asymmetric(0.99e-10))
+    ),
+    "conditional-asymmetry-above-1e-12": (
+        AffineConditional, (COND_W, COND_B, asymmetric(1.01e-12))
+    ),
+}
+
+
+class TestValidationContract:
+    """Each rejected input and its message, and the edge cases that pass."""
+
+    @pytest.mark.parametrize("case", VALIDATION_REJECTS)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_rejects_with_message(self, case):
+        cls, args, message = VALIDATION_REJECTS[case]
+        with pytest.raises(ValueError) as err:
+            cls(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("case", VALIDATION_ACCEPTS)
+    def test_accepts_and_symmetrizes(self, case):
+        cls, args = VALIDATION_ACCEPTS[case]
+        cov = np.asarray(args[-1], dtype=float)
+        built = cls(*args)
+        np.testing.assert_array_equal(built.cov, 0.5 * (cov + cov.T))
+        assert built.cov.shape == cov.shape
 
 
 class TestKL:

@@ -7,7 +7,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from sparsekl import finite_oracle, verify
+from sparsekl import finite_oracle, gaussians, verify
 from sparsekl.finite_oracle import (
     augmentation_gap,
     deterministic_union_kl,
@@ -16,7 +16,7 @@ from sparsekl.finite_oracle import (
     noisy_copy_conditional,
     pushforward_check,
 )
-from sparsekl.gaussians import expected_conditional_kl
+from sparsekl.gaussians import GaussianDist, expected_conditional_kl
 from sparsekl.verify import (
     REGIMES,
     instance_record,
@@ -234,3 +234,26 @@ def test_instance_record_factors_each_oracle_matrix_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert instance_record(seed)["pass"] is True
         assert calls == {"exact_posterior": 1, "extend_approx": 1, "svd": 2, "pinv": 0}
+
+
+@pytest.mark.parametrize("seed, factorizations", [(0, 30), (1, 30), (2, 29)])
+def test_instance_record_builds_no_throwaway_gaussians(monkeypatch, seed, factorizations):
+    # 22 validated Gaussians: no joint is built only to be permuted and no
+    # marginal only to be extended.  The chain rule's conditionals reuse the
+    # factors of its marginals; seed 2 is an "equal" instance, whose union
+    # D u Z needs no extension and so one factorization fewer.
+    counts = {"GaussianDist": 0, "cholesky": 0}
+    real_post_init, real_cholesky = GaussianDist.__post_init__, gaussians.cholesky
+
+    def post_init(self):
+        counts["GaussianDist"] += 1
+        real_post_init(self)
+
+    def cholesky(A):
+        counts["cholesky"] += 1
+        return real_cholesky(A)
+
+    monkeypatch.setattr(GaussianDist, "__post_init__", post_init)
+    monkeypatch.setattr(gaussians, "cholesky", cholesky)
+    assert instance_record(seed)["pass"] is True
+    assert counts == {"GaussianDist": 22, "cholesky": factorizations}
