@@ -26,6 +26,7 @@ import numpy as np
 
 from .cox import (
     CoxModel,
+    _tensor_grid,
     cox_elbo_and_grad,
     cox_elbo_terms,
     fitted_intensity,
@@ -561,8 +562,7 @@ def _task_fit_cox(cfg, outdir, seed):
     final = -terms.kl_term + terms.event_term - terms.integral_term
     integrated = terms.integral_term
     per_axis = 200 if d == 1 else 32
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)]
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = _tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)])
     intensity = fitted_intensity(state, model, grid)
     summary = {
         "task": "fit-cox",

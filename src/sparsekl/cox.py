@@ -54,10 +54,6 @@ SQUARE_LOG_CLAMP = -30.0
 SQUARE_QUAD_ORDER = 64
 
 
-def _default_quad_orders(dim):
-    return (50,) if dim == 1 else (20,) * dim
-
-
 @dataclass(frozen=True)
 class CoxModel:
     """Events on a hyper-rectangle with a link choice and quadrature orders."""
@@ -94,7 +90,7 @@ class CoxModel:
             raise ValueError(f"unknown link {self.link!r}; expected one of {LINKS}")
         orders = self.quad_orders
         if orders is None:
-            orders = _default_quad_orders(d)
+            orders = (50,) if d == 1 else (20,) * d
         orders = tuple(int(o) for o in np.atleast_1d(orders))
         if len(orders) != d or any(o < 2 for o in orders):
             raise ValueError(
@@ -113,10 +109,6 @@ class CoxModel:
     def n_events(self) -> int:
         return self.events.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
     @cached_property
     def grid(self):
         """Read-only Gauss-Legendre nodes and weights of the integral term,
@@ -125,6 +117,14 @@ class CoxModel:
         pts.flags.writeable = False
         wts.flags.writeable = False
         return pts, wts
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Read-only events then grid nodes: the rows every evaluation of the
+        objective covers in one predictive pass, stacked once per model."""
+        pts = np.vstack([self.events, self.grid[0]])
+        pts.flags.writeable = False
+        return pts
 
 
 def legendre_grid(lower, upper, orders):
@@ -136,14 +136,12 @@ def legendre_grid(lower, upper, orders):
         x, w = _gl_nodes(int(order))
         axes.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
         weights.append(0.5 * (hi - lo) * w)
-    if len(axes) == 1:
-        return axes[0][:, None], weights[0]
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    wts = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*weights, indexing="ij")], axis=1),
-        axis=1,
-    )
-    return pts, wts
+    return _tensor_grid(axes), _tensor_grid(weights).prod(axis=1)
+
+
+def _tensor_grid(axes):
+    """One row per combination of the entries of the 1-d ``axes``, the last fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def expected_rate(link, mu, var):
@@ -216,13 +214,11 @@ class CoxTerms:
 
 
 def _terms_and_pass(state: SVGPState, model: CoxModel):
-    pts, wts = model.grid
-    # one predictive pass over events and grid together
-    fp = _WhitenedPass.at_state(state, np.vstack([model.events, pts]))
+    fp = _WhitenedPass.at_state(state, model.points)
     mu, var = fp.mean, fp.var
     ne = model.n_events
     event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
-    integral_term = math.fsum(wts * expected_rate(model.link, mu[ne:], var[ne:]))
+    integral_term = math.fsum(model.grid[1] * expected_rate(model.link, mu[ne:], var[ne:]))
     return CoxTerms(fp.kl, event_term, integral_term), fp
 
 
@@ -283,11 +279,7 @@ def sample_inhomogeneous_pp(
     if upper_bound <= 0:
         raise ValueError(f"upper_bound must be positive, got {upper_bound}")
     d = lower.shape[0]
-    axes = [np.linspace(lo, hi, check_grid) for lo, hi in zip(lower, upper)]
-    if d == 1:
-        grid = axes[0][:, None]
-    else:
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = _tensor_grid([np.linspace(lo, hi, check_grid) for lo, hi in zip(lower, upper)])
     vals = np.asarray(intensity(grid), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals < 0):
         raise ValueError("intensity must be finite and nonnegative on the domain")

@@ -117,8 +117,8 @@ class FiniteModel:
             raise ValueError(
                 f"{len(data_idx)} observed points but {Y.shape[0]} observations"
             )
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not 0 < self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "data_idx", data_idx)
         object.__setattr__(self, "inducing_idx", inducing_idx)

@@ -93,11 +93,20 @@ def _check_dim(feature, kernel: Kernel):
         )
 
 
-def _stack(features, kernel: Kernel):
-    """Centres and widths of ``features`` as two (M, d) arrays.
+class _Stack(tuple):
+    """Centres and widths of M features as two (M, d) arrays, checked
+    against a kernel's dimension by :func:`_stack`.  The covariance
+    routines take one in place of the features, so that one evaluation
+    stacks its features once."""
+
+
+def _stack(features, kernel: Kernel) -> _Stack:
+    """Centres and widths of ``features``; a :class:`_Stack` is returned as it is.
 
     A point evaluation is the zero-width limit of a window: width 0.
     """
+    if isinstance(features, _Stack):
+        return features
     if len(features) == 0:
         raise ValueError("need at least one inducing feature")
     zero = np.zeros(kernel.input_dim)
@@ -111,7 +120,7 @@ def _stack(features, kernel: Kernel):
             raise TypeError(f"unknown feature type {type(g).__name__}")
         _check_dim(g, kernel)
     centres, widths = zip(*rows)
-    return np.array(centres), np.array(widths)
+    return _Stack((np.array(centres), np.array(widths)))
 
 
 def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
@@ -124,11 +133,11 @@ def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
     (M, n) temporary costs as much as the arithmetic on it.
     """
     root = np.sqrt(comb)
-    scale = np.prod(kernel.lengthscales / root, axis=-1)
+    scale = (kernel.lengthscales / root).prod(axis=-1)
     t = A - B
     t /= root
     t *= t
-    K = np.sum(t, axis=-1)
+    K = t.sum(axis=-1)
     K *= -0.5
     np.exp(K, out=K)
     K *= kernel.variance * scale
@@ -146,7 +155,7 @@ def _se_cov_vjp(kernel: Kernel, A, B, comb, Q):
     through ``comb``), ``A`` (broadcast shape; ``B`` gets the negative)
     and ``comb`` (broadcast shape).
     """
-    total = float(np.sum(Q))
+    total = float(Q.sum())
     Q = Q[..., None]
     t = A - B
     t /= comb
@@ -162,14 +171,14 @@ def _se_cov_vjp(kernel: Kernel, A, B, comb, Q):
 def assemble_vjp(features, kernel: Kernel, X, Q_uu, Q_uf) -> dict:
     """Gradients of ``<G_uu, Kuu> + <G_uf, Kuf>`` for the matrices assembled
     by :func:`assemble_Kuu` and :func:`assemble_Kuf`, given
-    ``Q_uu = G_uu * Kuu`` and ``Q_uf = G_uf * Kuf`` (elementwise).
+    ``Q_uu = G_uu * Kuu`` and ``Q_uf = G_uf * Kuf`` (elementwise), at
+    ``X`` already checked by :func:`as_points`.
 
     Returns ``kernel_variance`` (float), ``kernel_lengthscales`` (d,),
     ``feature_centers`` and ``feature_widths`` (M, d each; the widths
     gradient of a point feature is the width-0 limit, always 0).
     """
     C, W = _stack(features, kernel)
-    X = as_points(X, kernel.input_dim)
     ell = kernel.lengthscales
     W2 = W * W
     comb_uu = ell**2 + (W2[:, None, :] + W2[None, :, :])

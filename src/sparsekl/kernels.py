@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,11 @@ class Kernel:
             raise ValueError(f"lengthscales must be a vector, got shape {ls.shape}")
         if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
-        if not np.all(ls > 0):
+        if not (ls > 0).all():
             raise ValueError(f"lengthscales must be positive, got {ls.tolist()}")
-        if not np.isfinite(self.variance) or not np.all(np.isfinite(ls)):
+        if not math.isfinite(self.variance) or not np.isfinite(ls).all():
             raise ValueError("kernel parameters must be finite")
-        if not np.isfinite(self.mean_const):
+        if not math.isfinite(self.mean_const):
             raise ValueError("mean_const must be finite")
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "variance", float(self.variance))
@@ -60,7 +61,7 @@ def as_points(X, dim=None):
         raise ValueError(
             f"inputs have dimension {X.shape[1]}, expected {dim} (shape {X.shape})"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("input locations must be finite")
     return X
 

@@ -17,7 +17,7 @@ and are the oracle the analytic gradients are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .interdomain import GaussianWindowFeature, PointFeature
 from .kernels import Kernel
-from .svgp import GaussianNoise, SVGPState
+from .svgp import GaussianNoise, SVGPState, _triangle
 
 __all__ = [
     "ParamBlock",
@@ -44,31 +44,20 @@ __all__ = [
 TRANSFORMS = ("identity", "log", "softplus")
 
 
-def _softplus(u):
-    return np.logaddexp(0.0, u)
-
-
-def _softplus_inv(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("softplus-constrained values must be positive")
-    return x + np.log1p(-np.exp(-x))
-
-
 def _apply_transform(tag, raw):
     if tag == "identity":
         return np.asarray(raw, dtype=float).copy()
     if tag == "log":
         return np.exp(raw)
     if tag == "softplus":
-        return _softplus(raw)
+        return np.logaddexp(0.0, raw)
     raise ValueError(f"unknown transform {tag!r}")
 
 
 def _transform_slope(tag, raw):
     """Derivative of the model value with respect to the raw coordinate."""
     if tag == "identity":
-        return np.ones_like(raw)
+        return 1.0
     if tag == "log":
         return np.exp(raw)
     if tag == "softplus":
@@ -80,12 +69,12 @@ def _invert_transform(tag, value):
     value = np.asarray(value, dtype=float)
     if tag == "identity":
         return value.copy()
+    if np.any(value <= 0):
+        raise ValueError(f"{tag}-constrained values must be positive")
     if tag == "log":
-        if np.any(value <= 0):
-            raise ValueError("log-constrained values must be positive")
         return np.log(value)
     if tag == "softplus":
-        return _softplus_inv(value)
+        return value + np.log1p(-np.exp(-value))
     raise ValueError(f"unknown transform {tag!r}")
 
 
@@ -242,8 +231,8 @@ def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
     """
     q_chol = grads["q_chol"]
     model = dict(grads)
-    model["q_chol_diag"] = np.diag(q_chol)
-    model["q_chol_lower"] = q_chol[np.tril_indices(q_chol.shape[0], -1)]
+    model["q_chol_diag"] = q_chol.diagonal()
+    model["q_chol_lower"] = q_chol[_triangle(q_chol.shape[0])[0]]
     model["feature_locations"] = grads.get("feature_centers")
     out = np.empty(x.layout.total_size)
     slices = x.layout.slices()
@@ -333,7 +322,7 @@ def maximize(
             )
         if jac:
             grad = np.asarray(grad, dtype=float)
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
                 raise NonFiniteObjectiveError(f"gradient is non-finite at coordinate {bad}")
         else:
@@ -347,7 +336,7 @@ def maximize(
         x = intermediate_result.x
         value, grad_norm = probes[x.tobytes()]
         probes.clear()
-        step = float(np.max(np.abs(x - accepted[-1])))
+        step = float(np.abs(x - accepted[-1]).max())
         records.append((len(records) + 1, value, step, grad_norm))
         trace.append(value)
         accepted.append(x.copy())
@@ -394,18 +383,18 @@ def svgp_parameterization(
     """
     M = state.num_inducing
     d = state.kernel.input_dim
-    tril = np.tril_indices(M, -1)
+    lower = _triangle(M)[0]
     blocks = [
         ParamBlock("q_mean", M),
         ParamBlock("q_chol_diag", M, "softplus"),
     ]
     values = {
         "q_mean": state.q_mean,
-        "q_chol_diag": np.diag(state.q_chol),
+        "q_chol_diag": state.q_chol.diagonal(),
     }
     if M > 1:
         blocks.append(ParamBlock("q_chol_lower", M * (M - 1) // 2))
-        values["q_chol_lower"] = state.q_chol[tril]
+        values["q_chol_lower"] = state.q_chol[lower]
     if optimize_hypers:
         blocks.append(ParamBlock("kernel_variance", 1, "log"))
         blocks.append(ParamBlock("kernel_lengthscales", d, "log"))
@@ -449,10 +438,9 @@ def svgp_parameterization(
                     f"parameter {b.name} is {v.tolist()}: its {b.transform} transform "
                     f"leaves (0, inf) at raw {pv.unpack()[b.name].tolist()}"
                 )
-        q_chol = np.zeros((M, M))
-        q_chol[np.diag_indices(M)] = vals["q_chol_diag"]
+        q_chol = np.diag(vals["q_chol_diag"])
         if M > 1:
-            q_chol[tril] = vals["q_chol_lower"]
+            q_chol[lower] = vals["q_chol_lower"]
         kernel = state.kernel
         likelihood = state.likelihood
         if optimize_hypers:
@@ -474,13 +462,6 @@ def svgp_parameterization(
                 features = tuple(
                     GaussianWindowFeature(c, w) for c, w in zip(centers, widths)
                 )
-        return replace(
-            state,
-            features=features,
-            q_mean=vals["q_mean"],
-            q_chol=q_chol,
-            kernel=kernel,
-            likelihood=likelihood,
-        )
+        return SVGPState(features, vals["q_mean"], q_chol, kernel, likelihood)
 
     return x0, rebuild

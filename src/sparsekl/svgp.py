@@ -29,6 +29,7 @@ from .gaussians import (
     solve_triangular,
 )
 from .interdomain import (
+    _stack,
     assemble_Kuf,
     assemble_Kuu,
     assemble_vjp,
@@ -69,6 +70,16 @@ def _gh_nodes(order):
     return np.polynomial.hermite.hermgauss(order)
 
 
+@lru_cache(maxsize=8)
+def _triangle(M):
+    """Read-only ``(strictly lower index pair, diagonal index pair, lower
+    triangle mask)`` of an M x M matrix, built once per size."""
+    parts = (*np.tril_indices(M, -1), *np.diag_indices(M), np.tri(M, dtype=bool))
+    for part in parts:
+        part.flags.writeable = False
+    return parts[:2], parts[2:4], parts[4]
+
+
 def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     """``E[fn(f)]`` under ``f ~ N(mu, var)``, elementwise over the inputs.
 
@@ -80,7 +91,7 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if mu.shape != var.shape:
         raise ValueError(f"mu shape {mu.shape} != var shape {var.shape}")
-    if np.any(var < 0):
+    if (var < 0).any():
         raise ValueError("variances must be nonnegative")
     x, w = _gh_nodes(order)
     f_nodes = fn(mu[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :])
@@ -112,13 +123,13 @@ class GaussianNoise:
     noise_var: float
 
     def __post_init__(self):
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
         object.__setattr__(self, "noise_var", float(self.noise_var))
 
     def validate_targets(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ValueError("targets must be finite")
         return y
 
@@ -140,7 +151,7 @@ class GaussianNoise:
         resid = y - mu
         # noise_var**2 underflows to 0 on a far probe: numpy division gives
         # inf, which maximize names, where float division would raise
-        d_noise = 0.5 * float(np.sum(resid**2 + var)) / np.square(self.noise_var)
+        d_noise = 0.5 * float((resid**2 + var).sum()) / np.square(self.noise_var)
         d_noise -= 0.5 * resid.shape[0] / self.noise_var
         d_var = np.full(resid.shape[0], -0.5 / self.noise_var)
         return resid / self.noise_var, d_var, {"noise_var": d_noise}
@@ -187,8 +198,8 @@ class PoissonCounts:
     bin_width: float = 1.0
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError(f"bin_width must be positive and finite, got {self.bin_width}")
         object.__setattr__(self, "bin_width", float(self.bin_width))
 
     def validate_targets(self, y):
@@ -277,9 +288,9 @@ class SVGPState:
             raise ValueError(
                 f"q_chol has shape {q_chol.shape}, expected ({M}, {M})"
             )
-        if np.any(np.triu(q_chol, 1) != 0.0):
+        if (q_chol.T[_triangle(M)[0]] != 0.0).any():
             raise ValueError("q_chol must be lower triangular")
-        if np.any(np.diag(q_chol) <= 0):
+        if (q_chol.diagonal() <= 0).any():
             raise ValueError("q_chol must have a strictly positive diagonal")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "q_mean", q_mean)
@@ -302,30 +313,33 @@ class SVGPState:
 class _FeatureFactors:
     """The q-independent half of one evaluation at the rows of ``X``.
 
-    Validated inputs (``Y`` against ``lik`` when given), ``Kuu``, its
-    jittered Cholesky factor ``Luu``, ``Kuf`` and ``A = Luu^-1 Kuf``
-    (M x n): the one place this module builds feature covariances.
+    Validated inputs (``Y`` against ``lik`` when given), the features
+    stacked once, ``Kuu``, its jittered Cholesky factor ``Luu``, ``Kuf``
+    and ``A = Luu^-1 Kuf`` (M x n): the one place this module builds
+    feature covariances.
     """
 
     def __init__(self, features, kernel: Kernel, X, Y=None, lik=None):
         if Y is not None and lik is None:
             raise ValueError("no likelihood given and the state carries none")
-        self.features, self.kernel, self.lik = features, kernel, lik
+        self.kernel, self.lik = kernel, lik
         self.X = as_points(X, kernel.input_dim)
         self.Y = None if Y is None else lik.validate_targets(Y)
         if Y is not None and self.Y.shape[0] != self.X.shape[0]:
             raise ValueError(f"{self.X.shape[0]} inputs but {self.Y.shape[0]} targets")
-        self.Kuu = assemble_Kuu(features, kernel)
+        self.features = _stack(features, kernel)
+        self.Kuu = assemble_Kuu(self.features, kernel)
         self.Luu, self.jitter = _chol_with_fallback(self.Kuu)
-        self.Kuf = assemble_Kuf(features, kernel, self.X)
+        self.Kuf = assemble_Kuf(self.features, kernel, self.X)
         self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
-        self.prior_mean_u = feature_prior_mean(features, kernel)
 
 
 def _solve_t(Luu, B):
     """``Luu^-T B``; a non-finite column of ``B`` (an overflowed link) gives NaN, not an error."""
-    bad = ~np.isfinite(B).all(axis=0)
-    return np.where(bad, np.nan, solve_triangular(Luu, np.where(bad, 0.0, B), lower=True, trans=1))
+    finite = np.isfinite(B).all(axis=0)
+    if finite.all():
+        return solve_triangular(Luu, B, lower=True, trans=1)
+    return np.where(finite, solve_triangular(Luu, np.where(finite, B, 0.0), lower=True, trans=1), np.nan)
 
 
 class _WhitenedPass:
@@ -348,21 +362,21 @@ class _WhitenedPass:
         self.factors, self.alpha, self.half, self.q_chol = factors, alpha, half, q_chol
         self.mean = factors.kernel.mean_const + A.T @ alpha
         T = half.T @ A
-        var = factors.kernel.variance - np.sum(A * A, axis=0)
-        var += np.sum(T * T, axis=0)
+        var = factors.kernel.variance - (A * A).sum(axis=0)
+        var += (T * T).sum(axis=0)
         self.positive = var > 0.0
         self.var = np.maximum(var, 0.0)
-        kl = 0.5 * (float(np.sum(half * half)) + float(alpha @ alpha) - A.shape[0])
+        kl = 0.5 * (float((half * half).sum()) + float(alpha @ alpha) - A.shape[0])
         self.kl = max(kl - half_logdet, 0.0)
 
     @classmethod
     def at_state(cls, state: SVGPState, X, Y=None, lik=None):
         """The pass at the state's own q; ``lik`` defaults to the state's."""
         f = _FeatureFactors(state.features, state.kernel, X, Y, lik or state.likelihood)
-        alpha = solve_triangular(f.Luu, state.q_mean - f.prior_mean_u, lower=True)
+        alpha = solve_triangular(f.Luu, state.q_mean - f.kernel.mean_const, lower=True)
         half = solve_triangular(f.Luu, state.q_chol, lower=True)
-        logdet = float(np.sum(np.log(np.diag(state.q_chol))))
-        return cls(f, alpha, half, logdet - float(np.sum(np.log(np.diag(f.Luu)))), state.q_chol)
+        logdet = float(np.log(state.q_chol.diagonal()).sum())
+        return cls(f, alpha, half, logdet - float(np.log(f.Luu.diagonal()).sum()), state.q_chol)
 
     def expected_log_lik(self, quad_order):
         f = self.factors
@@ -407,31 +421,32 @@ class _WhitenedPass:
         """
         f, alpha, half, Luu = self.factors, self.alpha, self.half, self.factors.Luu
         A, M = f.A, Luu.shape[0]
+        _, diag, tril = _triangle(M)
         g_var = np.where(self.positive, d_var, 0.0)
         Ag, AvAt = A @ d_mean, (A * g_var) @ A.T
         blocks = [2.0 * (half @ half.T - np.eye(M)), alpha[:, None]]
         if self.q_chol is not None:
             blocks += [(Ag - alpha)[:, None], 2.0 * (AvAt @ half) - half]
-        R = _solve_t(Luu, np.hstack(blocks))
+        R = _solve_t(Luu, np.concatenate(blocks, axis=1))
         d_Kuf = R[:, :M] @ A
         d_Kuf *= g_var
         d_Kuf += np.multiply.outer(R[:, M], d_mean)
-        d_Luu = -(R[:, :M] @ AvAt) - np.outer(R[:, M], Ag)
+        d_Luu = -(R[:, :M] @ AvAt) - np.multiply.outer(R[:, M], Ag)
         d_q_mean, d_chol = np.zeros(M), np.zeros((M, M))
         if self.q_chol is not None:
             d_q_mean, R_half = R[:, M + 1], R[:, M + 2:]
-            d_Luu -= np.outer(d_q_mean, alpha) + R_half @ half.T + np.diag(1.0 / np.diag(Luu))
-            d_chol = np.tril(R_half) + np.diag(1.0 / np.diag(self.q_chol))
-        Phi = np.tril(Luu.T @ d_Luu)
-        Phi[np.diag_indices(M)] *= 0.5
+            d_Luu -= np.outer(d_q_mean, alpha) + R_half @ half.T + np.diag(1.0 / Luu.diagonal())
+            d_chol = np.where(tril, R_half, 0.0) + np.diag(1.0 / self.q_chol.diagonal())
+        Phi = np.where(tril, Luu.T @ d_Luu, 0.0)
+        Phi[diag] *= 0.5
         Z = _solve_t(Luu, _solve_t(Luu, Phi).T)
         d_Kuu = 0.5 * (Z + Z.T)
-        d_Kuu[np.diag_indices(M)] += f.jitter / np.trace(f.Kuu) * np.trace(d_Kuu)
+        d_Kuu[diag] += f.jitter / f.Kuu.trace() * d_Kuu.trace()
         d_Kuu *= f.Kuu
         d_Kuf *= f.Kuf
         grads = assemble_vjp(f.features, f.kernel, f.X, d_Kuu, d_Kuf)
-        grads["kernel_variance"] += float(np.sum(g_var))
-        grads["kernel_mean"] = float(np.sum(d_mean)) - float(np.sum(d_q_mean))
+        grads["kernel_variance"] += float(g_var.sum())
+        grads["kernel_mean"] = float(d_mean.sum()) - float(d_q_mean.sum())
         grads["q_mean"] = d_q_mean
         grads["q_chol"] = d_chol
         return grads
@@ -521,7 +536,7 @@ def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> Gau
     f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
     LB, c = _collapsed_factors(f, noise_var)
     half = solve_triangular(LB, f.Luu.T, lower=True)
-    m_opt = f.prior_mean_u + f.Luu @ solve_triangular(LB.T, c, lower=False)
+    m_opt = kernel.mean_const + f.Luu @ solve_triangular(LB.T, c, lower=False)
     return GaussianDist(m_opt, half.T @ half)
 
 
@@ -548,11 +563,11 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
     n = r.shape[0]
     fit = -0.5 * (
         n * math.log(2.0 * math.pi * noise_var)
-        + 2.0 * float(np.sum(np.log(np.diag(LB))))
+        + 2.0 * float(np.log(LB.diagonal()).sum())
         + float(r @ r) / noise_var
         - float(c @ c)
     )
-    trace_term = (n * kernel.variance - float(np.sum(f.A * f.A))) / (2.0 * noise_var)
+    trace_term = (n * kernel.variance - float((f.A * f.A).sum())) / (2.0 * noise_var)
     return fit - trace_term
 
 
@@ -569,7 +584,7 @@ def collapsed_bound_and_grad(state: SVGPState, X, Y):
     f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
     LB, c = _collapsed_factors(f, lik.noise_var)
     half = solve_triangular(LB, np.eye(LB.shape[0]), lower=True).T
-    logdet = -float(np.sum(np.log(np.diag(LB))))
+    logdet = -float(np.log(LB.diagonal()).sum())
     return _WhitenedPass(f, half @ c, half, logdet).value_and_grad(DEFAULT_QUAD_ORDER)
 
 

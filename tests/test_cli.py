@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from sparsekl import cli, svgp, verify
+from sparsekl import cli, interdomain, svgp, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_terms, sample_inhomogeneous_pp
 from sparsekl.gaussians import NotPositiveDefiniteError
@@ -60,6 +60,22 @@ def small_fit_config(tmp_path, data, out, extra_model=None, iters=12):
             "optimizer": {"max_iters": iters},
         },
     )
+
+
+def assert_reruns_identical(tmp_path, task, doc):
+    """Run ``task`` on ``doc`` twice in this process and check that the
+    artifacts are byte-identical, apart from the summary's ``wall_time_s``
+    line.  Returns the summary and output directory of the first run."""
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        cfg = write_config(tmp_path, f"{out.name}.json", dict(doc, out=str(out)))
+        assert main([task, "--config", cfg]) == 0
+    for name in ("checkpoint.json", "trace.csv", "predictions.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    texts = [(out / "summary.json").read_text(encoding="utf-8") for out in outs]
+    kept = [[line for line in t.splitlines() if '"wall_time_s"' not in line] for t in texts]
+    assert kept[0] == kept[1]
+    return json.loads(texts[0]), str(outs[0])
 
 
 class TestConfigValidation:
@@ -666,6 +682,20 @@ class TestFitClassification:
         assert summary["task"] == "fit-classification"
         assert "collapsed_bound" not in summary
 
+    def test_window_feature_fit_reruns_identically_and_reloads(self, tmp_path):
+        data = classification_dataset(tmp_path)
+        model = {
+            "kernel": {"variance": 1.0, "lengthscales": [0.3]},
+            "num_inducing": 4,
+            "feature_type": "gwindow",
+        }
+        doc = {"data": data, "seed": 0, "model": model,
+               "optimizer": {"max_iters": 8, "optimize_features": True}}
+        summary, out = assert_reruns_identical(tmp_path, "fit-classification", doc)
+        X, Y = read_xy_data(data, 1)
+        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        assert elbo(state, X, Y) == summary["final_elbo"]
+
 
 def classification_dataset(tmp_path, n=30, seed=1):
     rng = np.random.default_rng(seed)
@@ -813,6 +843,77 @@ class TestFitCox:
         assert summary["objective_evaluations"] == summary["gradient_evaluations"] > 0
         assert 0 < summary["iterations"] <= 8
 
+
+    def test_window_fit_reruns_identically_and_reloads(self, tmp_path):
+        lam = lambda p: 20.0 * (1.0 + np.sin(2 * np.pi * p[:, 0]))
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], sample_inhomogeneous_pp(lam, 41.0, [0.0], [1.0], seed=2))
+        model = {
+            "kernel": {"variance": 1.0, "lengthscales": [0.2], "mean": 3.0},
+            "num_inducing": 5,
+            "feature_type": "gwindow",
+            "domain": [[0.0, 1.0]],
+        }
+        doc = {"data": str(data), "seed": 0, "model": model, "optimizer": {"max_iters": 8}}
+        summary, out = assert_reruns_identical(tmp_path, "fit-cox", doc)
+        cox_model = CoxModel(lower=[0.0], upper=[1.0], events=read_csv(str(data), ["x1"]))
+        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        assert cox_elbo(state, cox_model) == summary["final_elbo"]
+
+    def test_evaluations_rebuild_no_per_model_invariant(self, tmp_path, monkeypatch):
+        # each evaluation stacks the features once (not for Kuu, Kuf and the
+        # gradient apiece), predicts at the model's one events-and-grid array
+        # and reuses q_chol's triangle indices
+        seen, during, points = {"stacks": 0, "tril_indices": 0}, {}, []
+        real_stack, real_tril = interdomain._stack, np.tril_indices
+        real_factors, real_maximize = svgp._FeatureFactors, cli.maximize
+
+        def stack(features, kernel):
+            stacked = real_stack(features, kernel)
+            seen["stacks"] += stacked is not features
+            return stacked
+
+        def tril_indices(*args, **kwargs):
+            seen["tril_indices"] += 1
+            return real_tril(*args, **kwargs)
+
+        class Recorded(real_factors):
+            def __init__(self, features, kernel, X, *args, **kwargs):
+                points.append(X)
+                super().__init__(features, kernel, X, *args, **kwargs)
+
+        def fit(*args, **kwargs):
+            seen.update(stacks=0, tril_indices=0)
+            points.clear()
+            result = real_maximize(*args, **kwargs)
+            during.update(seen, evaluations=result.gradient_evaluations, points=list(points))
+            return result
+
+        monkeypatch.setattr(interdomain, "_stack", stack)
+        monkeypatch.setattr(svgp, "_stack", stack, raising=False)
+        monkeypatch.setattr(np, "tril_indices", tril_indices)
+        monkeypatch.setattr(svgp, "_FeatureFactors", Recorded)
+        monkeypatch.setattr(cli, "maximize", fit)
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], [[0.1], [0.25], [0.3], [0.6], [0.62], [0.9]])
+        model = {
+            "kernel": {"variance": 0.5, "lengthscales": [0.25], "mean": 1.5},
+            "num_inducing": 4,
+            "feature_type": "gwindow",
+            "domain": [[0.0, 1.0]],
+        }
+        cfg = write_config(
+            tmp_path, "cox.json",
+            {"data": str(data), "out": str(tmp_path / "fit"), "model": model,
+             "optimizer": {"max_iters": 5}},
+        )
+        assert main(["fit-cox", "--config", cfg]) == 0
+        evaluations = during["evaluations"]
+        assert evaluations > 1 and len(during["points"]) == evaluations
+        assert during["stacks"] == evaluations
+        assert during["tril_indices"] <= 1
+        first = during["points"][0]
+        assert all(X is first for X in during["points"]) and not first.flags.writeable
 
     def test_non_finite_start_exits_numerical_code(self, tmp_path, capsys):
         # exp(800) overflows, so the expected integrated rate is inf at the start

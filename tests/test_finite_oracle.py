@@ -427,3 +427,9 @@ class TestModelValidation:
             FiniteModel(np.arange(3.0), (0,), (1,), prior, [0.0], 0.0)
         with pytest.raises(ValueError, match="prior"):
             FiniteModel(np.arange(4.0), (0,), (1,), prior, [0.0], 1.0)
+
+    @pytest.mark.parametrize("noise_var", [math.nan, math.inf])
+    def test_non_finite_noise_is_rejected(self, noise_var):
+        prior = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            FiniteModel(np.arange(3.0), (0,), (1,), prior, [0.0], noise_var)

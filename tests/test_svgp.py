@@ -20,7 +20,13 @@ from sparsekl.finite_oracle import (
     exact_posterior,
     log_marginal_likelihood,
 )
-from sparsekl.gaussians import GaussianDist, _chol_with_fallback, mvn_kl
+from sparsekl.gaussians import (
+    GaussianDist,
+    _chol_with_fallback,
+    cholesky,
+    mvn_kl,
+    solve_triangular,
+)
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
 from sparsekl.kernels import Kernel, kernel_matrix
 from sparsekl.svgp import (
@@ -40,6 +46,7 @@ from sparsekl.svgp import (
     predictive_marginals,
     save_checkpoint,
     to_checkpoint_dict,
+    _solve_t,
     _WhitenedPass,
 )
 from sparsekl.verify import EQUIVALENCE_RTOL
@@ -175,6 +182,21 @@ class TestLikelihoods:
                 budget = 1e-6 if var <= 2.0 else 2e-4
                 assert abs(a - b) <= budget * (1.0 + abs(b))
 
+    @pytest.mark.parametrize("make", [GaussianNoise, PoissonCounts])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_parameter_outside_the_positive_reals_is_rejected(self, make, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            make(value)
+
+    def test_checkpoint_with_nan_noise_does_not_load(self, tmp_path):
+        # json accepts NaN; a state built from it would give elbo nan
+        record = to_checkpoint_dict(make_state(16, likelihood=GaussianNoise(0.3)))
+        record["likelihood"]["noise_var"] = math.nan
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            load_checkpoint(path)
+
     def test_serialization_roundtrip(self):
         for lik in (GaussianNoise(0.3), BernoulliProbit(), PoissonCounts(0.25)):
             back = likelihood_from_dict(likelihood_to_dict(lik))
@@ -197,6 +219,18 @@ class TestState:
             SVGPState((), np.zeros(0), np.zeros((0, 0)), k)
         with pytest.raises(ValueError, match="q_mean"):
             SVGPState(feats, np.zeros(3), good_chol, k)
+
+    def test_every_entry_above_the_diagonal_is_checked(self):
+        k = Kernel(variance=1.0, lengthscales=1.0)
+        feats = tuple(PointFeature([float(z)]) for z in range(4))
+        chol = np.tril(np.full((4, 4), 0.5)) + np.eye(4)
+        SVGPState(feats, np.zeros(4), chol, k)
+        for i, j in zip(*np.triu_indices(4, 1)):
+            for value in (1e-300, -2.0, np.nan):
+                bad = chol.copy()
+                bad[i, j] = value
+                with pytest.raises(ValueError, match="lower triangular"):
+                    SVGPState(feats, np.zeros(4), bad, k)
 
     def test_q_dist_and_prior(self):
         state = make_state(0)
@@ -252,6 +286,36 @@ class TestPredictive:
         )
         mean, var = predictive_marginals(state, np.array([0.5]))
         assert np.isfinite(mean).all() and np.isfinite(var).all()
+
+
+class TestSolveT:
+    """``_solve_t``: ``Luu^-T B`` column by column, NaN where ``B`` is not finite."""
+
+    @staticmethod
+    def factor(M, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((M, M))
+        return cholesky(W @ W.T + M * np.eye(M)), rng
+
+    def test_finite_columns_equal_the_solve_and_the_others_are_nan(self):
+        L, rng = self.factor(5, 0)
+        B = rng.standard_normal((5, 7))
+        B[2, 1], B[0, 4], B[3, 4], B[4, 6] = np.inf, np.nan, -np.inf, np.nan
+        before = B.copy()
+        out = _solve_t(L, B)
+        finite = np.array([True, False, True, True, False, True, False])
+        assert np.isnan(out[:, ~finite]).all()
+        expected = solve_triangular(L, np.where(finite, B, 0.0), lower=True, trans=1)
+        np.testing.assert_array_equal(out[:, finite], expected[:, finite])
+        np.testing.assert_array_equal(B, before)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_all_finite_equals_the_solve_bit_for_bit(self, transposed):
+        # the reverse pass also hands it a transposed, F-ordered product
+        L, rng = self.factor(6, 1)
+        B = rng.standard_normal((6, 6))
+        B = B.T if transposed else B
+        np.testing.assert_array_equal(_solve_t(L, B), solve_triangular(L, B, lower=True, trans=1))
 
 
 class TestWhitenedKL:
