@@ -32,7 +32,7 @@ from .cox import (
     fitted_intensity,
     sample_inhomogeneous_pp,
 )
-from .gaussians import NotPositiveDefiniteError, _chol_with_fallback
+from .gaussians import GaussianDist, NotPositiveDefiniteError
 from .interdomain import (
     GaussianWindowFeature,
     PointFeature,
@@ -420,12 +420,12 @@ def _make_features(model_cfg, locations):
 
 
 def _initial_state(features, kernel, likelihood) -> SVGPState:
-    Kuu = assemble_Kuu(features, kernel)
-    Luu, _ = _chol_with_fallback(Kuu)
+    """q(u) at the prior: the feature prior mean and the factor of ``Kuu``."""
+    prior = GaussianDist(feature_prior_mean(features, kernel), assemble_Kuu(features, kernel))
     return SVGPState(
         features=features,
-        q_mean=feature_prior_mean(features, kernel),
-        q_chol=Luu,
+        q_mean=prior.mean,
+        q_chol=prior.chol,
         kernel=kernel,
         likelihood=likelihood,
     )
@@ -463,8 +463,7 @@ def _fit(state, value_and_grad_of, cfg):
 def _with_optimal_q(state, X, Y):
     """``state`` with q(u) replaced by the closed-form optimum for Gaussian noise."""
     q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
-    L, _ = _chol_with_fallback(q.cov)
-    return replace(state, q_mean=q.mean, q_chol=L)
+    return replace(state, q_mean=q.mean, q_chol=q.chol)
 
 
 def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):

@@ -180,8 +180,12 @@ def expected_log_rate(link, mu, var):
 
 def expected_rate_grads(link, mu, var):
     """Derivatives of :func:`expected_rate` in ``mu`` and ``var``."""
+    return _rate_grads(link, mu, var, expected_rate(link, mu, var))
+
+
+def _rate_grads(link, mu, var, rate):
+    """:func:`expected_rate_grads` given ``rate``, the expected rate at ``mu``, ``var``."""
     if link == "exp":
-        rate = expected_rate(link, mu, var)
         return rate, 0.5 * rate
     if link == "square":
         return 2.0 * np.asarray(mu, dtype=float), np.ones_like(var, dtype=float)
@@ -214,12 +218,14 @@ class CoxTerms:
 
 
 def _terms_and_pass(state: SVGPState, model: CoxModel):
+    """The terms, the pass they came from and the expected rate at the grid nodes."""
     fp = _WhitenedPass.at_state(state, model.points)
     mu, var = fp.mean, fp.var
     ne = model.n_events
     event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
-    integral_term = math.fsum(model.grid[1] * expected_rate(model.link, mu[ne:], var[ne:]))
-    return CoxTerms(fp.kl, event_term, integral_term), fp
+    rate = expected_rate(model.link, mu[ne:], var[ne:])
+    integral_term = math.fsum(model.grid[1] * rate)
+    return CoxTerms(fp.kl, event_term, integral_term), fp, rate
 
 
 def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
@@ -236,11 +242,11 @@ def cox_elbo(state: SVGPState, model: CoxModel) -> float:
 def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
     """:func:`cox_elbo` and its exact gradient, keyed as in
     :func:`sparsekl.svgp.elbo_and_grad`."""
-    t, fp = _terms_and_pass(state, model)
+    t, fp, rate = _terms_and_pass(state, model)
     ne = model.n_events
     mu, var = fp.mean, fp.var
     ev_mu, ev_var = expected_log_rate_grads(model.link, mu[:ne], var[:ne])
-    rate_mu, rate_var = expected_rate_grads(model.link, mu[ne:], var[ne:])
+    rate_mu, rate_var = _rate_grads(model.link, mu[ne:], var[ne:], rate)
     wts = model.grid[1]
     grads = fp.backward(
         np.concatenate([ev_mu, -wts * rate_mu]),

@@ -74,17 +74,6 @@ __all__ = [
 ]
 
 
-def _as_index_tuple(idx, n, what):
-    idx = tuple(int(i) for i in np.atleast_1d(np.asarray(idx, dtype=int)))
-    if len(idx) == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"{what} contains duplicates: {idx}")
-    if any(i < 0 or i >= n for i in idx):
-        raise ValueError(f"{what} {idx} out of range for {n} points")
-    return idx
-
-
 @dataclass(frozen=True)
 class FiniteModel:
     """Gaussian prior on a finite index set with noisy observations.
@@ -106,8 +95,8 @@ class FiniteModel:
     def __post_init__(self):
         X = as_points(self.X)
         n = X.shape[0]
-        data_idx = _as_index_tuple(self.data_idx, n, "data index set")
-        inducing_idx = _as_index_tuple(self.inducing_idx, n, "inducing index set")
+        data_idx = tuple(_validate_indices(self.data_idx, n, "data index").tolist())
+        inducing_idx = tuple(_validate_indices(self.inducing_idx, n, "inducing index").tolist())
         Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
         if self.prior.dim != n:
             raise ValueError(

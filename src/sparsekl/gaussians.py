@@ -47,9 +47,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a matrix cannot be factorized within the jitter budget.
+    """Raised when a matrix cannot be factorized, plainly or at the fixed jitter.
 
-    Carries the largest jitter attempted in ``jitter``.
+    Carries the jitter tried in ``jitter`` (0 when none was).
     """
 
     def __init__(self, message, jitter):
@@ -152,32 +152,31 @@ def _check_symmetric(A, rel_tol, what="matrix"):
     return A, peak
 
 
-def cholesky_jittered(A, base_jitter=None):
-    """Lower Cholesky factor of ``A + jitter * I`` with escalating jitter.
+def cholesky_jittered(A):
+    """Lower Cholesky factor of ``A + jitter * I`` at the one fixed jitter.
 
-    The first attempt uses ``base_jitter`` (default ``1e-10 * mean(diag(A))``)
-    and escalates by factors of 10 up to ``1e-2 * mean(diag(A))``.
+    ``jitter = 1e-10 * mean(diag(A))``, tried once.  A matrix that needs
+    more is a named failure, never a silently different matrix: every
+    factor this package uses is of ``A`` itself or of ``A`` at this jitter.
 
     Parameters
     ----------
     A : array, shape (n, n)
         Symmetric matrix, expected positive (semi-)definite up to noise.
-    base_jitter : float, optional
-        First jitter value to try.  Must be positive.
 
     Returns
     -------
     L : array, shape (n, n)
         Lower triangular with ``L @ L.T == A + jitter * I``.
     jitter : float
-        The jitter that succeeded.
+        The fixed jitter.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If ``A`` has a non-finite entry (jitter 0, nothing attempted) or
-        the factorization still fails at the jitter cap.  The error
-        carries the largest jitter attempted.
+        If ``A`` has a non-finite entry or a non-positive mean diagonal
+        (jitter 0, nothing attempted), or ``A + jitter * I`` is not
+        positive definite.  The error carries the jitter tried.
     """
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
@@ -195,28 +194,18 @@ def cholesky_jittered(A, base_jitter=None):
             "is not positive",
             0.0,
         )
-    if base_jitter is None:
-        base_jitter = 1e-10 * diag_mean
-    if base_jitter <= 0:
-        raise ValueError(f"base_jitter must be positive, got {base_jitter}")
-    cap = 1e-2 * diag_mean
-    jitter = float(base_jitter)
-    eye = np.eye(A.shape[0])
-    while True:
-        try:
-            return cholesky(A + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            if jitter >= cap:
-                raise NotPositiveDefiniteError(
-                    "matrix is not positive definite: Cholesky failed at "
-                    f"jitter {jitter:.3e} (cap {cap:.3e})",
-                    jitter,
-                ) from None
-            jitter = min(jitter * 10.0, cap)
+    jitter = 1e-10 * diag_mean
+    try:
+        return cholesky(A + jitter * np.eye(A.shape[0])), jitter
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: Cholesky failed at jitter {jitter:.3e}",
+            jitter,
+        ) from None
 
 
 def _chol_with_fallback(A):
-    """Plain Cholesky if it succeeds, otherwise the escalating jitter schedule.
+    """Plain Cholesky if it succeeds, otherwise :func:`cholesky_jittered`.
 
     Returns (L, jitter_used); jitter_used is 0.0 on the exact path.
     """

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .interdomain import GaussianWindowFeature, PointFeature
+from .interdomain import GaussianWindowFeature, PointFeature, _stack
 from .kernels import Kernel
 from .svgp import GaussianNoise, SVGPState, _triangle
 
@@ -225,15 +225,13 @@ def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
 
     ``grads`` is keyed by block name, as ``elbo_and_grad`` returns it:
     ``q_chol`` is the full lower-triangular matrix, split here into its
-    diagonal and strictly lower blocks, and ``feature_centers`` also
-    serves the ``feature_locations`` block of point features.  Each
-    block is multiplied by the slope of its transform.
+    diagonal and strictly lower blocks.  Each block is multiplied by the
+    slope of its transform.
     """
     q_chol = grads["q_chol"]
     model = dict(grads)
     model["q_chol_diag"] = q_chol.diagonal()
     model["q_chol_lower"] = q_chol[_triangle(q_chol.shape[0])[0]]
-    model["feature_locations"] = grads.get("feature_centers")
     out = np.empty(x.layout.total_size)
     slices = x.layout.slices()
     for b in x.layout.blocks:
@@ -406,26 +404,21 @@ def svgp_parameterization(
             blocks.append(ParamBlock("noise_var", 1, "log"))
             values["noise_var"] = np.array([state.likelihood.noise_var])
     if optimize_features:
+        # a point is a window of width 0: both kinds move their centres,
+        # and windows their (log) widths too
         kinds = {type(g) for g in state.features}
-        if kinds == {PointFeature}:
-            blocks.append(ParamBlock("feature_locations", M * d))
-            values["feature_locations"] = np.concatenate(
-                [g.location for g in state.features]
-            )
-        elif kinds == {GaussianWindowFeature}:
-            blocks.append(ParamBlock("feature_centers", M * d))
-            blocks.append(ParamBlock("feature_widths", M * d, "log"))
-            values["feature_centers"] = np.concatenate(
-                [g.center for g in state.features]
-            )
-            values["feature_widths"] = np.concatenate(
-                [g.widths for g in state.features]
-            )
-        else:
+        if kinds not in ({PointFeature}, {GaussianWindowFeature}):
             raise ValueError(
                 "feature optimization needs a homogeneous feature type, got "
                 f"{sorted(k.__name__ for k in kinds)}"
             )
+        windows = kinds == {GaussianWindowFeature}
+        centers, widths = _stack(state.features, state.kernel)
+        blocks.append(ParamBlock("feature_centers", M * d))
+        values["feature_centers"] = centers.ravel()
+        if windows:
+            blocks.append(ParamBlock("feature_widths", M * d, "log"))
+            values["feature_widths"] = widths.ravel()
     layout = ParamLayout(tuple(blocks))
     x0 = from_constrained(layout, values)
 
@@ -453,15 +446,14 @@ def svgp_parameterization(
                 likelihood = GaussianNoise(float(vals["noise_var"][0]))
         features = state.features
         if optimize_features:
-            if kinds == {PointFeature}:
-                locs = vals["feature_locations"].reshape(M, d)
-                features = tuple(PointFeature(loc) for loc in locs)
-            else:
-                centers = vals["feature_centers"].reshape(M, d)
+            centers = vals["feature_centers"].reshape(M, d)
+            if windows:
                 widths = vals["feature_widths"].reshape(M, d)
                 features = tuple(
                     GaussianWindowFeature(c, w) for c, w in zip(centers, widths)
                 )
+            else:
+                features = tuple(PointFeature(c) for c in centers)
         return SVGPState(features, vals["q_mean"], q_chol, kernel, likelihood)
 
     return x0, rebuild

@@ -462,8 +462,9 @@ def predictive_marginals(state: SVGPState, Xstar):
         var  = kff - diag(Kfu Kuu^-1 Kuf) + diag(Kfu Kuu^-1 S Kuu^-1 Kuf)
 
     computed through the Cholesky factor of Kuu (see
-    :class:`_WhitenedPass`).  Fails with the jitter cap in the error if
-    the feature covariance cannot be factorized.
+    :class:`_WhitenedPass`).  Raises ``NotPositiveDefiniteError``, carrying
+    the fixed jitter, if the feature covariance cannot be factorized
+    plainly or at that jitter.
     """
     fp = _WhitenedPass.at_state(state, Xstar)
     return fp.mean, fp.var

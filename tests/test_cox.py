@@ -239,6 +239,23 @@ class TestCoxObjective:
         assert err_fine < err_coarse
         assert err_fine <= 5e-4 * (1.0 + abs(continuous))
 
+    @pytest.mark.parametrize("link", ["exp", "square"])
+    def test_one_expected_rate_per_evaluation(self, monkeypatch, link):
+        # the integral term's rate at the grid nodes also gives its gradient
+        calls = []
+        original = cox.expected_rate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cox, "expected_rate", counting)
+        state = tiny_state(mean_level=1.0, seed=8)
+        model = CoxModel([0.0], [1.0], [[0.3], [0.6]], link=link, quad_orders=(12,))
+        value, _ = cox_elbo_and_grad(state, model)
+        assert len(calls) == 1
+        assert value == cox_elbo(state, model)
+
     def test_dimension_mismatch_rejected(self):
         state = tiny_state()
         model = CoxModel([0.0, 0.0], [1.0, 1.0], np.zeros((0, 2)))

@@ -72,18 +72,30 @@ class TestCholeskyJittered:
             _, jitter = cholesky_jittered(A)
             assert jitter <= 1e-6 * np.mean(np.diag(A))
 
-    def test_singular_psd_succeeds_with_escalation(self):
+    def test_singular_psd_succeeds_at_fixed_jitter(self):
         A = np.ones((4, 4))  # rank one
         L, jitter = cholesky_jittered(A)
-        assert 0 < jitter <= 1e-2 * 1.0
+        assert jitter == 1e-10 * 1.0
         np.testing.assert_allclose(L @ L.T, A + jitter * np.eye(4), rtol=1e-9)
 
-    def test_indefinite_fails_at_cap(self):
+    def test_indefinite_fails_at_fixed_jitter(self):
         A = np.array([[1.0, 3.0], [3.0, 1.0]])  # eigenvalues 4 and -2
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_jittered(A)
-        assert err.value.jitter == pytest.approx(1e-2)
+        assert err.value.jitter == 1e-10 * 1.0
         assert "not positive definite" in str(err.value)
+
+    def test_needing_more_than_fixed_jitter_is_named_failure(self, monkeypatch):
+        # one attempt at 1e-10 mean(diag); a larger jitter would factor a
+        # different matrix, so it is never tried
+        A = np.diag([1.0, 1.0, -1e-8])
+        calls = []
+        plain = gaussians.cholesky
+        monkeypatch.setattr(gaussians, "cholesky", lambda B: calls.append(B) or plain(B))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_jittered(A)
+        assert err.value.jitter == 1e-10 * np.mean(np.diag(A))
+        assert len(calls) == 1
 
     def test_error_survives_pickle_round_trip(self):
         err = NotPositiveDefiniteError("Kuu is not positive definite", 1e-3)
@@ -106,19 +118,13 @@ class TestCholeskyJittered:
     )
     def test_non_finite_input_rejected_before_jitter(self, monkeypatch, A):
         # a NaN matrix used to come back as a NaN factor with jitter nan, and
-        # an inf entry ran the whole escalation before failing
+        # an inf entry reached the factorization before failing
         calls = []
         monkeypatch.setattr(gaussians, "cholesky", lambda A: calls.append(A))
         with pytest.raises(NotPositiveDefiniteError, match="non-finite") as err:
             cholesky_jittered(A)
         assert err.value.jitter == 0.0
         assert calls == []
-
-    def test_custom_base_jitter(self):
-        _, jitter = cholesky_jittered(np.eye(2), base_jitter=1e-6)
-        assert jitter == 1e-6
-        with pytest.raises(ValueError, match="positive"):
-            cholesky_jittered(np.eye(2), base_jitter=0.0)
 
 
 class TestGaussianDist:

@@ -262,10 +262,11 @@ class TestSvgpParameterization:
         assert moved.kernel.variance == state.kernel.variance
 
     def test_feature_locations_block(self):
+        # a point is a zero-width window: its locations are the centres block
         state = self.make_state()
         x0, rebuild = svgp_parameterization(state, optimize_features=True)
         names = {b.name for b in x0.layout.blocks}
-        assert "feature_locations" in names
+        assert "feature_centers" in names and "feature_widths" not in names
         back = rebuild(x0)
         for f_old, f_new in zip(state.features, back.features):
             np.testing.assert_allclose(f_new.location, f_old.location, rtol=1e-14)
