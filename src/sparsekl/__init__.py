@@ -70,6 +70,7 @@ from .svgp import (
     GaussianNoise,
     PoissonCounts,
     SVGPState,
+    WhitenedState,
     collapsed_bound,
     collapsed_bound_and_grad,
     collapsed_optimal_q,

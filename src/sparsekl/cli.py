@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,19 +31,15 @@ from .cox import (
     fitted_intensity,
     sample_inhomogeneous_pp,
 )
-from .gaussians import GaussianDist, NotPositiveDefiniteError
-from .interdomain import (
-    GaussianWindowFeature,
-    PointFeature,
-    assemble_Kuu,
-    feature_prior_mean,
-)
+from .gaussians import NotPositiveDefiniteError
+from .interdomain import GaussianWindowFeature, PointFeature
 from .kernels import Kernel
 from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_parameterization
 from .svgp import (
     BernoulliProbit,
     GaussianNoise,
     SVGPState,
+    WhitenedState,
     collapsed_bound,
     collapsed_bound_and_grad,
     collapsed_optimal_q,
@@ -419,16 +414,10 @@ def _make_features(model_cfg, locations):
     return tuple(GaussianWindowFeature(loc, widths) for loc in locations)
 
 
-def _initial_state(features, kernel, likelihood) -> SVGPState:
-    """q(u) at the prior: the feature prior mean and the factor of ``Kuu``."""
-    prior = GaussianDist(feature_prior_mean(features, kernel), assemble_Kuu(features, kernel))
-    return SVGPState(
-        features=features,
-        q_mean=prior.mean,
-        q_chol=prior.chol,
-        kernel=kernel,
-        likelihood=likelihood,
-    )
+def _initial_state(features, kernel, likelihood) -> WhitenedState:
+    """q(u) at the prior: ``alpha = 0`` and ``half = I`` in whitened coordinates."""
+    M = len(features)
+    return WhitenedState(features, np.zeros(M), np.eye(M), kernel, likelihood)
 
 
 def _fit(state, value_and_grad_of, cfg):
@@ -436,7 +425,7 @@ def _fit(state, value_and_grad_of, cfg):
 
     ``value_and_grad_of`` maps a state to the objective and its model-space
     gradient (``collapsed_bound_and_grad``, ``elbo_and_grad``, ``cox_elbo_and_grad``).
-    Returns the fitted state, the trace rows and the summary fields.
+    Returns the fitted :class:`WhitenedState`, the trace rows and the summary fields.
     """
     opt = cfg.get("optimizer", {})
     x0, rebuild = svgp_parameterization(state, True, opt.get("optimize_features", False))
@@ -460,10 +449,10 @@ def _fit(state, value_and_grad_of, cfg):
     return rebuild(result.x), result.records, fields
 
 
-def _with_optimal_q(state, X, Y):
+def _with_optimal_q(state, X, Y) -> SVGPState:
     """``state`` with q(u) replaced by the closed-form optimum for Gaussian noise."""
     q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
-    return replace(state, q_mean=q.mean, q_chol=q.chol)
+    return SVGPState(state.features, q.mean, q.chol, state.kernel, state.likelihood)
 
 
 def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):
@@ -501,8 +490,7 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
     state = _initial_state(features, kernel, likelihood)
     started = time.perf_counter()
     state, rows, fields = _fit(state, value_and_grad_of, cfg)
-    if task == "fit-regression":
-        state = _with_optimal_q(state, X, Y)
+    state = _with_optimal_q(state, X, Y) if task == "fit-regression" else state.to_state()
     wall = time.perf_counter() - started
     final, mu, var = elbo_and_marginals(state, X, Y)
     preds = np.column_stack([X, mu, var])
@@ -554,6 +542,7 @@ def _task_fit_cox(cfg, outdir, seed):
     state = _initial_state(features, kernel, None)
     started = time.perf_counter()
     state, rows, fields = _fit(state, lambda s: cox_elbo_and_grad(s, model), cfg)
+    state = state.to_state()
     wall = time.perf_counter() - started
     # the objective's integral term is the fitted intensity integrated over the
     # quadrature grid, so one evaluation gives both

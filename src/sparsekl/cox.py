@@ -39,7 +39,6 @@ __all__ = [
     "legendre_grid",
     "expected_rate",
     "expected_log_rate",
-    "expected_rate_grads",
     "expected_log_rate_grads",
     "CoxTerms",
     "cox_elbo_terms",
@@ -178,13 +177,9 @@ def expected_log_rate(link, mu, var):
     raise ValueError(f"unknown link {link!r}")
 
 
-def expected_rate_grads(link, mu, var):
-    """Derivatives of :func:`expected_rate` in ``mu`` and ``var``."""
-    return _rate_grads(link, mu, var, expected_rate(link, mu, var))
-
-
 def _rate_grads(link, mu, var, rate):
-    """:func:`expected_rate_grads` given ``rate``, the expected rate at ``mu``, ``var``."""
+    """Derivatives of :func:`expected_rate` in ``mu`` and ``var``, given ``rate``,
+    the expected rate there."""
     if link == "exp":
         return rate, 0.5 * rate
     if link == "square":

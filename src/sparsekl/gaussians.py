@@ -187,7 +187,7 @@ def cholesky_jittered(A):
     _check_symmetric(A, 1e-10, "cholesky input")
     if A.shape[0] == 0:
         return np.zeros((0, 0)), 0.0
-    diag_mean = float(np.mean(np.diag(A)))
+    diag_mean = float(A.diagonal().mean())
     if diag_mean <= 0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: mean diagonal {diag_mean:.3e} "

@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from .interdomain import GaussianWindowFeature, PointFeature, _stack
 from .kernels import Kernel
-from .svgp import GaussianNoise, SVGPState, _triangle
+from .svgp import GaussianNoise, WhitenedState, _triangle
 
 __all__ = [
     "ParamBlock",
@@ -223,20 +223,14 @@ def numeric_grad(objective, x: ParamVector, h: float = 1e-5) -> np.ndarray:
 def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
     """Gradient in the raw coordinates of ``x`` from model-space gradients.
 
-    ``grads`` is keyed by block name, as ``elbo_and_grad`` returns it:
-    ``q_chol`` is the full lower-triangular matrix, split here into its
-    diagonal and strictly lower blocks.  Each block is multiplied by the
-    slope of its transform.
+    ``grads`` is keyed by block name, as ``elbo_and_grad`` returns it.
+    Each block is multiplied by the slope of its transform.
     """
-    q_chol = grads["q_chol"]
-    model = dict(grads)
-    model["q_chol_diag"] = q_chol.diagonal()
-    model["q_chol_lower"] = q_chol[_triangle(q_chol.shape[0])[0]]
     out = np.empty(x.layout.total_size)
     slices = x.layout.slices()
     for b in x.layout.blocks:
         sl = slices[b.name]
-        out[sl] = np.ravel(model[b.name]) * _transform_slope(b.transform, x.raw[sl])
+        out[sl] = np.ravel(grads[b.name]) * _transform_slope(b.transform, x.raw[sl])
     return out
 
 
@@ -365,34 +359,31 @@ def maximize(
 
 
 def svgp_parameterization(
-    state: SVGPState,
+    state,
     optimize_hypers: bool = True,
     optimize_features: bool = False,
 ):
     """Expose a variational state as a flat parameter vector.
 
-    Returns ``(x0, rebuild)`` where ``rebuild`` maps any parameter
-    vector with the same layout back to a state.  The variational
-    Cholesky diagonal lives behind a softplus, scale parameters behind a
-    log, everything else is unconstrained.  ``rebuild`` raises
-    :class:`NonFiniteObjectiveError` when such a transform underflows to
-    0 or overflows to inf (a far line-search probe on an objective that
-    is unbounded above, such as a single data point).
+    Returns ``(x0, rebuild)`` where ``rebuild`` maps any parameter vector
+    with the same layout to a :class:`~sparsekl.svgp.WhitenedState`.  q is
+    exposed whitened (an ``SVGPState`` is whitened once, here): ``alpha``,
+    the diagonal of ``half`` behind a softplus and its strict lower
+    triangle.  Scale parameters live behind a log, everything else is
+    unconstrained.  ``rebuild`` raises :class:`NonFiniteObjectiveError`
+    when such a transform underflows to 0 or overflows to inf (a far
+    line-search probe on an objective that is unbounded above, such as a
+    single data point).
     """
-    M = state.num_inducing
+    state = state.whiten()
+    M = len(state.features)
     d = state.kernel.input_dim
     lower = _triangle(M)[0]
-    blocks = [
-        ParamBlock("q_mean", M),
-        ParamBlock("q_chol_diag", M, "softplus"),
-    ]
-    values = {
-        "q_mean": state.q_mean,
-        "q_chol_diag": state.q_chol.diagonal(),
-    }
+    blocks = [ParamBlock("alpha", M), ParamBlock("half_diag", M, "softplus")]
+    values = {"alpha": state.alpha, "half_diag": state.half.diagonal()}
     if M > 1:
-        blocks.append(ParamBlock("q_chol_lower", M * (M - 1) // 2))
-        values["q_chol_lower"] = state.q_chol[lower]
+        blocks.append(ParamBlock("half_lower", M * (M - 1) // 2))
+        values["half_lower"] = state.half[lower]
     if optimize_hypers:
         blocks.append(ParamBlock("kernel_variance", 1, "log"))
         blocks.append(ParamBlock("kernel_lengthscales", d, "log"))
@@ -422,7 +413,7 @@ def svgp_parameterization(
     layout = ParamLayout(tuple(blocks))
     x0 = from_constrained(layout, values)
 
-    def rebuild(pv: ParamVector) -> SVGPState:
+    def rebuild(pv: ParamVector) -> WhitenedState:
         vals = pv.constrained()
         for b in layout.blocks:
             v = vals[b.name]
@@ -431,11 +422,10 @@ def svgp_parameterization(
                     f"parameter {b.name} is {v.tolist()}: its {b.transform} transform "
                     f"leaves (0, inf) at raw {pv.unpack()[b.name].tolist()}"
                 )
-        q_chol = np.diag(vals["q_chol_diag"])
+        half = np.diag(vals["half_diag"])
         if M > 1:
-            q_chol[lower] = vals["q_chol_lower"]
-        kernel = state.kernel
-        likelihood = state.likelihood
+            half[lower] = vals["half_lower"]
+        kernel, likelihood = state.kernel, state.likelihood
         if optimize_hypers:
             kernel = Kernel(
                 float(vals["kernel_variance"][0]),
@@ -454,6 +444,6 @@ def svgp_parameterization(
                 )
             else:
                 features = tuple(PointFeature(c) for c in centers)
-        return SVGPState(features, vals["q_mean"], q_chol, kernel, likelihood)
+        return WhitenedState(features, vals["alpha"], half, kernel, likelihood)
 
     return x0, rebuild

@@ -24,8 +24,8 @@ from .gaussians import (
     LOG_2PI,
     GaussianDist,
     NotPositiveDefiniteError,
-    _chol_with_fallback,
     cholesky,
+    cholesky_jittered,
     solve_triangular,
 )
 from .interdomain import (
@@ -34,7 +34,6 @@ from .interdomain import (
     assemble_Kuu,
     assemble_vjp,
     feature_from_dict,
-    feature_prior_mean,
     feature_to_dict,
 )
 from .kernels import Kernel, as_points
@@ -46,6 +45,7 @@ __all__ = [
     "likelihood_to_dict",
     "likelihood_from_dict",
     "SVGPState",
+    "WhitenedState",
     "gauss_hermite_expectation",
     "gauss_hermite_expectation_grads",
     "predictive_marginals",
@@ -296,27 +296,59 @@ class SVGPState:
         object.__setattr__(self, "q_mean", q_mean)
         object.__setattr__(self, "q_chol", q_chol)
 
-    @property
-    def num_inducing(self) -> int:
-        return len(self.features)
-
     def q_dist(self) -> GaussianDist:
         return GaussianDist(self.q_mean, self.q_chol @ self.q_chol.T)
 
     def prior_dist(self) -> GaussianDist:
-        return GaussianDist(
-            feature_prior_mean(self.features, self.kernel),
-            assemble_Kuu(self.features, self.kernel),
-        )
+        """p(u) as every evaluation factors it: ``Kuu`` at the fixed jitter."""
+        Kuu, _, jitter = _factor_Kuu(self.features, self.kernel)
+        M = Kuu.shape[0]
+        return GaussianDist(np.full(M, self.kernel.mean_const), Kuu + jitter * np.eye(M))
+
+    def whiten(self, Luu=None) -> "WhitenedState":
+        """q whitened against ``Luu``, by default the factor of ``Kuu`` at the fixed jitter."""
+        Luu = _factor_Kuu(self.features, self.kernel)[1] if Luu is None else Luu
+        alpha = solve_triangular(Luu, self.q_mean - self.kernel.mean_const, lower=True)
+        half = solve_triangular(Luu, self.q_chol, lower=True)
+        return WhitenedState(self.features, alpha, half, self.kernel, self.likelihood)
+
+
+@dataclass(frozen=True)
+class WhitenedState:
+    """A variational state with q(u) whitened against ``Luu``, the factor of ``Kuu`` at
+    the fixed jitter: ``q_mean = m_u + Luu alpha``, ``q_chol = Luu half``.  The fits
+    move these coordinates, and every evaluation consumes them without a solve;
+    ``half`` (lower triangular, positive diagonal) is not checked."""
+
+    features: tuple
+    alpha: np.ndarray
+    half: np.ndarray
+    kernel: Kernel
+    likelihood: object = None
+
+    def whiten(self, Luu=None) -> "WhitenedState":
+        return self
+
+    def to_state(self) -> SVGPState:
+        """The same q in unwhitened coordinates, as checkpoints store it."""
+        _, Luu, _ = _factor_Kuu(self.features, self.kernel)
+        q_mean = self.kernel.mean_const + Luu @ self.alpha
+        return SVGPState(self.features, q_mean, Luu @ self.half, self.kernel, self.likelihood)
+
+
+def _factor_Kuu(features, kernel: Kernel):
+    """``(Kuu, Luu, jitter)``, always at the fixed jitter of :func:`cholesky_jittered`:
+    no objective jumps where a plain factor would start or stop succeeding."""
+    Kuu = assemble_Kuu(features, kernel)
+    return (Kuu, *cholesky_jittered(Kuu))
 
 
 class _FeatureFactors:
     """The q-independent half of one evaluation at the rows of ``X``.
 
     Validated inputs (``Y`` against ``lik`` when given), the features
-    stacked once, ``Kuu``, its jittered Cholesky factor ``Luu``, ``Kuf``
-    and ``A = Luu^-1 Kuf`` (M x n): the one place this module builds
-    feature covariances.
+    stacked once, ``Kuu`` and ``Luu`` (:func:`_factor_Kuu`), ``Kuf`` and
+    ``A = Luu^-1 Kuf`` (M x n).
     """
 
     def __init__(self, features, kernel: Kernel, X, Y=None, lik=None):
@@ -328,8 +360,7 @@ class _FeatureFactors:
         if Y is not None and self.Y.shape[0] != self.X.shape[0]:
             raise ValueError(f"{self.X.shape[0]} inputs but {self.Y.shape[0]} targets")
         self.features = _stack(features, kernel)
-        self.Kuu = assemble_Kuu(self.features, kernel)
-        self.Luu, self.jitter = _chol_with_fallback(self.Kuu)
+        self.Kuu, self.Luu, self.jitter = _factor_Kuu(self.features, kernel)
         self.Kuf = assemble_Kuf(self.features, kernel, self.X)
         self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
 
@@ -345,21 +376,21 @@ def _solve_t(Luu, B):
 class _WhitenedPass:
     """The q half of one evaluation, and its reverse pass.
 
-    q(u) enters whitened, as ``alpha = Luu^-1 (q_mean - m_u)`` and
-    ``half`` with ``S = Luu half half^T Luu^T``.  With ``A`` of ``factors``:
+    q(u) enters whitened, as ``alpha`` and ``half`` with ``q_mean = m_u + Luu alpha``
+    and ``S = Luu half half^T Luu^T``.  With ``A`` of ``factors``:
 
         mean  = m + A^T alpha
         var   = kff - colsum(A * A) + colsum((half^T A)^2),  clamped at 0
         kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M) - log |det half|,  clamped at 0
 
-    which is KL(q(u) || p(u)) in the form of :func:`mvn_kl`.  :meth:`backward`
-    holds q fixed in whitened coordinates (``q_chol`` None: the collapsed optimum,
-    whose q blocks it reports as 0) or in the state's (:meth:`at_state`).
+    which is KL(q(u) || p(u)) in the form of :func:`mvn_kl` for the prior
+    ``N(m_u, Luu Luu^T)``.  ``half`` is triangular: lower for a state,
+    upper (``LB^-T``) at the collapsed optimum.
     """
 
-    def __init__(self, factors, alpha, half, half_logdet, q_chol=None):
+    def __init__(self, factors, alpha, half):
         A = factors.A
-        self.factors, self.alpha, self.half, self.q_chol = factors, alpha, half, q_chol
+        self.factors, self.alpha, self.half = factors, alpha, half
         self.mean = factors.kernel.mean_const + A.T @ alpha
         T = half.T @ A
         var = factors.kernel.variance - (A * A).sum(axis=0)
@@ -367,16 +398,14 @@ class _WhitenedPass:
         self.positive = var > 0.0
         self.var = np.maximum(var, 0.0)
         kl = 0.5 * (float((half * half).sum()) + float(alpha @ alpha) - A.shape[0])
-        self.kl = max(kl - half_logdet, 0.0)
+        self.kl = max(kl - float(np.log(half.diagonal()).sum()), 0.0)
 
     @classmethod
-    def at_state(cls, state: SVGPState, X, Y=None, lik=None):
-        """The pass at the state's own q; ``lik`` defaults to the state's."""
+    def at_state(cls, state, X, Y=None, lik=None):
+        """The pass at the state's own q, whitened if need be; ``lik`` defaults to the state's."""
         f = _FeatureFactors(state.features, state.kernel, X, Y, lik or state.likelihood)
-        alpha = solve_triangular(f.Luu, state.q_mean - f.kernel.mean_const, lower=True)
-        half = solve_triangular(f.Luu, state.q_chol, lower=True)
-        logdet = float(np.log(state.q_chol.diagonal()).sum())
-        return cls(f, alpha, half, logdet - float(np.log(f.Luu.diagonal()).sum()), state.q_chol)
+        w = state.whiten(f.Luu)
+        return cls(f, w.alpha, w.half)
 
     def expected_log_lik(self, quad_order):
         f = self.factors
@@ -393,50 +422,39 @@ class _WhitenedPass:
         return self.expected_log_lik(quad_order) - self.kl, grads
 
     def backward(self, d_mean, d_var) -> dict:
-        """Gradient of ``data - kl``, where ``d_mean``/``d_var`` are the
-        derivatives of the data term in ``mean``/``var``; keyed ``q_mean``,
-        ``q_chol`` (lower triangular), ``kernel_mean`` and as :func:`assemble_vjp`.
+        """Gradient of ``data - kl`` with q held in whitened coordinates, where
+        ``d_mean``/``d_var`` are the derivatives of the data term in
+        ``mean``/``var``; keyed ``alpha``, ``half_diag``, ``half_lower`` (the
+        blocks the fits move), ``kernel_mean`` and as :func:`assemble_vjp`.
 
         Plain reverse mode through the forward pass.  With ``g_var`` the
-        unclamped part of ``d_var``, the whitened cotangents
+        unclamped part of ``d_var``, q's cotangents need no solve:
 
-            G_A     = 2 (half half^T - I) A diag(g_var) + alpha d_mean^T
-            G_alpha = A d_mean - alpha,   G_half = 2 A diag(g_var) A^T half - half
+            d/dalpha = A d_mean - alpha
+            d/dhalf  = tril(2 A diag(g_var) A^T half - half) + diag(1 / half_ii)
 
-        go through ``Luu^-T`` in one solve with M-row right-hand sides,
-        ``R = Luu^-T [2 (half half^T - I) | alpha | G_alpha | G_half]``:
+        ``A``'s, ``2 (half half^T - I) A diag(g_var) + alpha d_mean^T``, goes back
+        through ``Luu^-T`` in one solve, ``R = Luu^-T [2 (half half^T - I) | alpha]``:
 
-            d/dKuf    = Luu^-T G_A = R_1 A diag(g_var) + r_alpha d_mean^T
-            d/dLuu    = -R_1 A diag(g_var) A^T - r_alpha (A d_mean)^T      (= -d/dKuf A^T)
-                        - r_Galpha alpha^T - R_Ghalf half^T - diag(1 / Luu_ii)
-            d/dq_mean = r_Galpha,   d/dq_chol = tril(R_Ghalf) + diag(1 / q_chol_ii)
+            d/dKuf = R_1 A diag(g_var) + r_alpha d_mean^T
+            d/dLuu = -R_1 A diag(g_var) A^T - r_alpha (A d_mean)^T      (= -d/dKuf A^T)
 
-        With q fixed in whitened coordinates only ``G_A`` and the first line of
-        ``d/dLuu`` exist.  The Cholesky pullback (Murray 2016, arXiv:1602.07527),
+        The Cholesky pullback (Murray 2016, arXiv:1602.07527),
         ``sym(Luu^-T Phi(Luu^T d/dLuu) Luu^-1)`` with ``Phi`` the lower triangle
-        at half diagonal, takes ``Luu`` to ``Kuu``; the jitter of
-        ``_chol_with_fallback``, a fixed multiple of mean(diag Kuu), passes its
-        share of the trace back.  At most two M x n arrays beyond the pass's
-        own are alive at a time.
+        at half diagonal, takes ``Luu`` to ``Kuu``, and the fixed jitter passes
+        its share of the trace back.  At most two M x n arrays beyond the
+        pass's own are alive at a time.
         """
         f, alpha, half, Luu = self.factors, self.alpha, self.half, self.factors.Luu
         A, M = f.A, Luu.shape[0]
-        _, diag, tril = _triangle(M)
+        lower, diag, tril = _triangle(M)
         g_var = np.where(self.positive, d_var, 0.0)
         Ag, AvAt = A @ d_mean, (A * g_var) @ A.T
-        blocks = [2.0 * (half @ half.T - np.eye(M)), alpha[:, None]]
-        if self.q_chol is not None:
-            blocks += [(Ag - alpha)[:, None], 2.0 * (AvAt @ half) - half]
-        R = _solve_t(Luu, np.concatenate(blocks, axis=1))
+        R = _solve_t(Luu, np.concatenate([2.0 * (half @ half.T - np.eye(M)), alpha[:, None]], axis=1))
         d_Kuf = R[:, :M] @ A
         d_Kuf *= g_var
         d_Kuf += np.multiply.outer(R[:, M], d_mean)
         d_Luu = -(R[:, :M] @ AvAt) - np.multiply.outer(R[:, M], Ag)
-        d_q_mean, d_chol = np.zeros(M), np.zeros((M, M))
-        if self.q_chol is not None:
-            d_q_mean, R_half = R[:, M + 1], R[:, M + 2:]
-            d_Luu -= np.outer(d_q_mean, alpha) + R_half @ half.T + np.diag(1.0 / Luu.diagonal())
-            d_chol = np.where(tril, R_half, 0.0) + np.diag(1.0 / self.q_chol.diagonal())
         Phi = np.where(tril, Luu.T @ d_Luu, 0.0)
         Phi[diag] *= 0.5
         Z = _solve_t(Luu, _solve_t(Luu, Phi).T)
@@ -446,9 +464,11 @@ class _WhitenedPass:
         d_Kuf *= f.Kuf
         grads = assemble_vjp(f.features, f.kernel, f.X, d_Kuu, d_Kuf)
         grads["kernel_variance"] += float(g_var.sum())
-        grads["kernel_mean"] = float(d_mean.sum()) - float(d_q_mean.sum())
-        grads["q_mean"] = d_q_mean
-        grads["q_chol"] = d_chol
+        grads["kernel_mean"] = float(d_mean.sum())
+        grads["alpha"] = Ag - alpha
+        d_half = 2.0 * (AvAt @ half) - half
+        grads["half_diag"] = d_half.diagonal() + 1.0 / half.diagonal()
+        grads["half_lower"] = d_half[lower]
         return grads
 
 
@@ -461,10 +481,10 @@ def predictive_marginals(state: SVGPState, Xstar):
         mean = m + Kfu Kuu^-1 (q_mean - m_u)
         var  = kff - diag(Kfu Kuu^-1 Kuf) + diag(Kfu Kuu^-1 S Kuu^-1 Kuf)
 
-    computed through the Cholesky factor of Kuu (see
-    :class:`_WhitenedPass`).  Raises ``NotPositiveDefiniteError``, carrying
-    the fixed jitter, if the feature covariance cannot be factorized
-    plainly or at that jitter.
+    computed through ``Luu``, the factor of Kuu at the fixed jitter, from q
+    in whitened form (see :class:`_WhitenedPass`); ``state`` may also be a
+    :class:`WhitenedState`.  Raises ``NotPositiveDefiniteError``, carrying
+    the fixed jitter, if Kuu cannot be factorized at it.
     """
     fp = _WhitenedPass.at_state(state, Xstar)
     return fp.mean, fp.var
@@ -495,7 +515,8 @@ def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDE
 
     The gradient is a dict of model-space derivatives, keyed as in
     :meth:`_WhitenedPass.backward`, plus the likelihood's own parameters
-    (``noise_var`` for Gaussian noise).
+    (``noise_var`` for Gaussian noise).  Also for an :class:`SVGPState`, q's
+    entries are the whitened blocks of :class:`WhitenedState`, held fixed by the others.
     """
     return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad(quad_order)
 
@@ -585,8 +606,10 @@ def collapsed_bound_and_grad(state: SVGPState, X, Y):
     f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
     LB, c = _collapsed_factors(f, lik.noise_var)
     half = solve_triangular(LB, np.eye(LB.shape[0]), lower=True).T
-    logdet = -float(np.log(LB.diagonal()).sum())
-    return _WhitenedPass(f, half @ c, half, logdet).value_and_grad(DEFAULT_QUAD_ORDER)
+    value, grads = _WhitenedPass(f, half @ c, half).value_and_grad(DEFAULT_QUAD_ORDER)
+    for key in ("alpha", "half_diag", "half_lower"):
+        grads[key] = np.zeros_like(grads[key])
+    return value, grads
 
 
 def to_checkpoint_dict(state: SVGPState) -> dict:

@@ -572,7 +572,7 @@ class TestFitRegression:
     def test_one_evaluation_factorizes_Kuu_once(self, tmp_path, monkeypatch):
         # the fit's evaluations share one assembly and one factorization
         # of the feature covariances: value, optimal q and gradient alike
-        calls = {"assemble_Kuu": 0, "assemble_Kuf": 0, "_chol_with_fallback": 0}
+        calls = {"assemble_Kuu": 0, "assemble_Kuf": 0, "cholesky_jittered": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -601,7 +601,7 @@ class TestFitRegression:
         with pytest.raises(OneEvaluation) as stop:
             main(["fit-regression", "--config", cfg])
         assert stop.value.args[0] == {
-            "assemble_Kuu": 1, "assemble_Kuf": 1, "_chol_with_fallback": 1
+            "assemble_Kuu": 1, "assemble_Kuf": 1, "cholesky_jittered": 1
         }
 
     @staticmethod
@@ -936,6 +936,40 @@ class TestFitCox:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("numerical failure: objective is non-finite at the starting point")
+
+    @pytest.mark.parametrize("feature_type", ["point", "gwindow"])
+    def test_more_features_reach_the_same_optimum(self, tmp_path, feature_type):
+        # test_09's events.  From M = 16 on Kuu is ill-conditioned (cond about
+        # 1e12 and up); the fit must still reach a stationary point whose
+        # intensity integrates to the event count, and more features never
+        # lower the bound
+        events = sample_inhomogeneous_pp(
+            lambda p: 100.0 * (1.0 + np.sin(2.0 * np.pi * p[:, 0])), 205.0, [0.0], [1.0], seed=42
+        )
+        n_events = events.shape[0]
+        assert n_events == 109
+        data = tmp_path / "events.csv"
+        write_csv(data, ["x1"], events)
+        summaries = {}
+        for M in (8, 16, 24):
+            out = tmp_path / f"M{M}"
+            model = {
+                "kernel": {"variance": 1.0, "lengthscales": [0.2], "mean": math.log(n_events)},
+                "num_inducing": M,
+                "feature_type": feature_type,
+                "domain": [[0.0, 1.0]],
+            }
+            cfg = write_config(
+                tmp_path, f"M{M}.json", {"data": str(data), "out": str(out), "model": model}
+            )
+            assert main(["fit-cox", "--config", cfg]) == 0
+            summary = summaries[M] = json.loads((out / "summary.json").read_text())
+            trace = read_csv(str(out / "trace.csv"), ["iter", "objective", "step_scale", "grad_norm"])
+            assert summary["converged"], (M, summary["stop_reason"])
+            assert trace[-1, 3] <= 0.1, M
+            assert abs(summary["integrated_intensity"] - n_events) <= 0.01 * n_events, M
+        for M in (16, 24):
+            assert summaries[M]["final_elbo"] >= summaries[8]["final_elbo"] - 1e-3, M
 
 
 class TestVerifyTask:

@@ -243,16 +243,17 @@ class TestCollapsedGradientOracle:
     def test_optimal_q_zeroes_the_q_gradient(self, regime, window, seed):
         state, X, Y = collapsed_problem(seed, regime, window)
         _, grads = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
-        assert np.max(np.abs(grads["q_mean"])) <= 1e-8
-        assert np.max(np.abs(grads["q_chol"])) <= 1e-8
+        assert np.max(np.abs(grads["alpha"])) <= 1e-8
+        assert np.max(np.abs(grads["half_diag"])) <= 1e-8
+        assert np.max(np.abs(grads["half_lower"]), initial=0.0) <= 1e-8
 
     @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
     @pytest.mark.parametrize("regime", REGIMES)
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6))
     def test_both_modes_agree_at_the_optimal_q(self, regime, window, seed):
-        # q fixed in whitened coordinates (the collapsed pass) and q fixed in
-        # state coordinates (elbo_and_grad) give one gradient at the optimum
+        # the collapsed pass and elbo_and_grad at the optimal q (both with q
+        # held in whitened coordinates) give one hyperparameter gradient
         state, X, Y = collapsed_problem(seed, regime, window)
         value, grads = collapsed_bound_and_grad(state, X, Y)
         value_q, grads_q = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
@@ -349,3 +350,24 @@ class TestReversePassStructure:
             wide = [B for _, B in solves if B.ndim == 2 and B.shape[1] >= n]
             assert len(wide) == 1 and wide[0] is Kuf, name
             assert any(p == "backward" for p, _ in solves), name
+
+    @pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+    @pytest.mark.parametrize("objective", ["probit", "poisson", "cox-exp"])
+    def test_a_fit_evaluation_makes_four_solves(self, monkeypatch, objective, window):
+        # A, R and the two of the Cholesky pullback: the fit moves q in the
+        # whitened coordinates the pass consumes, so nothing is solved for
+        # alpha or half, forward or back
+        state, _, value_and_grad_of = random_problem(0, objective, window)
+        x0, rebuild = svgp_parameterization(state)
+        fitted = rebuild(x0.with_raw(x0.raw + 0.01))
+        calls = []
+        real = svgp.solve_triangular
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svgp, "solve_triangular", counted)
+        value, grads = value_and_grad_of(fitted)
+        assert math.isfinite(value) and np.isfinite(raw_gradient(x0, grads)).all()
+        assert len(calls) == 4

@@ -264,9 +264,16 @@ class TestPredictive:
         state = make_state(8)
         locs = np.array([f.location for f in state.features])
         mean, var = predictive_marginals(state, locs)
-        np.testing.assert_allclose(mean, state.q_mean, rtol=1e-9, atol=1e-10)
+        # the dense route through the prior the pass factors, Kuu at the
+        # fixed jitter: at the features themselves Kfu is Kuu unjittered
+        prior = state.prior_dist()
+        Kfu = kernel_matrix(state.kernel, locs, locs)
+        W = np.linalg.solve(prior.cov, Kfu.T).T
         q_cov = state.q_chol @ state.q_chol.T
-        np.testing.assert_allclose(var, np.diag(q_cov), rtol=1e-7, atol=1e-9)
+        expected_mean = prior.mean + W @ (state.q_mean - prior.mean)
+        expected_var = state.kernel.variance - np.diag(W @ Kfu.T) + np.diag(W @ q_cov @ W.T)
+        np.testing.assert_allclose(mean, expected_mean, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(var, expected_var, rtol=1e-7, atol=1e-9)
 
     def test_variances_nonnegative(self):
         state = make_state(9, n_features=5)
