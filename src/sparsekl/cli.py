@@ -38,7 +38,6 @@ from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_para
 from .svgp import (
     BernoulliProbit,
     GaussianNoise,
-    SVGPState,
     WhitenedState,
     collapsed_bound,
     collapsed_bound_and_grad,
@@ -449,12 +448,6 @@ def _fit(state, value_and_grad_of, cfg):
     return rebuild(result.x), result.records, fields
 
 
-def _with_optimal_q(state, X, Y) -> SVGPState:
-    """``state`` with q(u) replaced by the closed-form optimum for Gaussian noise."""
-    q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
-    return SVGPState(state.features, q.mean, q.chol, state.kernel, state.likelihood)
-
-
 def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(state, os.path.join(outdir, "checkpoint.json"))
@@ -490,7 +483,9 @@ def _task_fit_gaussian_family(task, cfg, outdir, seed):
     state = _initial_state(features, kernel, likelihood)
     started = time.perf_counter()
     state, rows, fields = _fit(state, value_and_grad_of, cfg)
-    state = _with_optimal_q(state, X, Y) if task == "fit-regression" else state.to_state()
+    if task == "fit-regression":  # q at its closed-form optimum for the fitted hyperparameters
+        state = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
+    state = state.to_state()
     wall = time.perf_counter() - started
     final, mu, var = elbo_and_marginals(state, X, Y)
     preds = np.column_stack([X, mu, var])

@@ -33,12 +33,12 @@ import numpy as np
 from .gaussians import (
     AffineConditional,
     GaussianDist,
-    _chol_with_fallback,
     _complement,
     _conditional,
     _joint_moments,
     _validate_indices,
     cho_solve,
+    cholesky,
     expected_conditional_kl,
     joint_from_marginal_and_conditional,
     mvn_condition,
@@ -167,7 +167,7 @@ def collapsed_bound_dense(m: FiniteModel) -> float:
     z = np.asarray(m.inducing_idx, dtype=int)
     K = m.prior.cov
     rows_z = K[z]
-    Lzz, _ = _chol_with_fallback(rows_z[:, z])
+    Lzz = cholesky(rows_z[:, z])
     A = solve_triangular(Lzz, rows_z[:, data], lower=True)
     Qff = A.T @ A
     fit = mvn_logpdf(
@@ -185,7 +185,7 @@ def _extend_within(prior: GaussianDist, q_mean, q_cov, z, rest) -> GaussianDist:
         )
     order = np.argsort(np.concatenate([z, rest]))
     if rest.size:
-        Lz, _ = _chol_with_fallback(prior.cov[z[:, None], z])
+        Lz = cholesky(prior.cov[z[:, None], z])
         q_mean, q_cov = _joint_moments(q_mean, q_cov, _conditional(prior, rest, z, Lz))
     return GaussianDist(q_mean[order], q_cov[order[:, None], order])
 

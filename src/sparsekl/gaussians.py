@@ -47,7 +47,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a matrix cannot be factorized, plainly or at the fixed jitter.
+    """Raised when a matrix cannot be factorized: by :func:`cholesky` as it is
+    (jitter 0), or by :func:`cholesky_jittered` at the fixed jitter.
 
     Carries the jitter tried in ``jitter`` (0 when none was).
     """
@@ -63,16 +64,17 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 def cholesky(A):
-    """Lower Cholesky factor of ``A`` (Fortran-ordered) from one ``dpotrf``.
+    """Lower Cholesky factor of ``A`` itself (Fortran-ordered) from one ``dpotrf``.
 
     Reads the lower triangle only.  Like ``np.linalg.cholesky`` it makes
     no finiteness check: a NaN entry gives a NaN factor, which a fit's
-    optimizer then sees as a non-finite objective.  Raises
-    ``np.linalg.LinAlgError`` if ``A`` is not positive definite.
+    optimizer then sees as a non-finite objective.  A matrix that is not
+    positive definite in floating point, a singular one included, raises
+    :class:`NotPositiveDefiniteError` with jitter 0; only ``Kuu`` is jittered.
     """
     L, info = dpotrf(A, lower=1, clean=1)
     if info > 0:
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+        raise NotPositiveDefiniteError("Matrix is not positive definite", 0.0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return L
@@ -138,17 +140,18 @@ def cho_solve(factor, B):
 
 def _check_symmetric(A, rel_tol, what="matrix"):
     """``A`` as floats and ``max |A|``, once ``A`` is found square and symmetric to ``rel_tol``;
-    ``max |A|`` is NaN or inf exactly when an entry is, which never fails the symmetry test."""
+    ``max |A|`` is NaN or inf exactly when an entry is, left for the caller to name."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     peak = float(np.abs(A).max(initial=0.0))
-    asym = float(np.abs(A - A.T).max(initial=0.0))
-    if asym > rel_tol * max(1.0, peak):
-        raise ValueError(
-            f"{what} is not symmetric: max |A - A^T| = {asym:.3e} "
-            f"exceeds {rel_tol:.1e} relative"
-        )
+    if math.isfinite(peak):
+        asym = float(np.abs(A - A.T).max(initial=0.0))
+        if asym > rel_tol * max(1.0, peak):
+            raise ValueError(
+                f"{what} is not symmetric: max |A - A^T| = {asym:.3e} "
+                f"exceeds {rel_tol:.1e} relative"
+            )
     return A, peak
 
 
@@ -156,8 +159,8 @@ def cholesky_jittered(A):
     """Lower Cholesky factor of ``A + jitter * I`` at the one fixed jitter.
 
     ``jitter = 1e-10 * mean(diag(A))``, tried once.  A matrix that needs
-    more is a named failure, never a silently different matrix: every
-    factor this package uses is of ``A`` itself or of ``A`` at this jitter.
+    more is a named failure, never a silently different matrix.  Only
+    ``Kuu`` is factored this way; every other factor is :func:`cholesky`'s.
 
     Parameters
     ----------
@@ -178,13 +181,12 @@ def cholesky_jittered(A):
         (jitter 0, nothing attempted), or ``A + jitter * I`` is not
         positive definite.  The error carries the jitter tried.
     """
-    A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():
+    A, peak = _check_symmetric(A, 1e-10, "cholesky input")
+    if not math.isfinite(peak):
         raise NotPositiveDefiniteError(
             "matrix is not positive definite: cholesky input has non-finite entries",
             0.0,
         )
-    _check_symmetric(A, 1e-10, "cholesky input")
     if A.shape[0] == 0:
         return np.zeros((0, 0)), 0.0
     diag_mean = float(A.diagonal().mean())
@@ -204,25 +206,13 @@ def cholesky_jittered(A):
         ) from None
 
 
-def _chol_with_fallback(A):
-    """Plain Cholesky if it succeeds, otherwise :func:`cholesky_jittered`.
-
-    Returns (L, jitter_used); jitter_used is 0.0 on the exact path.
-    """
-    A = np.asarray(A, dtype=float)
-    try:
-        return cholesky(A), 0.0
-    except np.linalg.LinAlgError:
-        return cholesky_jittered(A)
-
-
 @dataclass(frozen=True)
 class GaussianDist:
     """Multivariate Gaussian with explicit mean and dense covariance.
 
-    The Cholesky factor is computed lazily and cached; it factorizes
-    ``cov + jitter * I`` where ``jitter`` is zero whenever the exact
-    factorization succeeds.
+    The Cholesky factor of ``cov`` as it is is computed lazily and cached;
+    a jittered copy would be another model, so a covariance that is not
+    positive definite in floating point raises on ``chol`` (see :func:`cholesky`).
     """
 
     mean: np.ndarray
@@ -249,21 +239,17 @@ class GaussianDist:
 
     @cached_property
     def _factor(self):
-        L, jitter = _chol_with_fallback(self.cov)
-        return L, jitter, float(np.log(L.diagonal()).sum())
+        L = cholesky(self.cov)
+        return L, float(np.log(L.diagonal()).sum())
 
     @property
     def chol(self) -> np.ndarray:
-        """Lower triangular factor of ``cov + jitter * I``."""
+        """Lower triangular factor of ``cov``."""
         return self._factor[0]
 
-    @property
-    def jitter(self) -> float:
-        return self._factor[1]
-
     def half_log_det(self) -> float:
-        """``0.5 * log det(cov + jitter * I)`` from the cached factor."""
-        return self._factor[2]
+        """``0.5 * log det(cov)`` from the cached factor."""
+        return self._factor[1]
 
 
 def mvn_kl(q: GaussianDist, p: GaussianDist) -> float:
@@ -341,7 +327,7 @@ def mvn_condition(joint: GaussianDist, obs_idx, obs_val) -> GaussianDist:
     keep = _complement(obs_idx, joint.dim)
     if keep.size == 0:
         raise ValueError("cannot condition on all coordinates at once")
-    Lo, _ = _chol_with_fallback(joint.cov[obs_idx[:, None], obs_idx])
+    Lo = cholesky(joint.cov[obs_idx[:, None], obs_idx])
     cond = _conditional(joint, keep, obs_idx, Lo)
     return GaussianDist(cond.weights @ obs_val + cond.offset, cond.cov)
 
@@ -390,7 +376,7 @@ def conditional_from_joint(joint: GaussianDist, dep_idx, given_idx) -> AffineCon
     given_idx = _validate_indices(given_idx, joint.dim, "conditioning index")
     if not set(dep_idx.tolist()).isdisjoint(given_idx.tolist()):
         raise ValueError("dependent and conditioning index sets overlap")
-    Lg, _ = _chol_with_fallback(joint.cov[given_idx[:, None], given_idx])
+    Lg = cholesky(joint.cov[given_idx[:, None], given_idx])
     return _conditional(joint, dep_idx, given_idx, Lg)
 
 
@@ -421,8 +407,8 @@ def expected_conditional_kl(
             f"expect {q_cond.in_dim}"
         )
     k = q_cond.out_dim
-    Lp, _ = _chol_with_fallback(p_cond.cov)
-    Lq, _ = _chol_with_fallback(q_cond.cov)
+    Lp = cholesky(p_cond.cov)
+    Lq = cholesky(q_cond.cov)
     log_det_p = float(np.log(Lp.diagonal()).sum())
     log_det_q = float(np.log(Lq.diagonal()).sum())
     M = q_cond.weights - p_cond.weights

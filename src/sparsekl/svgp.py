@@ -384,8 +384,8 @@ class _WhitenedPass:
         kl    = 1/2 (||half||_F^2 + ||alpha||^2 - M) - log |det half|,  clamped at 0
 
     which is KL(q(u) || p(u)) in the form of :func:`mvn_kl` for the prior
-    ``N(m_u, Luu Luu^T)``.  ``half`` is triangular: lower for a state,
-    upper (``LB^-T``) at the collapsed optimum.
+    ``N(m_u, Luu Luu^T)``.  ``half`` is lower triangular, also at the
+    collapsed optimum (``UB^-T``, see :func:`_collapsed_factors`).
     """
 
     def __init__(self, factors, alpha, half):
@@ -407,19 +407,17 @@ class _WhitenedPass:
         w = state.whiten(f.Luu)
         return cls(f, w.alpha, w.half)
 
-    def expected_log_lik(self, quad_order):
+    def expected_log_lik(self):
         f = self.factors
-        return math.fsum(f.lik.variational_expectations(self.mean, self.var, f.Y, quad_order))
+        return math.fsum(f.lik.variational_expectations(self.mean, self.var, f.Y))
 
-    def value_and_grad(self, quad_order):
+    def value_and_grad(self):
         """``expected_log_lik - kl`` and its gradient (see :func:`elbo_and_grad`)."""
         f = self.factors
-        d_mean, d_var, d_lik = f.lik.variational_expectation_grads(
-            self.mean, self.var, f.Y, quad_order
-        )
+        d_mean, d_var, d_lik = f.lik.variational_expectation_grads(self.mean, self.var, f.Y)
         grads = self.backward(d_mean, d_var)
         grads.update(d_lik)
-        return self.expected_log_lik(quad_order) - self.kl, grads
+        return self.expected_log_lik() - self.kl, grads
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl`` with q held in whitened coordinates, where
@@ -490,27 +488,27 @@ def predictive_marginals(state: SVGPState, Xstar):
     return fp.mean, fp.var
 
 
-def expected_log_lik(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
+def expected_log_lik(state: SVGPState, X, Y, lik=None):
     """Sum over data of ``E_q[log p(y_i | f_i)]``.
 
     Summed with exact accumulation so the result does not depend on the
     ordering of the data.
     """
-    return _WhitenedPass.at_state(state, X, Y, lik).expected_log_lik(quad_order)
+    return _WhitenedPass.at_state(state, X, Y, lik).expected_log_lik()
 
 
-def elbo(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER) -> float:
+def elbo(state: SVGPState, X, Y, lik=None) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
-    return elbo_and_marginals(state, X, Y, lik, quad_order)[0]
+    return elbo_and_marginals(state, X, Y, lik)[0]
 
 
-def elbo_and_marginals(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
+def elbo_and_marginals(state: SVGPState, X, Y, lik=None):
     """``(elbo, mean, var)``: :func:`elbo` and :func:`predictive_marginals` from one pass."""
     fp = _WhitenedPass.at_state(state, X, Y, lik)
-    return fp.expected_log_lik(quad_order) - fp.kl, fp.mean, fp.var
+    return fp.expected_log_lik() - fp.kl, fp.mean, fp.var
 
 
-def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDER):
+def elbo_and_grad(state: SVGPState, X, Y, lik=None):
     """:func:`elbo` and its exact gradient from one forward and one reverse pass.
 
     The gradient is a dict of model-space derivatives, keyed as in
@@ -518,48 +516,54 @@ def elbo_and_grad(state: SVGPState, X, Y, lik=None, quad_order=DEFAULT_QUAD_ORDE
     (``noise_var`` for Gaussian noise).  Also for an :class:`SVGPState`, q's
     entries are the whitened blocks of :class:`WhitenedState`, held fixed by the others.
     """
-    return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad(quad_order)
+    return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad()
 
 
 def _collapsed_factors(f: _FeatureFactors, noise_var: float):
     """What the collapsed routines add to the shared ``A``, with ``r = Y - m_X``:
 
-        LB = chol(I + A A^T / noise_var) (M x M),   c = LB^-1 A r / noise_var
+        B = I + A A^T / noise_var = UB UB^T,   c = UB^-1 A r / noise_var
 
-    The matrix is positive definite in exact arithmetic; when round-off at
-    a tiny ``noise_var`` breaks that, the bound cannot be evaluated and
-    :class:`NotPositiveDefiniteError` says so.
+    ``UB`` (M x M, upper) factors ``B`` in reverse order, so that the optimal
+    q's ``half = UB^-T`` is lower triangular like every state's.  ``B`` is
+    positive definite in exact arithmetic; when round-off at a tiny
+    ``noise_var`` breaks that, :class:`NotPositiveDefiniteError` says so.
     """
+    B = np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var
     try:
-        LB = cholesky(np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var)
+        UB = cholesky(B[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(
             "I + A A^T / noise_var is not positive definite in floating point "
             f"at noise_var {noise_var:.3e}: the collapsed bound cannot be evaluated",
             0.0,
         ) from None
-    c = solve_triangular(LB, f.A @ (f.Y - f.kernel.mean_const), lower=True) / noise_var
-    return LB, c
+    c = solve_triangular(UB, f.A @ (f.Y - f.kernel.mean_const), lower=False) / noise_var
+    return UB, c
 
 
-def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> GaussianDist:
-    """Optimal q(u) for Gaussian noise, in closed form.
+def _optimal_whitened_q(f: _FeatureFactors, noise_var: float):
+    """``(alpha, half) = (UB^-T c, UB^-T)``: the optimal q(u) for Gaussian noise
+    (Titsias 2009), whose whitened moments are ``B^-1 A r / noise_var`` and ``B^-1``."""
+    UB, c = _collapsed_factors(f, noise_var)
+    half = solve_triangular(UB, np.eye(UB.shape[0]), lower=False, trans=1)
+    return half @ c, half
 
-    With B = Kuu + Kuf Kfu / noise_var = Luu LB LB^T Luu^T (see
-    :func:`_collapsed_factors`):
 
-        S_opt = Kuu B^-1 Kuu = Luu LB^-T LB^-1 Luu^T
-        m_opt = m_u + Kuu B^-1 Kuf (Y - m_X) / noise_var = m_u + Luu LB^-T c
+def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> WhitenedState:
+    """Optimal q(u) for Gaussian noise as a :class:`WhitenedState`, in closed form.
 
-    Built on the same factor of Kuu as :func:`collapsed_bound` and
-    :func:`elbo`, so the elbo at this q equals the collapsed bound even
-    when Kuu needs jitter.  O(n M^2) time, O(n M) memory.
+    With Kuu + Kuf Kfu / noise_var = Luu UB UB^T Luu^T (see
+    :func:`_collapsed_factors`), :meth:`WhitenedState.to_state` gives
+
+        S_opt = Luu UB^-T UB^-1 Luu^T,   m_opt = m_u + Luu UB^-T c
+
+    on the factor of Kuu that :func:`collapsed_bound` and :func:`elbo` use,
+    so the elbo there equals the collapsed bound even when Kuu needs jitter.
+    No covariance is formed.  O(n M^2) time, O(n M) memory.
     """
     f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
-    LB, c = _collapsed_factors(f, noise_var)
-    half = solve_triangular(LB, f.Luu.T, lower=True)
-    m_opt = kernel.mean_const + f.Luu @ solve_triangular(LB.T, c, lower=False)
-    return GaussianDist(m_opt, half.T @ half)
+    return WhitenedState(features, *_optimal_whitened_q(f, noise_var), kernel, f.lik)
 
 
 def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
@@ -573,19 +577,19 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
     :func:`_collapsed_factors` by Woodbury and the matrix determinant
     lemma:
 
-        -1/2 (n log(2 pi noise_var) + 2 sum log diag LB
+        -1/2 (n log(2 pi noise_var) + 2 sum log diag UB
               + r^T r / noise_var - c^T c)
         - (n kff - ||A||_F^2) / (2 noise_var)
 
     O(n M^2) time, O(n M) memory; no n x n matrix is formed.
     """
     f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
-    LB, c = _collapsed_factors(f, noise_var)
+    UB, c = _collapsed_factors(f, noise_var)
     r = f.Y - kernel.mean_const
     n = r.shape[0]
     fit = -0.5 * (
         n * math.log(2.0 * math.pi * noise_var)
-        + 2.0 * float(np.log(LB.diagonal()).sum())
+        + 2.0 * float(np.log(UB.diagonal()).sum())
         + float(r @ r) / noise_var
         - float(c @ c)
     )
@@ -596,17 +600,15 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
 def collapsed_bound_and_grad(state: SVGPState, X, Y):
     """:func:`collapsed_bound` and its gradient from one forward and one reverse pass.
 
-    The pass is the elbo's at the optimal q(u) (Titsias 2009), whitened as
-    ``alpha = LB^-T c`` and ``half = LB^-T``.  By the envelope theorem the
-    gradient is the elbo's with q held there; its q entries are reported as 0.
+    The pass is the elbo's at the optimal q(u) of :func:`_optimal_whitened_q`.
+    By the envelope theorem the gradient is the elbo's with q held there; its
+    q entries are reported as 0.
     """
     lik = state.likelihood
     if not isinstance(lik, GaussianNoise):
         raise ValueError(f"the collapsed bound needs Gaussian noise, got {lik!r}")
     f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
-    LB, c = _collapsed_factors(f, lik.noise_var)
-    half = solve_triangular(LB, np.eye(LB.shape[0]), lower=True).T
-    value, grads = _WhitenedPass(f, half @ c, half).value_and_grad(DEFAULT_QUAD_ORDER)
+    value, grads = _WhitenedPass(f, *_optimal_whitened_q(f, lik.noise_var)).value_and_grad()
     for key in ("alpha", "half_diag", "half_lower"):
         grads[key] = np.zeros_like(grads[key])
     return value, grads

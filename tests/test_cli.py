@@ -15,7 +15,7 @@ import pytest
 from sparsekl import cli, interdomain, svgp, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_terms, sample_inhomogeneous_pp
-from sparsekl.gaussians import NotPositiveDefiniteError
+from sparsekl.gaussians import GaussianDist, NotPositiveDefiniteError
 from sparsekl.svgp import elbo, load_checkpoint
 
 
@@ -40,6 +40,29 @@ def regression_dataset(tmp_path, n=25, seed=0):
     path = tmp_path / "train.csv"
     write_csv(path, ["x1", "y"], np.column_stack([x, y]))
     return str(path)
+
+
+def regression_data_of_test_11(tmp_path):
+    """The acceptance battery's regression data (test_11): 100 generated rows, seed 5."""
+    gen = write_config(
+        tmp_path,
+        "gen.json",
+        {"out": str(tmp_path / "gen"), "seed": 5,
+         "generate": {"kind": "regression", "n": 100}},
+    )
+    assert main(["generate", "--config", gen]) == 0
+    return str(tmp_path / "gen" / "dataset.csv")
+
+
+def events_of_test_09(tmp_path):
+    """The acceptance battery's Cox events (test_09): 109 draws of 100 (1 + sin 2 pi x)."""
+    events = sample_inhomogeneous_pp(
+        lambda p: 100.0 * (1.0 + np.sin(2.0 * np.pi * p[:, 0])), 205.0, [0.0], [1.0], seed=42
+    )
+    assert events.shape[0] == 109
+    data = tmp_path / "events.csv"
+    write_csv(data, ["x1"], events)
+    return str(data)
 
 
 def small_fit_config(tmp_path, data, out, extra_model=None, iters=12):
@@ -523,16 +546,6 @@ class TestFitRegression:
         s1.pop("wall_time_s"), s2.pop("wall_time_s")
         assert s1 == s2
 
-    def _test_11_data(self, tmp_path):
-        gen = write_config(
-            tmp_path,
-            "gen.json",
-            {"out": str(tmp_path / "gen"), "seed": 5,
-             "generate": {"kind": "regression", "n": 100}},
-        )
-        assert main(["generate", "--config", gen]) == 0
-        return str(tmp_path / "gen" / "dataset.csv")
-
     def _fit(self, tmp_path, name, data, model, optimizer=None):
         doc = {"data": data, "out": str(tmp_path / name), "seed": 0, "model": model}
         if optimizer is not None:
@@ -542,7 +555,7 @@ class TestFitRegression:
         return json.loads((tmp_path / name / "summary.json").read_text())
 
     def test_default_fit_reaches_collapsed_optimum(self, tmp_path):
-        data = self._test_11_data(tmp_path)
+        data = regression_data_of_test_11(tmp_path)
         summary = self._fit(tmp_path, "fit", data, TEST_11_MODEL)
         assert summary["final_elbo"] >= -45.526
         assert summary["collapsed_gap"] <= 1e-3
@@ -553,7 +566,7 @@ class TestFitRegression:
     def test_feature_fit_from_fixed_optimum_does_not_lose(self, tmp_path):
         # free locations started from the initial state end below the
         # fixed-feature optimum; started from it, they cannot
-        data = self._test_11_data(tmp_path)
+        data = regression_data_of_test_11(tmp_path)
         fixed = self._fit(tmp_path, "fixed", data, TEST_11_MODEL)
         state = load_checkpoint(str(tmp_path / "fixed" / "checkpoint.json"))
         model = dict(
@@ -784,6 +797,57 @@ class TestPostFitPass:
         assert summary["integrated_intensity"] == terms.integral_term
 
 
+def fit_case(tmp_path, case):
+    """``(task, config path)`` of a fit writing to ``tmp_path / "fit"``: test_11's
+    regression ("regression-1-iter" capped at one iteration), a probit
+    classification, or test_09's events under a Cox model."""
+    if case.startswith("regression"):
+        task, data, model = "fit-regression", regression_data_of_test_11(tmp_path), TEST_11_MODEL
+    elif case == "classification":
+        task, data = "fit-classification", classification_dataset(tmp_path)
+        model = {"kernel": {"variance": 1.0, "lengthscales": [0.3]}, "num_inducing": 4}
+    else:
+        task, data = "fit-cox", events_of_test_09(tmp_path)
+        model = {
+            "kernel": {"variance": 1.0, "lengthscales": [0.2], "mean": math.log(109)},
+            "num_inducing": 8,
+            "domain": [[0.0, 1.0]],
+        }
+    doc = {"data": data, "out": str(tmp_path / "fit"), "seed": 0, "model": model}
+    if case == "regression-1-iter":
+        doc["optimizer"] = {"max_iters": 1}
+    return task, write_config(tmp_path, "fit.json", doc)
+
+
+class TestFitEndsAtItsState:
+    """Every fit writes the state its optimizer reached, unwhitened once."""
+
+    @pytest.mark.parametrize(
+        "case", ["regression-1-iter", "regression", "classification", "cox"]
+    )
+    def test_final_elbo_is_the_last_traced_objective(self, tmp_path, case):
+        # a regression q rebuilt at other hyperparameters than the fitted
+        # ones (the initial noise_var, say) ends nats below its own trace
+        task, cfg = fit_case(tmp_path, case)
+        assert main([task, "--config", cfg]) == 0
+        final = json.loads((tmp_path / "fit" / "summary.json").read_text())["final_elbo"]
+        trace = read_csv(
+            str(tmp_path / "fit" / "trace.csv"), ["iter", "objective", "step_scale", "grad_norm"]
+        )
+        assert abs(final - trace[-1, 1]) <= 1e-9 * (1.0 + abs(final))
+
+    @pytest.mark.parametrize("case", ["regression", "classification", "cox"])
+    def test_fit_forms_no_covariance(self, tmp_path, monkeypatch, case):
+        builds = []
+        real = GaussianDist.__post_init__
+        monkeypatch.setattr(
+            GaussianDist, "__post_init__", lambda self: builds.append(1) or real(self)
+        )
+        task, cfg = fit_case(tmp_path, case)
+        assert main([task, "--config", cfg]) == 0
+        assert builds == []
+
+
 class TestFitCox:
     def test_small_run(self, tmp_path):
         lam = lambda p: 20.0 * (1.0 + np.sin(2 * np.pi * p[:, 0]))
@@ -943,13 +1007,7 @@ class TestFitCox:
         # 1e12 and up); the fit must still reach a stationary point whose
         # intensity integrates to the event count, and more features never
         # lower the bound
-        events = sample_inhomogeneous_pp(
-            lambda p: 100.0 * (1.0 + np.sin(2.0 * np.pi * p[:, 0])), 205.0, [0.0], [1.0], seed=42
-        )
-        n_events = events.shape[0]
-        assert n_events == 109
-        data = tmp_path / "events.csv"
-        write_csv(data, ["x1"], events)
+        data, n_events = events_of_test_09(tmp_path), 109
         summaries = {}
         for M in (8, 16, 24):
             out = tmp_path / f"M{M}"
@@ -960,7 +1018,7 @@ class TestFitCox:
                 "domain": [[0.0, 1.0]],
             }
             cfg = write_config(
-                tmp_path, f"M{M}.json", {"data": str(data), "out": str(out), "model": model}
+                tmp_path, f"M{M}.json", {"data": data, "out": str(out), "model": model}
             )
             assert main(["fit-cox", "--config", cfg]) == 0
             summary = summaries[M] = json.loads((out / "summary.json").read_text())

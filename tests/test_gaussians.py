@@ -134,10 +134,17 @@ class TestGaussianDist:
             p = random_gaussian(rng, 6)
             np.testing.assert_allclose(
                 p.chol @ p.chol.T,
-                p.cov + p.jitter * np.eye(6),
+                p.cov,
                 rtol=1e-10,
                 atol=1e-12,
             )
+
+    def test_singular_covariance_is_a_named_failure(self):
+        # PSD but singular: a jittered factor would describe another model
+        p = GaussianDist(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            p.chol
+        assert err.value.jitter == 0.0
 
 
 def asymmetric(rel, scale=3.0):

@@ -17,9 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsekl import svgp
-from sparsekl.cli import _with_optimal_q
 from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_and_grad
-from sparsekl.gaussians import _chol_with_fallback, solve_triangular
+from sparsekl.gaussians import (
+    NotPositiveDefiniteError,
+    cholesky,
+    cholesky_jittered,
+    solve_triangular,
+)
 from sparsekl.interdomain import (
     GaussianWindowFeature,
     PointFeature,
@@ -35,6 +39,7 @@ from sparsekl.svgp import (
     SVGPState,
     collapsed_bound,
     collapsed_bound_and_grad,
+    collapsed_optimal_q,
     elbo,
     elbo_and_grad,
 )
@@ -77,7 +82,7 @@ def random_problem(seed, objective, window):
     else:
         mean = float(rng.normal(0.0, 0.3))
     kernel = Kernel(rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.3, d), mean)
-    Luu, _ = _chol_with_fallback(assemble_Kuu(features, kernel))
+    Luu = cholesky(assemble_Kuu(features, kernel))
     B = np.tril(0.2 * rng.standard_normal((M, M)), -1)
     B += np.diag(rng.uniform(0.3, 0.9, M))
     likelihood = {
@@ -145,8 +150,9 @@ class TestGradientOracle:
         # both probes must keep the same jitter multiple.
         k = Kernel(variance=1.3, lengthscales=0.4, mean_const=0.2)
         feats = [PointFeature([0.2]), PointFeature([0.2]), PointFeature([0.7])]
-        Luu, jitter = _chol_with_fallback(assemble_Kuu(feats, k))
-        assert jitter > 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(assemble_Kuu(feats, k))
+        Luu, jitter = cholesky_jittered(assemble_Kuu(feats, k))
         state = SVGPState(
             features=feats,
             q_mean=0.2 + Luu @ np.array([0.1, -0.2, 0.4]),
@@ -165,7 +171,7 @@ class TestGradientOracle:
             probe = x0.raw.copy()
             probe[i] += sign * step
             kp = rebuild(x0.with_raw(probe)).kernel
-            _, jp = _chol_with_fallback(assemble_Kuu(feats, kp))
+            _, jp = cholesky_jittered(assemble_Kuu(feats, kp))
             assert jp / kp.variance == pytest.approx(jitter / k.variance, rel=1e-12)
         g = raw_gradient(x0, elbo_and_grad(state, X, Y)[1])
         g_fd = numeric_grad(lambda pv: elbo(rebuild(pv), X, Y), x0, h=h)
@@ -242,7 +248,8 @@ class TestCollapsedGradientOracle:
     @given(seed=st.integers(0, 10**6))
     def test_optimal_q_zeroes_the_q_gradient(self, regime, window, seed):
         state, X, Y = collapsed_problem(seed, regime, window)
-        _, grads = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
+        q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
+        _, grads = elbo_and_grad(q.to_state(), X, Y)
         assert np.max(np.abs(grads["alpha"])) <= 1e-8
         assert np.max(np.abs(grads["half_diag"])) <= 1e-8
         assert np.max(np.abs(grads["half_lower"]), initial=0.0) <= 1e-8
@@ -256,7 +263,8 @@ class TestCollapsedGradientOracle:
         # held in whitened coordinates) give one hyperparameter gradient
         state, X, Y = collapsed_problem(seed, regime, window)
         value, grads = collapsed_bound_and_grad(state, X, Y)
-        value_q, grads_q = elbo_and_grad(_with_optimal_q(state, X, Y), X, Y)
+        q = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
+        value_q, grads_q = elbo_and_grad(q.to_state(), X, Y)
         assert abs(value - value_q) <= 1e-9 * (1.0 + abs(value))
         for name, g in grads.items():
             if not name.startswith("q_"):
@@ -275,8 +283,9 @@ class TestCollapsedGradientOracle:
             feats = [GaussianWindowFeature([c], [0.05]) for c in (0.2, 0.2, 0.7)]
         else:
             feats = [PointFeature([c]) for c in (0.2, 0.2, 0.7)]
-        _, jitter = _chol_with_fallback(assemble_Kuu(feats, k))
-        assert jitter > 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(assemble_Kuu(feats, k))
+        _, jitter = cholesky_jittered(assemble_Kuu(feats, k))
         state = SVGPState(
             features=feats, q_mean=np.zeros(3), q_chol=np.eye(3), kernel=k,
             likelihood=GaussianNoise(0.2),
@@ -292,7 +301,7 @@ class TestCollapsedGradientOracle:
             probe = x0.raw.copy()
             probe[i] += sign * step
             kp = rebuild(x0.with_raw(probe)).kernel
-            _, jp = _chol_with_fallback(assemble_Kuu(feats, kp))
+            _, jp = cholesky_jittered(assemble_Kuu(feats, kp))
             assert jp / kp.variance == pytest.approx(jitter / k.variance, rel=1e-12)
         g = raw_gradient(x0, collapsed_bound_and_grad(state, X, Y)[1])
         g_fd = numeric_grad(

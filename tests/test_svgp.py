@@ -22,7 +22,7 @@ from sparsekl.finite_oracle import (
 )
 from sparsekl.gaussians import (
     GaussianDist,
-    _chol_with_fallback,
+    NotPositiveDefiniteError,
     cholesky,
     mvn_kl,
     solve_triangular,
@@ -34,6 +34,7 @@ from sparsekl.svgp import (
     GaussianNoise,
     PoissonCounts,
     SVGPState,
+    WhitenedState,
     collapsed_bound,
     collapsed_bound_and_grad,
     collapsed_optimal_q,
@@ -361,7 +362,8 @@ class TestWhitenedKL:
         # a repeated feature makes Kuu singular
         k = Kernel(variance=1.0, lengthscales=0.3)
         feats = [PointFeature([z]) for z in (0.0, 0.2, 0.2, 0.5, 0.9)]
-        assert _chol_with_fallback(assemble_Kuu(feats, k))[1] > 0.0
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(assemble_Kuu(feats, k))
         state = SVGPState(
             features=feats,
             q_mean=np.array([0.1, -0.3, 0.2, 0.4, 0.0]),
@@ -443,29 +445,35 @@ class TestCollapsed:
         feats = tuple(PointFeature([x]) for x in X[:m_ind])
         return k, X, Y, noise, feats
 
-    @staticmethod
-    def _state_at(q_u, feats, k, noise):
-        return SVGPState(
-            features=feats,
-            q_mean=q_u.mean,
-            q_chol=np.linalg.cholesky(q_u.cov),
-            kernel=k,
-            likelihood=GaussianNoise(noise),
-        )
-
     def test_optimal_q_attains_collapsed_bound(self):
         for seed in range(10):
             k, X, Y, noise, feats = self._instance(seed)
-            q_u = collapsed_optimal_q(feats, k, X, Y, noise)
-            direct = elbo(self._state_at(q_u, feats, k, noise), X, Y)
+            direct = elbo(collapsed_optimal_q(feats, k, X, Y, noise).to_state(), X, Y)
             bound = collapsed_bound(feats, k, X, Y, noise)
             assert direct == pytest.approx(bound, abs=1e-8 * (1 + abs(bound)))
+
+    def test_optimal_q_is_a_lower_triangular_whitened_state(self, monkeypatch):
+        # as collapsed_optimal_q returns it and as the collapsed pass receives it
+        halves = []
+        real = _WhitenedPass.__init__
+        monkeypatch.setattr(
+            _WhitenedPass, "__init__", lambda self, f, a, h: halves.append(h) or real(self, f, a, h)
+        )
+        for seed in range(5):
+            k, X, Y, noise, feats = self._instance(seed)
+            q = collapsed_optimal_q(feats, k, X, Y, noise)
+            assert isinstance(q, WhitenedState)
+            halves.append(q.half)
+            collapsed_bound_and_grad(q, X, Y)
+        assert len(halves) == 10
+        for half in halves:
+            assert (np.triu(half, 1) == 0.0).all() and (half.diagonal() > 0.0).all()
 
     def test_collapsed_dominates_other_q(self):
         rng = np.random.default_rng(33)
         k, X, Y, noise, feats = self._instance(5)
         best = collapsed_bound(feats, k, X, Y, noise)
-        opt = self._state_at(collapsed_optimal_q(feats, k, X, Y, noise), feats, k, noise)
+        opt = collapsed_optimal_q(feats, k, X, Y, noise).to_state()
         for _ in range(10):
             jiggle = np.tril(0.1 * rng.standard_normal((len(feats),) * 2), -1)
             perturbed = SVGPState(
@@ -497,16 +505,9 @@ class TestCollapsed:
         X = np.sort(rng.uniform(0.0, 1.0, 1000))
         Y = np.sin(6.0 * X) + 0.3 * rng.standard_normal(1000)
         feats = tuple(PointFeature([z]) for z in np.linspace(0.0, 1.0, 20))
-        q_u = collapsed_optimal_q(feats, k, X, Y, 0.1)
-        state = SVGPState(
-            features=feats,
-            q_mean=q_u.mean,
-            q_chol=_chol_with_fallback(q_u.cov)[0],
-            kernel=k,
-            likelihood=GaussianNoise(0.1),
-        )
+        state = collapsed_optimal_q(feats, k, X, Y, 0.1).to_state()
         bound = collapsed_bound(feats, k, X, Y, 0.1)
-        assert abs(elbo(state, X, Y) - bound) <= 1e-3
+        assert abs(elbo(state, X, Y) - bound) <= 1e-8 * (1 + abs(bound))
 
     def test_memory_is_linear_in_n(self):
         rng = np.random.default_rng(1)

@@ -255,5 +255,6 @@ def test_instance_record_builds_no_throwaway_gaussians(monkeypatch, seed, factor
 
     monkeypatch.setattr(GaussianDist, "__post_init__", post_init)
     monkeypatch.setattr(gaussians, "cholesky", cholesky)
+    monkeypatch.setattr(finite_oracle, "cholesky", cholesky)
     assert instance_record(seed)["pass"] is True
     assert counts == {"GaussianDist": 22, "cholesky": factorizations}
