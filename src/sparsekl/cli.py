@@ -7,6 +7,10 @@ Configuration is a single JSON file; unknown keys anywhere in it are
 rejected with a message listing them.  Artifacts are deterministic
 given the config and seed, except for the recorded wall time.
 
+Every fit task is one run (:func:`_task_fit`): its setup, one fit from
+q at the prior, the closed-form q for Gaussian noise, one conversion and
+its report.  Only the setup and the report depend on the task.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 verification
 failure, 5 numerical failure.
 """
@@ -448,123 +452,92 @@ def _fit(state, value_and_grad_of, cfg):
     return rebuild(result.x), result.records, fields
 
 
-def _write_fit_artifacts(outdir, state, trace_rows, preds_header, preds_rows, summary):
+# ---------------------------------------------------------------------------
+# tasks
+
+
+def _task_fit(task, cfg, outdir, seed):
+    """Every fit task: its setup, one fit from q at the prior, one conversion, its report."""
+    model_cfg = cfg["model"]
+    kernel = _build_kernel(model_cfg)
+    d = kernel.input_dim
+    # setup: the data, the likelihood or Cox model, the objective and the starting locations
+    if task == "fit-cox":
+        domain = model_cfg["domain"]
+        if domain.shape[0] != d:
+            raise ConfigError(
+                f"model.domain has {domain.shape[0]} dimensions but the kernel "
+                f"has {d} lengthscales"
+            )
+        events = read_events(cfg["data"], d)
+        try:
+            model = CoxModel(
+                lower=domain[:, 0],
+                upper=domain[:, 1],
+                events=events,
+                link=model_cfg.get("link", "exp"),
+                quad_orders=model_cfg.get("quad_orders"),
+            )
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+        likelihood, objective, data = None, cox_elbo_and_grad, (model,)
+        locations = _grid_locations(model.lower, model.upper, model_cfg["num_inducing"])
+    else:
+        data = X, Y = read_xy_data(cfg["data"], d)
+        if task == "fit-regression":
+            likelihood, objective = GaussianNoise(model_cfg["noise_var"]), collapsed_bound_and_grad
+        else:
+            likelihood, objective = BernoulliProbit(), elbo_and_grad
+        try:
+            likelihood.validate_targets(Y)
+        except ValueError as exc:
+            raise DataError(f"{cfg['data']}: {exc}") from exc
+        locations = _spread_locations(X, model_cfg["num_inducing"])
+    state = _initial_state(_make_features(model_cfg, locations), kernel, likelihood)
+    started = time.perf_counter()
+    state, rows, fields = _fit(state, lambda s: objective(s, *data), cfg)
+    if isinstance(likelihood, GaussianNoise):
+        # the collapsed bound leaves q at the prior: q at its closed-form optimum
+        # for the fitted hyperparameters
+        state = collapsed_optimal_q(state.features, state.kernel, *data, state.likelihood.noise_var)
+    state = state.to_state()
+    wall = time.perf_counter() - started
+    # report: the final objective, the predictions, the task's summary fields and line
+    if task == "fit-cox":
+        # the objective's integral term is the fitted intensity integrated over the
+        # quadrature grid, so one evaluation gives both
+        terms = cox_elbo_terms(state, model)
+        per_axis = 200 if d == 1 else 32
+        grid = _tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)])
+        columns, preds = ["intensity"], np.column_stack([grid, fitted_intensity(state, model, grid)])
+        reported = {"n_events": model.n_events, "final_elbo": terms.total,
+                    "integrated_intensity": terms.integral_term}
+        line = ("{task}: elbo {final_elbo:.6f}, integrated intensity "
+                "{integrated_intensity:.2f} over {n_events} events")
+    else:
+        final, mu, var = elbo_and_marginals(state, X, Y)
+        columns, preds = ["mean", "variance"], np.column_stack([X, mu, var])
+        reported = {"n_data": int(X.shape[0]), "final_elbo": final}
+        if task == "fit-regression":
+            bound = collapsed_bound(state.features, state.kernel, X, Y, state.likelihood.noise_var)
+            reported.update(collapsed_bound=bound, collapsed_gap=bound - final)
+        line = "{task}: elbo {final_elbo:.6f} after {iterations} iterations"
+    # summary.json: the head keys the task reports, then the optimizer's fields, the
+    # wall time and the rest of the report
+    record = {"task": task, "num_inducing": len(state.features), "seed": seed, **fields,
+              "wall_time_s": wall, **reported}
+    head = ("task", "n_data", "n_events", "num_inducing", "seed", "final_elbo", "integrated_intensity")
+    summary = {key: record.pop(key) for key in head if key in record} | record
     os.makedirs(outdir, exist_ok=True)
     save_checkpoint(state, os.path.join(outdir, "checkpoint.json"))
     write_csv(
         os.path.join(outdir, "trace.csv"),
         ["iter", "objective", "step_scale", "grad_norm"],
-        trace_rows,
+        rows,
     )
-    write_csv(os.path.join(outdir, "predictions.csv"), preds_header, preds_rows)
+    write_csv(os.path.join(outdir, "predictions.csv"), _x_header(d) + columns, preds)
     write_json(os.path.join(outdir, "summary.json"), summary)
-
-
-# ---------------------------------------------------------------------------
-# tasks
-
-
-def _task_fit_gaussian_family(task, cfg, outdir, seed):
-    model_cfg = cfg["model"]
-    kernel = _build_kernel(model_cfg)
-    d = kernel.input_dim
-    X, Y = read_xy_data(cfg["data"], d)
-    if task == "fit-regression":
-        likelihood = GaussianNoise(model_cfg["noise_var"])
-        value_and_grad_of = lambda s: collapsed_bound_and_grad(s, X, Y)
-    else:
-        likelihood = BernoulliProbit()
-        value_and_grad_of = lambda s: elbo_and_grad(s, X, Y)
-    try:
-        likelihood.validate_targets(Y)
-    except ValueError as exc:
-        raise DataError(f"{cfg['data']}: {exc}") from exc
-    features = _make_features(model_cfg, _spread_locations(X, model_cfg["num_inducing"]))
-    state = _initial_state(features, kernel, likelihood)
-    started = time.perf_counter()
-    state, rows, fields = _fit(state, value_and_grad_of, cfg)
-    if task == "fit-regression":  # q at its closed-form optimum for the fitted hyperparameters
-        state = collapsed_optimal_q(state.features, state.kernel, X, Y, state.likelihood.noise_var)
-    state = state.to_state()
-    wall = time.perf_counter() - started
-    final, mu, var = elbo_and_marginals(state, X, Y)
-    preds = np.column_stack([X, mu, var])
-    summary = {
-        "task": task,
-        "n_data": int(X.shape[0]),
-        "num_inducing": len(state.features),
-        "seed": seed,
-        "final_elbo": final,
-        **fields,
-        "wall_time_s": wall,
-    }
-    if task == "fit-regression":
-        summary["collapsed_bound"] = collapsed_bound(
-            state.features, state.kernel, X, Y, state.likelihood.noise_var
-        )
-        summary["collapsed_gap"] = summary["collapsed_bound"] - final
-    _write_fit_artifacts(
-        outdir, state, rows, _x_header(d) + ["mean", "variance"], preds, summary
-    )
-    print(f"{task}: elbo {final:.6f} after {fields['iterations']} iterations -> {outdir}")
-    return EXIT_OK
-
-
-def _task_fit_cox(cfg, outdir, seed):
-    model_cfg = cfg["model"]
-    kernel = _build_kernel(model_cfg)
-    d = kernel.input_dim
-    domain = model_cfg["domain"]
-    if domain.shape[0] != d:
-        raise ConfigError(
-            f"model.domain has {domain.shape[0]} dimensions but the kernel "
-            f"has {d} lengthscales"
-        )
-    events = read_events(cfg["data"], d)
-    try:
-        model = CoxModel(
-            lower=domain[:, 0],
-            upper=domain[:, 1],
-            events=events,
-            link=model_cfg.get("link", "exp"),
-            quad_orders=model_cfg.get("quad_orders"),
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    features = _make_features(
-        model_cfg, _grid_locations(model.lower, model.upper, model_cfg["num_inducing"])
-    )
-    state = _initial_state(features, kernel, None)
-    started = time.perf_counter()
-    state, rows, fields = _fit(state, lambda s: cox_elbo_and_grad(s, model), cfg)
-    state = state.to_state()
-    wall = time.perf_counter() - started
-    # the objective's integral term is the fitted intensity integrated over the
-    # quadrature grid, so one evaluation gives both
-    terms = cox_elbo_terms(state, model)
-    final = -terms.kl_term + terms.event_term - terms.integral_term
-    integrated = terms.integral_term
-    per_axis = 200 if d == 1 else 32
-    grid = _tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)])
-    intensity = fitted_intensity(state, model, grid)
-    summary = {
-        "task": "fit-cox",
-        "n_events": model.n_events,
-        "num_inducing": len(state.features),
-        "seed": seed,
-        "final_elbo": final,
-        "integrated_intensity": integrated,
-        **fields,
-        "wall_time_s": wall,
-    }
-    preds = np.column_stack([grid, intensity])
-    _write_fit_artifacts(
-        outdir, state, rows, _x_header(d) + ["intensity"], preds, summary
-    )
-    print(
-        f"fit-cox: elbo {final:.6f}, integrated intensity {integrated:.2f} "
-        f"over {model.n_events} events -> {outdir}"
-    )
+    print(f"{line.format(**summary)} -> {outdir}")
     return EXIT_OK
 
 
@@ -593,10 +566,16 @@ def _sin_mixture(x):
 def _task_generate(cfg, outdir, seed):
     gen = cfg["generate"]
     kind = gen["kind"]
+    domain = gen.get("domain")
+    # a setting that this kind does not read is an error, not silently dropped
+    for key in ("n", "noise_sd") if kind == "cox" else ("rate",):
+        if key in gen:
+            raise ConfigError(f"generate.{key} does not apply to kind {kind!r}")
+    if kind != "cox" and domain is not None and domain.shape[0] != 1:
+        raise ConfigError(f"generate.domain must be one row [[lo, hi]] for kind {kind!r}")
     rng = np.random.default_rng(seed)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "dataset.csv")
-    domain = gen.get("domain")
     if kind in ("regression", "classification"):
         n = gen.get("n", 100)
         lo, hi = (domain[0] if domain is not None else (0.0, 1.0))
@@ -651,10 +630,8 @@ def main(argv=None) -> int:
         outdir = args.out if args.out is not None else cfg.get("out", "sparsekl-out")
         if "data" in SCHEMAS[args.task] and not os.path.exists(cfg["data"]):
             raise ConfigError(f"data path does not exist: {cfg['data']}")
-        if args.task in ("fit-regression", "fit-classification"):
-            return _task_fit_gaussian_family(args.task, cfg, outdir, seed)
-        if args.task == "fit-cox":
-            return _task_fit_cox(cfg, outdir, seed)
+        if args.task.startswith("fit-"):
+            return _task_fit(args.task, cfg, outdir, seed)
         if args.task == "verify":
             return _task_verify(cfg, outdir, seed)
         return _task_generate(cfg, outdir, seed)

@@ -211,6 +211,11 @@ class CoxTerms:
     event_term: float
     integral_term: float
 
+    @property
+    def total(self) -> float:
+        """The objective, ``-kl_term + event_term - integral_term``."""
+        return -self.kl_term + self.event_term - self.integral_term
+
 
 def _terms_and_pass(state: SVGPState, model: CoxModel):
     """The terms, the pass they came from and the expected rate at the grid nodes."""
@@ -229,9 +234,8 @@ def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
 
 
 def cox_elbo(state: SVGPState, model: CoxModel) -> float:
-    """Variational objective: ``-kl_term + event_term - integral_term``."""
-    t = cox_elbo_terms(state, model)
-    return -t.kl_term + t.event_term - t.integral_term
+    """Variational objective: :attr:`CoxTerms.total` of :func:`cox_elbo_terms`."""
+    return cox_elbo_terms(state, model).total
 
 
 def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
@@ -247,7 +251,7 @@ def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
         np.concatenate([ev_mu, -wts * rate_mu]),
         np.concatenate([ev_var, -wts * rate_var]),
     )
-    return -t.kl_term + t.event_term - t.integral_term, grads
+    return t.total, grads
 
 
 def fitted_intensity(state: SVGPState, model: CoxModel, Xstar) -> np.ndarray:
@@ -263,14 +267,13 @@ def sample_inhomogeneous_pp(
     lower,
     upper,
     seed: int,
-    check_grid: int = 64,
 ):
     """Draw one realization of a Poisson process by thinning.
 
     ``intensity`` maps a (n, d) array of locations to nonnegative rates;
     ``upper_bound`` must dominate it on the whole rectangle.  The bound
-    is spot-checked on a grid before sampling and a violation reports
-    the offending grid point.  Fixed seed, fixed draw order: the same
+    is spot-checked on a grid of 64 points per axis before sampling and a
+    violation reports the offending grid point.  Fixed seed, fixed draw order: the same
     arguments give the same events.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -280,7 +283,7 @@ def sample_inhomogeneous_pp(
     if upper_bound <= 0:
         raise ValueError(f"upper_bound must be positive, got {upper_bound}")
     d = lower.shape[0]
-    grid = _tensor_grid([np.linspace(lo, hi, check_grid) for lo, hi in zip(lower, upper)])
+    grid = _tensor_grid([np.linspace(lo, hi, 64) for lo, hi in zip(lower, upper)])
     vals = np.asarray(intensity(grid), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals < 0):
         raise ValueError("intensity must be finite and nonnegative on the domain")

@@ -106,6 +106,8 @@ class FiniteModel:
             raise ValueError(
                 f"{len(data_idx)} observed points but {Y.shape[0]} observations"
             )
+        if not np.isfinite(Y).all():
+            raise ValueError("Y must be finite")
         if not 0 < self.noise_var < np.inf:
             raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
         object.__setattr__(self, "X", X)

@@ -343,7 +343,11 @@ class AffineConditional:
     def __post_init__(self):
         W = np.atleast_2d(np.asarray(self.weights, dtype=float))
         b = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        C, _ = _check_symmetric(self.cov, 1e-10, "conditional covariance")
+        C, peak = _check_symmetric(self.cov, 1e-10, "conditional covariance")
+        for name, finite in (("weights", np.isfinite(W).all()), ("offset", np.isfinite(b).all()),
+                             ("cov", math.isfinite(peak))):
+            if not finite:
+                raise ValueError(f"conditional {name} must be finite")
         if W.shape[0] != b.shape[0] or W.shape[0] != C.shape[0]:
             raise ValueError(
                 f"inconsistent conditional shapes: weights {W.shape}, "

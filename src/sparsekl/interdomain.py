@@ -35,6 +35,9 @@ __all__ = [
     "feature_from_dict",
 ]
 
+# absolute tolerance of the quadrature cross-checks of the closed forms
+QUADRATURE_ABS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PointFeature:
@@ -287,12 +290,13 @@ def _window_density(s, center, width):
     return np.exp(-0.5 * z * z) / (width * np.sqrt(2.0 * np.pi))
 
 
-def feature_point_cov_quadrature(feature, kernel: Kernel, x, abs_tol=1e-9):
+def feature_point_cov_quadrature(feature, kernel: Kernel, x):
     """Quadrature evaluation of ``cov(u, f(x))`` for a window feature.
 
     Integrates dimension by dimension (the squared-exponential kernel
-    and the window both factorize).  Bounds extend eight combined widths
-    past the window center and the evaluation point.
+    and the window both factorize), each to ``QUADRATURE_ABS_TOL``.
+    Bounds extend eight combined widths past the window center and the
+    evaluation point.
     """
     if not isinstance(feature, GaussianWindowFeature):
         raise TypeError("quadrature check applies to window features")
@@ -313,12 +317,13 @@ def feature_point_cov_quadrature(feature, kernel: Kernel, x, abs_tol=1e-9):
         def integrand(s, a=a, c=c, w=w, ell=ell):
             return _window_density(s, c, w) * np.exp(-0.5 * ((s - x[a]) / ell) ** 2)
 
-        total *= _adaptive_gl(integrand, lo, hi, abs_tol)
+        total *= _adaptive_gl(integrand, lo, hi, QUADRATURE_ABS_TOL)
     return float(total)
 
 
-def feature_feature_cov_quadrature(f1, f2, kernel: Kernel, abs_tol=1e-9):
-    """Nested quadrature evaluation of ``cov(u1, u2)`` for window features."""
+def feature_feature_cov_quadrature(f1, f2, kernel: Kernel):
+    """Nested quadrature evaluation of ``cov(u1, u2)`` for window features: per
+    dimension, the outer integral to ``QUADRATURE_ABS_TOL``, the inner to a tenth of it."""
     if not (
         isinstance(f1, GaussianWindowFeature) and isinstance(f2, GaussianWindowFeature)
     ):
@@ -343,11 +348,11 @@ def feature_feature_cov_quadrature(f1, f2, kernel: Kernel, abs_tol=1e-9):
                 * np.exp(-0.5 * ((s_vec[:, None] - t) / ell) ** 2),
                 t_lo,
                 t_hi,
-                0.1 * abs_tol,
+                0.1 * QUADRATURE_ABS_TOL,
             )
             return _window_density(s_vec, c1, w1) * inner
 
-        total *= _adaptive_gl(outer, s_lo, s_hi, abs_tol)
+        total *= _adaptive_gl(outer, s_lo, s_hi, QUADRATURE_ABS_TOL)
     return float(total)
 
 

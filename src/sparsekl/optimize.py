@@ -267,15 +267,14 @@ def maximize(
     x0: ParamVector,
     max_iters: int = 2000,
     tol: float = 1e-8,
-    grad_h: float = 1e-5,
     jac: bool = False,
 ) -> OptimizeResult:
     """Maximize ``objective`` over the raw coordinates of ``x0`` by L-BFGS-B.
 
     With ``jac=True`` the objective returns ``(value, raw_gradient)``
-    from one fused call; otherwise central differences with step
-    ``grad_h`` supply the gradient.  ``tol`` is L-BFGS-B's ``ftol`` (the
-    relative reduction that counts as convergence) and ``max_iters`` its
+    from one fused call; otherwise central differences (:func:`numeric_grad`
+    at its default step) supply the gradient.  ``tol`` is L-BFGS-B's ``ftol``
+    (the relative reduction that counts as convergence) and ``max_iters`` its
     ``maxiter``.  Accepted iterates satisfy sufficient increase, so the
     trace is non-decreasing.
 
@@ -318,7 +317,7 @@ def maximize(
                 bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
                 raise NonFiniteObjectiveError(f"gradient is non-finite at coordinate {bad}")
         else:
-            grad = numeric_grad(counted, pv, grad_h)
+            grad = numeric_grad(counted, pv)
         if not trace:
             trace.append(value)
         probes[raw.tobytes()] = (value, float(np.linalg.norm(grad)))

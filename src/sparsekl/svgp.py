@@ -292,6 +292,9 @@ class SVGPState:
             raise ValueError("q_chol must be lower triangular")
         if (q_chol.diagonal() <= 0).any():
             raise ValueError("q_chol must have a strictly positive diagonal")
+        for name, value in (("q_mean", q_mean), ("q_chol", q_chol)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "q_mean", q_mean)
         object.__setattr__(self, "q_chol", q_chol)

@@ -200,8 +200,8 @@ def instance_record(seed: int, regime: str = None) -> dict:
     }
 
 
-def quadrature_crosschecks(seed: int, n_draws: int = 12) -> dict:
-    """Closed forms against brute-force quadrature.
+def quadrature_crosschecks(seed: int) -> dict:
+    """Closed forms against brute-force quadrature, 12 random draws each.
 
     Window-feature covariances against adaptive Gauss-Legendre, and the
     Gaussian expected log likelihood against Gauss-Hermite.
@@ -209,7 +209,7 @@ def quadrature_crosschecks(seed: int, n_draws: int = 12) -> dict:
     rng = np.random.default_rng(seed)
     max_fpc = 0.0
     max_ffc = 0.0
-    for _ in range(n_draws):
+    for _ in range(12):
         d = int(rng.integers(1, 3))
         kernel = Kernel(
             variance=float(rng.uniform(0.3, 2.0)),
@@ -230,7 +230,7 @@ def quadrature_crosschecks(seed: int, n_draws: int = 12) -> dict:
         max_ffc = max(max_ffc, abs(closed2 - quad2))
     max_gh = 0.0
     lik = GaussianNoise(float(rng.uniform(0.05, 0.5)))
-    for _ in range(n_draws):
+    for _ in range(12):
         mu = rng.uniform(-3, 3, size=4)
         var = rng.uniform(0.01, 4.0, size=4)
         y = rng.uniform(-3, 3, size=4)

@@ -494,6 +494,25 @@ class TestGenerate:
         ev = read_csv(os.path.join(out, "dataset.csv"), ["x1"])
         assert np.all(ev >= 0.0) and np.all(ev <= 2.0)
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("regression", "domain", [[0, 1], [5, 6]]),
+            ("classification", "domain", [[0, 1], [5, 6]]),
+            ("regression", "rate", 30.0),
+            ("classification", "rate", 30.0),
+            ("cox", "noise_sd", 0.2),
+            ("cox", "n", 50),
+        ],
+    )
+    def test_setting_of_another_kind_is_a_config_error(self, tmp_path, capsys, kind, key, value):
+        out = tmp_path / "g"
+        cfg = self._config(tmp_path, kind, str(out), **{key: value})
+        assert main(["generate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"generate.{key}" in err
+        assert not out.exists()
+
 
 class TestFitRegression:
     def test_artifacts_and_summary(self, tmp_path):

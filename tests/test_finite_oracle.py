@@ -433,3 +433,9 @@ class TestModelValidation:
         prior = GaussianDist(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError, match="noise_var must be positive"):
             FiniteModel(np.arange(3.0), (0,), (1,), prior, [0.0], noise_var)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_is_rejected(self, y):
+        prior = GaussianDist(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="Y must be finite"):
+            FiniteModel(np.arange(3.0), (0, 2), (1,), prior, [0.5, y], 1.0)

@@ -381,6 +381,14 @@ class TestMarginalCondition:
 
 
 class TestAffineConditional:
+    @pytest.mark.parametrize("field", ["weights", "offset", "cov"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_is_named(self, field, value):
+        parts = {"weights": np.ones((2, 3)), "offset": np.zeros(2), "cov": np.eye(2)}
+        parts[field][-1] = value
+        with pytest.raises(ValueError, match=f"conditional {field} must be finite"):
+            AffineConditional(**parts)
+
     def test_joint_roundtrip(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

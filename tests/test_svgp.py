@@ -233,6 +233,16 @@ class TestState:
                 with pytest.raises(ValueError, match="lower triangular"):
                     SVGPState(feats, np.zeros(4), bad, k)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["q_mean", "q_chol"])
+    def test_non_finite_q_is_named(self, field, value):
+        k = Kernel(variance=1.0, lengthscales=1.0)
+        feats = (PointFeature([0.0]), PointFeature([1.0]))
+        q = {"q_mean": np.zeros(2), "q_chol": np.array([[1.0, 0.0], [0.3, 0.8]])}
+        q[field][-1] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SVGPState(feats, q["q_mean"], q["q_chol"], k)
+
     def test_q_dist_and_prior(self):
         state = make_state(0)
         q = state.q_dist()
@@ -582,6 +592,16 @@ class TestCheckpoint:
 
         with pytest.raises(ValueError, match="keys"):
             from_checkpoint_dict(d)
+
+    def test_nan_token_in_checkpoint_is_rejected(self, tmp_path):
+        # Python's json reads a bare NaN token, so the state has to reject it
+        d = to_checkpoint_dict(make_state(16))
+        d["q_mean"][0] = math.nan
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(ValueError, match="q_mean must be finite"):
+            load_checkpoint(path)
 
     def test_file_is_json(self, tmp_path):
         state = make_state(15)
