@@ -8,8 +8,9 @@ rejected with a message listing them.  Artifacts are deterministic
 given the config and seed, except for the recorded wall time.
 
 Every fit task is one run (:func:`_task_fit`): its setup, one fit from
-q at the prior, the closed-form q for Gaussian noise, one conversion and
-its report.  Only the setup and the report depend on the task.
+q at the prior, and one factorization at the fitted state that serves the
+closed-form q for Gaussian noise, the conversion and its report.  Only the
+setup and the report depend on the task.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 verification
 failure, 5 numerical failure.
@@ -30,8 +31,8 @@ import numpy as np
 from .cox import (
     CoxModel,
     _tensor_grid,
+    _terms,
     cox_elbo_and_grad,
-    cox_elbo_terms,
     fitted_intensity,
     sample_inhomogeneous_pp,
 )
@@ -43,11 +44,9 @@ from .svgp import (
     BernoulliProbit,
     GaussianNoise,
     WhitenedState,
-    collapsed_bound,
+    _fitted_pass,
     collapsed_bound_and_grad,
-    collapsed_optimal_q,
     elbo_and_grad,
-    elbo_and_marginals,
     save_checkpoint,
 )
 from .verify import run_verification
@@ -457,18 +456,18 @@ def _fit(state, value_and_grad_of, cfg):
 
 
 def _task_fit(task, cfg, outdir, seed):
-    """Every fit task: its setup, one fit from q at the prior, one conversion, its report."""
+    """Every fit task: its setup, one fit from q at the prior, one post-fit pass, its report."""
     model_cfg = cfg["model"]
     kernel = _build_kernel(model_cfg)
     d = kernel.input_dim
-    # setup: the data, the likelihood or Cox model, the objective and the starting locations
+    # setup: the data, the likelihood or Cox model, the objective, the starting
+    # locations and the rows the report covers
     if task == "fit-cox":
-        domain = model_cfg["domain"]
-        if domain.shape[0] != d:
-            raise ConfigError(
-                f"model.domain has {domain.shape[0]} dimensions but the kernel "
-                f"has {d} lengthscales"
-            )
+        domain, orders = model_cfg["domain"], model_cfg.get("quad_orders")
+        # quad_orders gives one order per dimension, like the domain's rows
+        for key, size in (("domain", domain.shape[0]), ("quad_orders", len(orders or domain))):
+            if size != d:
+                raise ConfigError(f"model.{key} has {size} dimensions but the kernel has {d} lengthscales")
         events = read_events(cfg["data"], d)
         try:
             model = CoxModel(
@@ -476,14 +475,14 @@ def _task_fit(task, cfg, outdir, seed):
                 upper=domain[:, 1],
                 events=events,
                 link=model_cfg.get("link", "exp"),
-                quad_orders=model_cfg.get("quad_orders"),
+                quad_orders=orders,
             )
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        likelihood, objective, data = None, cox_elbo_and_grad, (model,)
+        likelihood, objective, data, covered = None, cox_elbo_and_grad, (model,), (model.points,)
         locations = _grid_locations(model.lower, model.upper, model_cfg["num_inducing"])
     else:
-        data = X, Y = read_xy_data(cfg["data"], d)
+        data = covered = X, Y = read_xy_data(cfg["data"], d)
         if task == "fit-regression":
             likelihood, objective = GaussianNoise(model_cfg["noise_var"]), collapsed_bound_and_grad
         else:
@@ -496,17 +495,14 @@ def _task_fit(task, cfg, outdir, seed):
     state = _initial_state(_make_features(model_cfg, locations), kernel, likelihood)
     started = time.perf_counter()
     state, rows, fields = _fit(state, lambda s: objective(s, *data), cfg)
-    if isinstance(likelihood, GaussianNoise):
-        # the collapsed bound leaves q at the prior: q at its closed-form optimum
-        # for the fitted hyperparameters
-        state = collapsed_optimal_q(state.features, state.kernel, *data, state.likelihood.noise_var)
-    state = state.to_state()
+    # the stored state and one pass at it over the covered rows, from one factorization
+    state, fp, bound = _fitted_pass(state, *covered)
     wall = time.perf_counter() - started
     # report: the final objective, the predictions, the task's summary fields and line
     if task == "fit-cox":
         # the objective's integral term is the fitted intensity integrated over the
-        # quadrature grid, so one evaluation gives both
-        terms = cox_elbo_terms(state, model)
+        # quadrature grid, so the pass gives both
+        terms = _terms(fp, model)[0]
         per_axis = 200 if d == 1 else 32
         grid = _tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)])
         columns, preds = ["intensity"], np.column_stack([grid, fitted_intensity(state, model, grid)])
@@ -515,11 +511,10 @@ def _task_fit(task, cfg, outdir, seed):
         line = ("{task}: elbo {final_elbo:.6f}, integrated intensity "
                 "{integrated_intensity:.2f} over {n_events} events")
     else:
-        final, mu, var = elbo_and_marginals(state, X, Y)
-        columns, preds = ["mean", "variance"], np.column_stack([X, mu, var])
+        final = fp.value()
+        columns, preds = ["mean", "variance"], np.column_stack([X, fp.mean, fp.var])
         reported = {"n_data": int(X.shape[0]), "final_elbo": final}
-        if task == "fit-regression":
-            bound = collapsed_bound(state.features, state.kernel, X, Y, state.likelihood.noise_var)
+        if bound is not None:
             reported.update(collapsed_bound=bound, collapsed_gap=bound - final)
         line = "{task}: elbo {final_elbo:.6f} after {iterations} iterations"
     # summary.json: the head keys the task reports, then the optimizer's fields, the

@@ -217,20 +217,19 @@ class CoxTerms:
         return -self.kl_term + self.event_term - self.integral_term
 
 
-def _terms_and_pass(state: SVGPState, model: CoxModel):
-    """The terms, the pass they came from and the expected rate at the grid nodes."""
-    fp = _WhitenedPass.at_state(state, model.points)
+def _terms(fp: _WhitenedPass, model: CoxModel):
+    """The terms read off a pass over ``model.points`` and the expected rate at the grid nodes."""
     mu, var = fp.mean, fp.var
     ne = model.n_events
     event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
     rate = expected_rate(model.link, mu[ne:], var[ne:])
     integral_term = math.fsum(model.grid[1] * rate)
-    return CoxTerms(fp.kl, event_term, integral_term), fp, rate
+    return CoxTerms(fp.kl, event_term, integral_term), rate
 
 
 def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
     """The three pieces of the objective, each summed in a fixed exact order."""
-    return _terms_and_pass(state, model)[0]
+    return _terms(_WhitenedPass.at_state(state, model.points), model)[0]
 
 
 def cox_elbo(state: SVGPState, model: CoxModel) -> float:
@@ -241,7 +240,8 @@ def cox_elbo(state: SVGPState, model: CoxModel) -> float:
 def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
     """:func:`cox_elbo` and its exact gradient, keyed as in
     :func:`sparsekl.svgp.elbo_and_grad`."""
-    t, fp, rate = _terms_and_pass(state, model)
+    fp = _WhitenedPass.at_state(state, model.points)
+    t, rate = _terms(fp, model)
     ne = model.n_events
     mu, var = fp.mean, fp.var
     ev_mu, ev_var = expected_log_rate_grads(model.link, mu[:ne], var[:ne])

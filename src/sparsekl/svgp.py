@@ -52,7 +52,6 @@ __all__ = [
     "expected_log_lik",
     "elbo",
     "elbo_and_grad",
-    "elbo_and_marginals",
     "collapsed_optimal_q",
     "collapsed_bound",
     "collapsed_bound_and_grad",
@@ -332,9 +331,9 @@ class WhitenedState:
     def whiten(self, Luu=None) -> "WhitenedState":
         return self
 
-    def to_state(self) -> SVGPState:
-        """The same q in unwhitened coordinates, as checkpoints store it."""
-        _, Luu, _ = _factor_Kuu(self.features, self.kernel)
+    def to_state(self, Luu=None) -> SVGPState:
+        """The same q unwhitened against ``Luu`` (by default Kuu's factor), as checkpoints store it."""
+        Luu = _factor_Kuu(self.features, self.kernel)[1] if Luu is None else Luu
         q_mean = self.kernel.mean_const + Luu @ self.alpha
         return SVGPState(self.features, q_mean, Luu @ self.half, self.kernel, self.likelihood)
 
@@ -414,13 +413,17 @@ class _WhitenedPass:
         f = self.factors
         return math.fsum(f.lik.variational_expectations(self.mean, self.var, f.Y))
 
+    def value(self):
+        """The elbo, ``expected_log_lik - kl``."""
+        return self.expected_log_lik() - self.kl
+
     def value_and_grad(self):
-        """``expected_log_lik - kl`` and its gradient (see :func:`elbo_and_grad`)."""
+        """:meth:`value` and its gradient (see :func:`elbo_and_grad`)."""
         f = self.factors
         d_mean, d_var, d_lik = f.lik.variational_expectation_grads(self.mean, self.var, f.Y)
         grads = self.backward(d_mean, d_var)
         grads.update(d_lik)
-        return self.expected_log_lik() - self.kl, grads
+        return self.value(), grads
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl`` with q held in whitened coordinates, where
@@ -502,13 +505,7 @@ def expected_log_lik(state: SVGPState, X, Y, lik=None):
 
 def elbo(state: SVGPState, X, Y, lik=None) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
-    return elbo_and_marginals(state, X, Y, lik)[0]
-
-
-def elbo_and_marginals(state: SVGPState, X, Y, lik=None):
-    """``(elbo, mean, var)``: :func:`elbo` and :func:`predictive_marginals` from one pass."""
-    fp = _WhitenedPass.at_state(state, X, Y, lik)
-    return fp.expected_log_lik() - fp.kl, fp.mean, fp.var
+    return _WhitenedPass.at_state(state, X, Y, lik).value()
 
 
 def elbo_and_grad(state: SVGPState, X, Y, lik=None):
@@ -522,8 +519,9 @@ def elbo_and_grad(state: SVGPState, X, Y, lik=None):
     return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad()
 
 
-def _collapsed_factors(f: _FeatureFactors, noise_var: float):
-    """What the collapsed routines add to the shared ``A``, with ``r = Y - m_X``:
+def _collapsed_factors(f: _FeatureFactors):
+    """What the collapsed routines add to the shared ``A``, with ``r = Y - m_X``
+    and ``noise_var`` that of ``f``'s Gaussian noise:
 
         B = I + A A^T / noise_var = UB UB^T,   c = UB^-1 A r / noise_var
 
@@ -532,6 +530,7 @@ def _collapsed_factors(f: _FeatureFactors, noise_var: float):
     positive definite in exact arithmetic; when round-off at a tiny
     ``noise_var`` breaks that, :class:`NotPositiveDefiniteError` says so.
     """
+    noise_var = f.lik.noise_var
     B = np.eye(f.A.shape[0]) + (f.A @ f.A.T) / noise_var
     try:
         UB = cholesky(B[::-1, ::-1])[::-1, ::-1]
@@ -545,12 +544,26 @@ def _collapsed_factors(f: _FeatureFactors, noise_var: float):
     return UB, c
 
 
-def _optimal_whitened_q(f: _FeatureFactors, noise_var: float):
+def _optimal_whitened_q(UB, c):
     """``(alpha, half) = (UB^-T c, UB^-T)``: the optimal q(u) for Gaussian noise
     (Titsias 2009), whose whitened moments are ``B^-1 A r / noise_var`` and ``B^-1``."""
-    UB, c = _collapsed_factors(f, noise_var)
     half = solve_triangular(UB, np.eye(UB.shape[0]), lower=False, trans=1)
     return half @ c, half
+
+
+def _collapsed_value(f: _FeatureFactors, UB, c) -> float:
+    """:func:`collapsed_bound` from the factors of :func:`_collapsed_factors`."""
+    noise_var = f.lik.noise_var
+    r = f.Y - f.kernel.mean_const
+    n = r.shape[0]
+    fit = -0.5 * (
+        n * math.log(2.0 * math.pi * noise_var)
+        + 2.0 * float(np.log(UB.diagonal()).sum())
+        + float(r @ r) / noise_var
+        - float(c @ c)
+    )
+    trace_term = (n * f.kernel.variance - float((f.A * f.A).sum())) / (2.0 * noise_var)
+    return fit - trace_term
 
 
 def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> WhitenedState:
@@ -566,7 +579,7 @@ def collapsed_optimal_q(features, kernel: Kernel, X, Y, noise_var: float) -> Whi
     No covariance is formed.  O(n M^2) time, O(n M) memory.
     """
     f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
-    return WhitenedState(features, *_optimal_whitened_q(f, noise_var), kernel, f.lik)
+    return WhitenedState(features, *_optimal_whitened_q(*_collapsed_factors(f)), kernel, f.lik)
 
 
 def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
@@ -587,17 +600,7 @@ def collapsed_bound(features, kernel: Kernel, X, Y, noise_var: float) -> float:
     O(n M^2) time, O(n M) memory; no n x n matrix is formed.
     """
     f = _FeatureFactors(features, kernel, X, Y, GaussianNoise(noise_var))
-    UB, c = _collapsed_factors(f, noise_var)
-    r = f.Y - kernel.mean_const
-    n = r.shape[0]
-    fit = -0.5 * (
-        n * math.log(2.0 * math.pi * noise_var)
-        + 2.0 * float(np.log(UB.diagonal()).sum())
-        + float(r @ r) / noise_var
-        - float(c @ c)
-    )
-    trace_term = (n * kernel.variance - float((f.A * f.A).sum())) / (2.0 * noise_var)
-    return fit - trace_term
+    return _collapsed_value(f, *_collapsed_factors(f))
 
 
 def collapsed_bound_and_grad(state: SVGPState, X, Y):
@@ -611,10 +614,29 @@ def collapsed_bound_and_grad(state: SVGPState, X, Y):
     if not isinstance(lik, GaussianNoise):
         raise ValueError(f"the collapsed bound needs Gaussian noise, got {lik!r}")
     f = _FeatureFactors(state.features, state.kernel, X, Y, lik)
-    value, grads = _WhitenedPass(f, *_optimal_whitened_q(f, lik.noise_var)).value_and_grad()
+    value, grads = _WhitenedPass(f, *_optimal_whitened_q(*_collapsed_factors(f))).value_and_grad()
     for key in ("alpha", "half_diag", "half_lower"):
         grads[key] = np.zeros_like(grads[key])
     return value, grads
+
+
+def _fitted_pass(fitted: WhitenedState, X, Y=None):
+    """``(state, pass, bound)`` after a fit, from one :class:`_FeatureFactors` over ``X``.
+
+    For Gaussian noise q moves to its closed-form optimum (the collapsed bound leaves
+    it at the prior) and ``bound`` is :func:`collapsed_bound` from the same ``(UB, c)``;
+    else ``bound`` is None.  ``state`` is the :class:`SVGPState` a checkpoint stores, and
+    the pass is at it whitened against ``Luu``, as :func:`elbo` evaluates a reload.
+    """
+    f = _FeatureFactors(fitted.features, fitted.kernel, X, Y, fitted.likelihood)
+    bound = None
+    if isinstance(f.lik, GaussianNoise):
+        UB, c = _collapsed_factors(f)
+        fitted = WhitenedState(fitted.features, *_optimal_whitened_q(UB, c), fitted.kernel, f.lik)
+        bound = _collapsed_value(f, UB, c)
+    state = fitted.to_state(f.Luu)
+    w = state.whiten(f.Luu)
+    return state, _WhitenedPass(f, w.alpha, w.half), bound
 
 
 def to_checkpoint_dict(state: SVGPState) -> dict:

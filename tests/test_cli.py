@@ -14,7 +14,13 @@ import pytest
 
 from sparsekl import cli, interdomain, svgp, verify
 from sparsekl.cli import main, read_csv, read_xy_data, write_csv
-from sparsekl.cox import CoxModel, cox_elbo, cox_elbo_terms, sample_inhomogeneous_pp
+from sparsekl.cox import (
+    CoxModel,
+    cox_elbo,
+    cox_elbo_terms,
+    fitted_intensity,
+    sample_inhomogeneous_pp,
+)
 from sparsekl.gaussians import GaussianDist, NotPositiveDefiniteError
 from sparsekl.svgp import elbo, load_checkpoint
 
@@ -253,6 +259,36 @@ class TestConfigValidation:
         rc = main(["fit-cox", "--config", cfg])
         assert rc == 2
         assert "domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain, orders, rc, message",
+        [
+            ([[0.0, 1.0], [0.0, 1.0]], [10], 2, "config error: model.quad_orders"),
+            ([[0.0, 1.0]], [10, 10], 2, "config error: model.quad_orders"),
+            ([[0.0, 0.4]], [10], 3, "data error: every event must lie inside the domain"),
+        ],
+        ids=["2d-domain-one-order", "1d-domain-two-orders", "event-outside-domain"],
+    )
+    def test_cox_orders_are_config_and_events_data(self, tmp_path, capsys, domain, orders, rc, message):
+        events = tmp_path / "ev.csv"
+        d = len(domain)
+        write_csv(events, [f"x{i + 1}" for i in range(d)], [[0.5] * d, [0.25] * d])
+        cfg = write_config(
+            tmp_path,
+            "cox.json",
+            {
+                "data": str(events),
+                "out": str(tmp_path / "o"),
+                "model": {
+                    "kernel": {"variance": 1.0, "lengthscales": [1.0] * d},
+                    "num_inducing": 2,
+                    "domain": domain,
+                    "quad_orders": orders,
+                },
+            },
+        )
+        assert main(["fit-cox", "--config", cfg]) == rc
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestCsvHandling:
@@ -764,56 +800,76 @@ class TestPostFitPass:
 
     @staticmethod
     def builds_after_the_fit(monkeypatch, argv):
-        """``_FeatureFactors`` built by ``main(argv)`` once the optimizer returns."""
-        builds = []
-        real = svgp._FeatureFactors
+        """``(_FeatureFactors, assemble_Kuf, cholesky_jittered)`` calls made by
+        ``main(argv)`` once the optimizer returns."""
+        counts = dict.fromkeys(("_FeatureFactors", "assemble_Kuf", "cholesky_jittered"), 0)
+        real_factors, real_maximize = svgp._FeatureFactors, cli.maximize
 
-        class Counted(real):
+        class Counted(real_factors):
             def __init__(self, *args, **kwargs):
-                builds.append(1)
+                counts["_FeatureFactors"] += 1
                 super().__init__(*args, **kwargs)
+
+        def counted(name):
+            real = getattr(svgp, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return call
 
         def fit_then_reset(*args, **kwargs):
             result = real_maximize(*args, **kwargs)
-            builds.clear()
+            counts.update(dict.fromkeys(counts, 0))
             return result
 
-        real_maximize = cli.maximize
         monkeypatch.setattr(svgp, "_FeatureFactors", Counted)
+        for name in ("assemble_Kuf", "cholesky_jittered"):
+            monkeypatch.setattr(svgp, name, counted(name))
         monkeypatch.setattr(cli, "maximize", fit_then_reset)
         assert main(argv) == 0
-        return len(builds)
+        return tuple(counts.values())
 
-    def test_regression_builds_feature_factors_three_times_after_the_fit(
-        self, tmp_path, monkeypatch
-    ):
-        # optimal q, the shared elbo-and-predictions pass, collapsed_bound
-        data = regression_dataset(tmp_path)
-        cfg = small_fit_config(tmp_path, data, str(tmp_path / "fit"), iters=3)
-        assert self.builds_after_the_fit(monkeypatch, ["fit-regression", "--config", cfg]) == 3
-
-    def test_cox_builds_feature_factors_twice_after_the_fit(self, tmp_path, monkeypatch):
-        # one cox_elbo_terms gives final_elbo and integrated_intensity; the
-        # intensity on the prediction grid is the other pass
-        data = tmp_path / "events.csv"
-        write_csv(data, ["x1"], [[0.1], [0.25], [0.3], [0.6], [0.62], [0.9]])
+    @pytest.mark.parametrize(
+        "task, expected",
+        [("fit-regression", (1, 1, 1)), ("fit-classification", (1, 1, 1)), ("fit-cox", (2, 2, 2))],
+        ids=["regression", "classification", "cox"],
+    )
+    def test_fitted_model_is_factored_once(self, tmp_path, monkeypatch, task, expected):
+        # one factorization at the fitted state serves the closed-form q, the
+        # conversion, final_elbo, the predictions, the collapsed bound and the
+        # Cox terms; only the Cox prediction grid, other rows, has its own
         out = str(tmp_path / "fit")
-        model = {
-            "kernel": {"variance": 0.5, "lengthscales": [0.25], "mean": 1.5},
-            "num_inducing": 4,
-            "domain": [[0.0, 1.0]],
-        }
-        cfg = write_config(
-            tmp_path, "cox.json",
-            {"data": str(data), "out": out, "model": model, "optimizer": {"max_iters": 3}},
-        )
-        assert self.builds_after_the_fit(monkeypatch, ["fit-cox", "--config", cfg]) == 2
-        summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
-        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
-        cox_model = CoxModel(lower=[0.0], upper=[1.0], events=read_csv(str(data), ["x1"]))
-        terms = cox_elbo_terms(state, cox_model)
-        assert summary["final_elbo"] == cox_elbo(state, cox_model)
-        assert summary["integrated_intensity"] == terms.integral_term
+        if task == "fit-regression":
+            cfg = small_fit_config(tmp_path, regression_dataset(tmp_path), out, iters=3)
+        elif task == "fit-classification":
+            model = {"kernel": {"variance": 1.0, "lengthscales": [0.3]}, "num_inducing": 4}
+            cfg = write_config(
+                tmp_path, "fit.json",
+                {"data": classification_dataset(tmp_path), "out": out, "model": model,
+                 "optimizer": {"max_iters": 3}},
+            )
+        else:
+            data = tmp_path / "events.csv"
+            write_csv(data, ["x1"], [[0.1], [0.25], [0.3], [0.6], [0.62], [0.9]])
+            model = {
+                "kernel": {"variance": 0.5, "lengthscales": [0.25], "mean": 1.5},
+                "num_inducing": 4,
+                "domain": [[0.0, 1.0]],
+            }
+            cfg = write_config(
+                tmp_path, "cox.json",
+                {"data": str(data), "out": out, "model": model, "optimizer": {"max_iters": 3}},
+            )
+        assert self.builds_after_the_fit(monkeypatch, [task, "--config", cfg]) == expected
+        if task == "fit-cox":
+            summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+            state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+            cox_model = CoxModel(lower=[0.0], upper=[1.0], events=read_csv(str(data), ["x1"]))
+            terms = cox_elbo_terms(state, cox_model)
+            assert summary["final_elbo"] == cox_elbo(state, cox_model)
+            assert summary["integrated_intensity"] == terms.integral_term
 
 
 def fit_case(tmp_path, case):
@@ -926,6 +982,39 @@ class TestFitCox:
         assert summary["objective_evaluations"] == summary["gradient_evaluations"] > 0
         assert 0 < summary["iterations"] <= 8
 
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_predictions_are_the_fitted_intensity_of_the_checkpoint(self, tmp_path, dim):
+        # the prediction grid is the one pass the report does not share with the
+        # fitted state's factorization: 200 points in 1-D, 32 x 32 in 2-D
+        lower, upper = [0.0] * dim, [1.0] * dim
+        lam = lambda p: 40.0 * (1.0 + np.sin(2 * np.pi * p[:, 0]))
+        events = sample_inhomogeneous_pp(lam, 81.0, lower, upper, seed=4)
+        header = [f"x{i + 1}" for i in range(dim)]
+        data = tmp_path / "events.csv"
+        write_csv(data, header, events)
+        out = str(tmp_path / "fit")
+        model = {
+            "kernel": {"variance": 1.0, "lengthscales": [0.3] * dim,
+                       "mean": math.log(events.shape[0])},
+            "num_inducing": 4,
+            "domain": [[0.0, 1.0]] * dim,
+        }
+        if dim == 2:
+            model.update(feature_type="gwindow", quad_orders=[8, 8])
+        cfg = write_config(
+            tmp_path, "cox.json",
+            {"data": str(data), "out": out, "model": model, "optimizer": {"max_iters": 5}},
+        )
+        assert main(["fit-cox", "--config", cfg]) == 0
+        preds = read_csv(os.path.join(out, "predictions.csv"), header + ["intensity"])
+        axis = np.linspace(0.0, 1.0, 200 if dim == 1 else 32)
+        grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        assert preds.shape == (axis.size**dim, dim + 1)
+        np.testing.assert_array_equal(preds[:, :dim], grid)
+        state = load_checkpoint(os.path.join(out, "checkpoint.json"))
+        cox_model = CoxModel(lower=lower, upper=upper, events=events, quad_orders=model.get("quad_orders"))
+        np.testing.assert_array_equal(preds[:, dim], fitted_intensity(state, cox_model, grid))
 
     def test_window_fit_reruns_identically_and_reloads(self, tmp_path):
         lam = lambda p: 20.0 * (1.0 + np.sin(2 * np.pi * p[:, 0]))
