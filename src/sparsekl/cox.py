@@ -13,7 +13,10 @@ Gauss-Legendre grid:
 
 The exponential link has both moments in closed form; the square link
 is kept as an experimental alternative and uses quadrature for the log
-moment.
+moment.  The model enters the sparse pass as a data term over its
+events and grid nodes: :meth:`CoxModel.moments` gives each row's term
+and its derivatives in mean and variance from one evaluation of each
+link moment, as a likelihood's ``moments`` does.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from .kernels import as_points
 from .svgp import (
     SVGPState,
     _WhitenedPass,
-    gauss_hermite_expectation,
-    gauss_hermite_expectation_grads,
+    _gauss_hermite,
     predictive_marginals,
 )
 
@@ -39,7 +41,6 @@ __all__ = [
     "legendre_grid",
     "expected_rate",
     "expected_log_rate",
-    "expected_log_rate_grads",
     "CoxTerms",
     "cox_elbo_terms",
     "cox_elbo",
@@ -125,6 +126,18 @@ class CoxModel:
         pts.flags.writeable = False
         return pts
 
+    def moments(self, mu, var, y=None):
+        """``(values, d_mu, d_var, d_params)`` over :attr:`points`, as a likelihood's
+        ``moments``: ``E[log rho]`` at an event row and ``-w E[rho]`` at a grid
+        row of weight ``w``, with their derivatives in ``mu`` and ``var``.  Their
+        sum is the objective plus the KL.  ``y`` is unused: the events are the model's.
+        """
+        ne, wts = self.n_events, self.grid[1]
+        events = _log_rate_moments(self.link, mu[:ne], var[:ne])
+        nodes = _rate_moments(self.link, mu[ne:], var[ne:])
+        values, d_mu, d_var = (np.concatenate([e, -wts * n]) for e, n in zip(events, nodes))
+        return values, d_mu, d_var, {}
+
 
 def legendre_grid(lower, upper, orders):
     """Tensor-product Gauss-Legendre nodes and weights on a rectangle."""
@@ -161,47 +174,35 @@ def expected_log_rate(link, mu, var):
 
     Exact for the exponential link; for the square link the integrand
     ``log f^2`` is clamped at -30 per node and integrated with 64
-    Gauss-Hermite nodes.
+    Gauss-Hermite nodes.  The value part of :func:`_log_rate_moments`.
     """
+    return _log_rate_moments(link, mu, var)[0]
+
+
+def _rate_moments(link, mu, var):
+    """:func:`expected_rate` and its derivatives in ``mu`` and ``var``, from the one rate."""
+    rate = expected_rate(link, mu, var)
+    if link == "exp":
+        return rate, rate, 0.5 * rate
+    return rate, 2.0 * mu, np.ones_like(var)
+
+
+def _log_rate_moments(link, mu, var):
+    """:func:`expected_log_rate` and its derivatives in ``mu`` and ``var``; for the
+    square link, of the same clamped 64-node sum, from one evaluation of its integrand."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if link == "exp":
-        return mu.copy()
+        return mu.copy(), np.ones_like(mu), np.zeros_like(var)
     if link == "square":
         floor = math.exp(SQUARE_LOG_CLAMP)
 
         def integrand(f):
-            return np.log(np.maximum(f * f, floor))
+            # the derivative is 2 / f where the clamp is inactive, 0 where it holds
+            f2 = f * f
+            return np.log(np.maximum(f2, floor)), 2.0 / np.where(f2 > floor, f, np.inf)
 
-        return gauss_hermite_expectation(integrand, mu, var, SQUARE_QUAD_ORDER)
-    raise ValueError(f"unknown link {link!r}")
-
-
-def _rate_grads(link, mu, var, rate):
-    """Derivatives of :func:`expected_rate` in ``mu`` and ``var``, given ``rate``,
-    the expected rate there."""
-    if link == "exp":
-        return rate, 0.5 * rate
-    if link == "square":
-        return 2.0 * np.asarray(mu, dtype=float), np.ones_like(var, dtype=float)
-    raise ValueError(f"unknown link {link!r}")
-
-
-def expected_log_rate_grads(link, mu, var):
-    """Derivatives of :func:`expected_log_rate` in ``mu`` and ``var``; for
-    the square link, of the same clamped 64-node sum."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    var = np.atleast_1d(np.asarray(var, dtype=float))
-    if link == "exp":
-        return np.ones_like(mu), np.zeros_like(var)
-    if link == "square":
-        floor = math.exp(SQUARE_LOG_CLAMP)
-
-        def derivative(f):
-            # 2 / f where the clamp is inactive, 0 where it holds
-            return 2.0 / np.where(f * f > floor, f, np.inf)
-
-        return gauss_hermite_expectation_grads(derivative, mu, var, SQUARE_QUAD_ORDER)
+        return _gauss_hermite(integrand, mu, var, SQUARE_QUAD_ORDER)
     raise ValueError(f"unknown link {link!r}")
 
 
@@ -218,13 +219,15 @@ class CoxTerms:
 
 
 def _terms(fp: _WhitenedPass, model: CoxModel):
-    """The terms read off a pass over ``model.points`` and the expected rate at the grid nodes."""
-    mu, var = fp.mean, fp.var
-    ne = model.n_events
-    event_term = math.fsum(expected_log_rate(model.link, mu[:ne], var[:ne]))
-    rate = expected_rate(model.link, mu[ne:], var[ne:])
-    integral_term = math.fsum(model.grid[1] * rate)
-    return CoxTerms(fp.kl, event_term, integral_term), rate
+    """The terms of a pass over ``model.points``, and :meth:`CoxModel.moments` there.
+
+    The event and integral sums stay apart, each exact, so the total keeps its
+    order and a +inf event sum never meets a -inf integral row in one sum.
+    """
+    moments = model.moments(fp.mean, fp.var)
+    values, ne = moments[0], model.n_events
+    # 0.0 - keeps an all-zero integral +0.0
+    return CoxTerms(fp.kl, math.fsum(values[:ne]), 0.0 - math.fsum(values[ne:])), moments
 
 
 def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
@@ -241,17 +244,8 @@ def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
     """:func:`cox_elbo` and its exact gradient, keyed as in
     :func:`sparsekl.svgp.elbo_and_grad`."""
     fp = _WhitenedPass.at_state(state, model.points)
-    t, rate = _terms(fp, model)
-    ne = model.n_events
-    mu, var = fp.mean, fp.var
-    ev_mu, ev_var = expected_log_rate_grads(model.link, mu[:ne], var[:ne])
-    rate_mu, rate_var = _rate_grads(model.link, mu[ne:], var[ne:], rate)
-    wts = model.grid[1]
-    grads = fp.backward(
-        np.concatenate([ev_mu, -wts * rate_mu]),
-        np.concatenate([ev_var, -wts * rate_var]),
-    )
-    return t.total, grads
+    terms, (_, d_mean, d_var, _) = _terms(fp, model)
+    return terms.total, fp.backward(d_mean, d_var)
 
 
 def fitted_intensity(state: SVGPState, model: CoxModel, Xstar) -> np.ndarray:

@@ -7,7 +7,11 @@ training objective is
     elbo = sum_i E_q[log p(y_i | f_i)] - KL(q(u) || p(u)),
 
 which for Gaussian noise also has a collapsed form with the optimal
-q(u) substituted analytically.
+q(u) substituted analytically.  The data term enters only through the
+one-dimensional expectations: each likelihood's ``moments(mu, var, y)``
+gives them and their derivatives in mean and variance from one
+evaluation of its integrand, and the reverse pass takes those
+derivatives back to q, the kernel and the features.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "SVGPState",
     "WhitenedState",
     "gauss_hermite_expectation",
-    "gauss_hermite_expectation_grads",
     "predictive_marginals",
     "expected_log_lik",
     "elbo",
@@ -84,7 +87,20 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
 
     Uses Gauss-Hermite nodes in the physicists' convention, so the
     evaluation points are ``mu + sqrt(2 var) * x`` and the weights are
-    normalized by ``1/sqrt(pi)``.
+    normalized by ``1/sqrt(pi)``: the value part of :func:`_gauss_hermite`.
+    """
+    if np.isnan(np.asarray(var, dtype=float)).any():
+        raise ValueError("variances must not be NaN")
+    return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var, order)[0]
+
+
+def _gauss_hermite(fn, mu, var, order):
+    """``(E[g(f)], d/dmu, d/dvar)`` of the Gauss-Hermite sum under ``f ~ N(mu, var)``,
+    elementwise, where ``fn`` maps the nodes to ``(g, dg/df)`` in one evaluation.
+
+    A node moves by ``x / sqrt(2 var)`` per unit of ``var``; at ``var = 0``
+    the variance derivative is reported as 0.  A NaN variance (from an
+    overflowed pass) gives NaN, which the optimizer names at a probe.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
@@ -93,30 +109,39 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     if (var < 0).any():
         raise ValueError("variances must be nonnegative")
     x, w = _gh_nodes(order)
-    f_nodes = fn(mu[:, None] + np.sqrt(2.0 * var)[:, None] * x[None, :])
-    return (f_nodes @ w) / np.sqrt(np.pi)
-
-
-def gauss_hermite_expectation_grads(dfn, mu, var, order=DEFAULT_QUAD_ORDER):
-    """Derivatives in ``mu`` and ``var`` of :func:`gauss_hermite_expectation`.
-
-    Differentiates the same node sum, given ``dfn``, the derivative of
-    its integrand.  A node moves by ``x / sqrt(2 var)`` per unit of
-    ``var``; at ``var = 0`` the variance derivative is reported as 0.
-    """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    var = np.atleast_1d(np.asarray(var, dtype=float))
-    x, w = _gh_nodes(order)
     root = np.sqrt(2.0 * var)
-    d_nodes = dfn(mu[:, None] + root[:, None] * x[None, :])
-    d_mu = (d_nodes @ w) / np.sqrt(np.pi)
-    d_root = (d_nodes @ (w * x)) / np.sqrt(np.pi)
+    g, dg = fn(mu[:, None] + root[:, None] * x[None, :])
+    d_root = (dg @ (w * x)) / np.sqrt(np.pi)
     d_var = np.divide(d_root, root, out=np.zeros_like(d_root), where=root > 0)
-    return d_mu, d_var
+    return (g @ w) / np.sqrt(np.pi), (dg @ w) / np.sqrt(np.pi), d_var
+
+
+class _DataTerm:
+    """A likelihood whose ``moments`` give ``E_q[log p(y_i | f_i)]`` and its
+    derivatives from one evaluation."""
+
+    def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        """``E[log p(y_i | f_i)]`` under ``f_i ~ N(mu_i, var_i)``: the value part of
+        ``moments``."""
+        return self.moments(mu, var, y, quad_order)[0]
+
+
+class _QuadratureTerm(_DataTerm):
+    """A likelihood whose expectations are Gauss-Hermite sums of its log density,
+    given with its derivative in ``f`` by ``_log_density_and_slope(f, y)``."""
+
+    def log_density(self, f, y):
+        return self._log_density_and_slope(f, y)[0]
+
+    def moments(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        """As :meth:`GaussianNoise.moments`, from one evaluation of the log density
+        and its slope at the nodes."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
+        return (*_gauss_hermite(lambda f: self._log_density_and_slope(f, y), mu, var, quad_order), {})
 
 
 @dataclass(frozen=True)
-class GaussianNoise:
+class GaussianNoise(_DataTerm):
     """Homoskedastic Gaussian observation noise."""
 
     noise_var: float
@@ -137,27 +162,24 @@ class GaussianNoise:
             math.log(2.0 * math.pi * self.noise_var) + (y - f) ** 2 / self.noise_var
         )
 
-    def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        """Closed form: quadrature is never needed for Gaussian noise."""
-        return -0.5 * (
-            math.log(2.0 * math.pi * self.noise_var)
-            + ((y - mu) ** 2 + var) / self.noise_var
-        )
-
-    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        """Derivatives of the summed expectations: in ``mu`` and ``var``
-        per point, and in the likelihood's own parameters by name."""
-        resid = y - mu
+    def moments(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+        """``(values, d_mu, d_var, d_params)``: the expectations per point, their
+        derivatives in ``mu`` and ``var``, and the derivatives of their sum in
+        the likelihood's own parameters by name.  Closed form: quadrature is
+        never needed for Gaussian noise."""
+        resid = np.asarray(y - mu, dtype=float)
+        spread = resid**2 + var
+        values = -0.5 * (math.log(2.0 * math.pi * self.noise_var) + spread / self.noise_var)
         # noise_var**2 underflows to 0 on a far probe: numpy division gives
         # inf, which maximize names, where float division would raise
-        d_noise = 0.5 * float((resid**2 + var).sum()) / np.square(self.noise_var)
-        d_noise -= 0.5 * resid.shape[0] / self.noise_var
-        d_var = np.full(resid.shape[0], -0.5 / self.noise_var)
-        return resid / self.noise_var, d_var, {"noise_var": d_noise}
+        d_noise = 0.5 * float(spread.sum()) / np.square(self.noise_var)
+        d_noise -= 0.5 * resid.size / self.noise_var
+        d_var = np.full(resid.shape, -0.5 / self.noise_var)
+        return values, resid / self.noise_var, d_var, {"noise_var": d_noise}
 
 
 @dataclass(frozen=True)
-class BernoulliProbit:
+class BernoulliProbit(_QuadratureTerm):
     """Binary labels in {-1, +1} through a probit link."""
 
     def validate_targets(self, y):
@@ -167,28 +189,15 @@ class BernoulliProbit:
             raise ValueError(f"labels must be -1 or +1, got values like {bad.tolist()}")
         return y
 
-    def log_density(self, f, y):
-        return log_ndtr(y * f)
-
-    def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return gauss_hermite_expectation(
-            lambda f: log_ndtr(y[:, None] * f), mu, var, quad_order
-        )
-
-    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
-
-        def dfn(f):
-            # d/df log Phi(y f) = y phi(y f) / Phi(y f), in logs for the tails
-            z = y * f
-            return y * np.exp(-0.5 * (z * z + LOG_2PI) - log_ndtr(z))
-
-        return (*gauss_hermite_expectation_grads(dfn, mu, var, quad_order), {})
+    def _log_density_and_slope(self, f, y):
+        # d/df log Phi(y f) = y phi(y f) / Phi(y f), in logs for the tails
+        z = y * f
+        log_cdf = log_ndtr(z)
+        return log_cdf, y * np.exp(-0.5 * (z * z + LOG_2PI) - log_cdf)
 
 
 @dataclass(frozen=True)
-class PoissonCounts:
+class PoissonCounts(_QuadratureTerm):
     """Poisson counts with an exponential link and a fixed bin width.
 
     The rate over a bin is ``bin_width * exp(f)``.
@@ -203,27 +212,13 @@ class PoissonCounts:
 
     def validate_targets(self, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y < 0) or np.any(y != np.round(y)):
-            raise ValueError("counts must be nonnegative integers")
+        if not np.isfinite(y).all() or np.any(y < 0) or np.any(y != np.round(y)):
+            raise ValueError("counts must be finite nonnegative integers")
         return y
 
-    def log_density(self, f, y):
-        return y * (f + math.log(self.bin_width)) - self.bin_width * np.exp(f) - gammaln(y + 1.0)
-
-    def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return gauss_hermite_expectation(
-            lambda f: self.log_density(f, y[:, None]), mu, var, quad_order
-        )
-
-    def variational_expectation_grads(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
-        y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
-        return (
-            *gauss_hermite_expectation_grads(
-                lambda f: y - self.bin_width * np.exp(f), mu, var, quad_order
-            ),
-            {},
-        )
+    def _log_density_and_slope(self, f, y):
+        rate = self.bin_width * np.exp(f)
+        return y * (f + math.log(self.bin_width)) - rate - gammaln(y + 1.0), y - rate
 
 
 def likelihood_to_dict(lik) -> dict:
@@ -418,12 +413,13 @@ class _WhitenedPass:
         return self.expected_log_lik() - self.kl
 
     def value_and_grad(self):
-        """:meth:`value` and its gradient (see :func:`elbo_and_grad`)."""
+        """:meth:`value` and its gradient (see :func:`elbo_and_grad`), from one
+        ``moments`` call of the likelihood."""
         f = self.factors
-        d_mean, d_var, d_lik = f.lik.variational_expectation_grads(self.mean, self.var, f.Y)
+        values, d_mean, d_var, d_lik = f.lik.moments(self.mean, self.var, f.Y)
         grads = self.backward(d_mean, d_var)
         grads.update(d_lik)
-        return self.value(), grads
+        return math.fsum(values) - self.kl, grads
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl`` with q held in whitened coordinates, where

@@ -263,6 +263,49 @@ class TestCoxObjective:
             cox_elbo(state, model)
 
 
+class TestCoxMoments:
+    """``CoxModel.moments`` against the link moments and central differences of them."""
+
+    @staticmethod
+    def rows(link, mu, var, model):
+        # E[log rho] at the events, -w E[rho] at the grid nodes
+        ne = model.n_events
+        return np.concatenate([
+            expected_log_rate(link, mu[:ne], var[:ne]),
+            -model.grid[1] * expected_rate(link, mu[ne:], var[ne:]),
+        ])
+
+    @pytest.mark.parametrize("link", cox.LINKS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_values_and_derivatives(self, link, seed):
+        rng = np.random.default_rng(seed)
+        model = CoxModel([0.0], [1.0], rng.uniform(0.0, 1.0, (6, 1)), link=link, quad_orders=(9,))
+        n = model.points.shape[0]
+        mu = rng.uniform(-1.0, 1.0, n)
+        var = rng.uniform(0.2, 1.0, n)
+        if link == "square":
+            # event means near 0, where log f^2 is most curved; every node stays
+            # at least 0.02 from f = 0, away from the clamp's edge at |f| = exp(-15)
+            mu[: model.n_events] = rng.uniform(-0.05, 0.05, model.n_events)
+            x = np.polynomial.hermite.hermgauss(cox.SQUARE_QUAD_ORDER)[0]
+            nodes = mu[:, None] + np.sqrt(2.0 * var)[:, None] * x
+            assert np.abs(nodes[: model.n_events]).min() > 0.02
+        values, d_mu, d_var, d_params = model.moments(mu, var)
+        assert values.tobytes() == self.rows(link, mu, var, model).tobytes()
+        assert d_params == {}
+        h = 1e-6
+        fd_mu = (self.rows(link, mu + h, var, model) - self.rows(link, mu - h, var, model)) / (2 * h)
+        fd_var = (self.rows(link, mu, var + h, model) - self.rows(link, mu, var - h, model)) / (2 * h)
+        np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(d_var, fd_var, rtol=1e-6, atol=1e-7)
+
+    def test_square_log_moment_reports_zero_variance_derivative_at_zero_variance(self):
+        model = CoxModel([0.0], [1.0], [[0.2], [0.7]], link="square", quad_orders=(5,))
+        n = model.points.shape[0]
+        _, _, d_var, _ = model.moments(np.linspace(-1.0, 1.0, n), np.zeros(n))
+        assert (d_var[: model.n_events] == 0.0).all()
+
+
 class TestFittedIntensity:
     def test_matches_expected_rate_of_predictive(self):
         state = tiny_state(seed=8)

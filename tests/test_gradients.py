@@ -380,3 +380,48 @@ class TestReversePassStructure:
         value, grads = value_and_grad_of(fitted)
         assert math.isfinite(value) and np.isfinite(raw_gradient(x0, grads)).all()
         assert len(calls) == 4
+
+
+class TestOneDataTermCall:
+    """A fused evaluation reads the data term, values and derivatives, from one
+    ``moments`` call, which evaluates its integrand once."""
+
+    def test_probit_evaluates_log_ndtr_once(self, monkeypatch):
+        calls = []
+        real = svgp.log_ndtr
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(svgp, "log_ndtr", counted)
+        state, _, value_and_grad_of = random_problem(0, "probit", False)
+        value_and_grad_of(state)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("objective", ["gaussian", "probit", "poisson", "collapsed", "cox-exp", "cox-square"])
+    def test_one_moments_call_and_no_value_call(self, monkeypatch, objective):
+        if objective == "collapsed":
+            state, X, Y = collapsed_problem(0, "disjoint", False)
+            term, evaluate = type(state.likelihood), lambda: collapsed_bound_and_grad(state, X, Y)
+        else:
+            state, _, value_and_grad_of = random_problem(0, objective, False)
+            term = CoxModel if objective.startswith("cox") else type(state.likelihood)
+            evaluate = lambda: value_and_grad_of(state)
+        calls = []
+
+        def counting(name):
+            real = getattr(term, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in ("moments", "variational_expectations"):
+            if hasattr(term, name):
+                monkeypatch.setattr(term, name, counting(name))
+        value, grads = evaluate()
+        assert calls == ["moments"]
+        assert math.isfinite(value) and grads

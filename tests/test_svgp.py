@@ -189,6 +189,62 @@ class TestLikelihoods:
         with pytest.raises(ValueError, match="must be positive"):
             make(value)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_poisson_rejects_non_finite_counts(self, bad):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            PoissonCounts().validate_targets([1.0, bad])
+
+    def test_quadrature_rejects_a_nan_variance(self):
+        with pytest.raises(ValueError, match="NaN"):
+            gauss_hermite_expectation(np.sin, [0.0, 1.0], [math.nan, 1.0])
+
+
+def _likelihood_case(kind, rng, n):
+    """A likelihood and targets of its kind for ``n`` points."""
+    if kind == "gaussian":
+        return GaussianNoise(0.37), rng.standard_normal(n)
+    if kind == "probit":
+        return BernoulliProbit(), np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
+    return PoissonCounts(0.7), rng.poisson(2.0, n).astype(float)
+
+
+class TestMoments:
+    """``moments`` against its value part and central differences of it."""
+
+    STEP = 1e-5
+
+    @pytest.mark.parametrize("kind", ["gaussian", "probit", "poisson"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_values_and_derivatives(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(-3.0, 3.0, 40)
+        var = rng.uniform(0.05, 3.0, 40)
+        lik, y = _likelihood_case(kind, rng, 40)
+        values, d_mu, d_var, d_params = lik.moments(mu, var, y)
+        assert values.tobytes() == lik.variational_expectations(mu, var, y).tobytes()
+        h, expect = self.STEP, lik.variational_expectations
+        fd_mu = (expect(mu + h, var, y) - expect(mu - h, var, y)) / (2 * h)
+        fd_var = (expect(mu, var + h, y) - expect(mu, var - h, y)) / (2 * h)
+        np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-7, atol=1e-8)
+        np.testing.assert_allclose(d_var, fd_var, rtol=1e-7, atol=1e-8)
+        if kind == "gaussian":
+            nv = lik.noise_var
+            fd_noise = (
+                math.fsum(GaussianNoise(nv + h).variational_expectations(mu, var, y))
+                - math.fsum(GaussianNoise(nv - h).variational_expectations(mu, var, y))
+            ) / (2 * h)
+            assert d_params["noise_var"] == pytest.approx(fd_noise, rel=1e-7)
+        else:
+            assert d_params == {}
+
+    @pytest.mark.parametrize("kind", ["probit", "poisson"])
+    def test_quadrature_reports_zero_variance_derivative_at_zero_variance(self, kind):
+        rng = np.random.default_rng(9)
+        lik, y = _likelihood_case(kind, rng, 10)
+        mu = rng.uniform(-2.0, 2.0, 10)
+        _, _, d_var, _ = lik.moments(mu, np.zeros(10), y)
+        assert (d_var == 0.0).all()
+
     def test_checkpoint_with_nan_noise_does_not_load(self, tmp_path):
         # json accepts NaN; a state built from it would give elbo nan
         record = to_checkpoint_dict(make_state(16, likelihood=GaussianNoise(0.3)))
