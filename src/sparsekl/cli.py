@@ -31,9 +31,8 @@ import numpy as np
 from .cox import (
     CoxModel,
     _tensor_grid,
-    _terms,
     cox_elbo_and_grad,
-    fitted_intensity,
+    expected_rate,
     sample_inhomogeneous_pp,
 )
 from .gaussians import NotPositiveDefiniteError
@@ -479,7 +478,7 @@ def _task_fit(task, cfg, outdir, seed):
             )
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        likelihood, objective, data, covered = None, cox_elbo_and_grad, (model,), (model.points,)
+        likelihood, objective, data, covered = None, cox_elbo_and_grad, (model,), (model.points, None, model)
         locations = _grid_locations(model.lower, model.upper, model_cfg["num_inducing"])
     else:
         data = covered = X, Y = read_xy_data(cfg["data"], d)
@@ -499,19 +498,20 @@ def _task_fit(task, cfg, outdir, seed):
     state, fp, bound = _fitted_pass(state, *covered)
     wall = time.perf_counter() - started
     # report: the final objective, the predictions, the task's summary fields and line
+    final = fp.value()
     if task == "fit-cox":
         # the objective's integral term is the fitted intensity integrated over the
-        # quadrature grid, so the pass gives both
-        terms = _terms(fp, model)[0]
+        # quadrature grid, so the pass gives both; the prediction grid is a pass at
+        # the same q over the same factor of Kuu
         per_axis = 200 if d == 1 else 32
         grid = _tensor_grid([np.linspace(lo, hi, per_axis) for lo, hi in zip(model.lower, model.upper)])
-        columns, preds = ["intensity"], np.column_stack([grid, fitted_intensity(state, model, grid)])
-        reported = {"n_events": model.n_events, "final_elbo": terms.total,
-                    "integrated_intensity": terms.integral_term}
+        g = fp.rows(grid)
+        columns, preds = ["intensity"], np.column_stack([grid, expected_rate(model.link, g.mean, g.var)])
+        reported = {"n_events": model.n_events, "final_elbo": final,
+                    "integrated_intensity": model.terms(fp.moments()[0], fp.kl).integral_term}
         line = ("{task}: elbo {final_elbo:.6f}, integrated intensity "
                 "{integrated_intensity:.2f} over {n_events} events")
     else:
-        final = fp.value()
         columns, preds = ["mean", "variance"], np.column_stack([X, fp.mean, fp.var])
         reported = {"n_data": int(X.shape[0]), "final_elbo": final}
         if bound is not None:

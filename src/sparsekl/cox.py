@@ -13,10 +13,11 @@ Gauss-Legendre grid:
 
 The exponential link has both moments in closed form; the square link
 is kept as an experimental alternative and uses quadrature for the log
-moment.  The model enters the sparse pass as a data term over its
-events and grid nodes: :meth:`CoxModel.moments` gives each row's term
-and its derivatives in mean and variance from one evaluation of each
-link moment, as a likelihood's ``moments`` does.
+moment.  The model is the data term of the sparse pass over its events
+and grid nodes, as a likelihood is over its data: :meth:`CoxModel.moments`
+gives each row's term and its derivatives in mean and variance from one
+evaluation of each link moment, and :meth:`CoxModel.total` turns the rows
+and the KL into the objective.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .kernels import as_points
 from .svgp import (
     SVGPState,
     _WhitenedPass,
+    _checked_moments_input,
     _gauss_hermite,
     predictive_marginals,
 )
@@ -138,6 +140,20 @@ class CoxModel:
         values, d_mu, d_var = (np.concatenate([e, -wts * n]) for e, n in zip(events, nodes))
         return values, d_mu, d_var, {}
 
+    def terms(self, values, kl) -> "CoxTerms":
+        """The objective's terms from the rows of :meth:`moments` and ``kl``.
+
+        The event and integral sums stay apart, each exact, so the total keeps its
+        order and a +inf event sum never meets a -inf integral row in one sum.
+        """
+        ne = self.n_events
+        # 0.0 - keeps an all-zero integral +0.0
+        return CoxTerms(kl, math.fsum(values[:ne]), 0.0 - math.fsum(values[ne:]))
+
+    def total(self, values, kl) -> float:
+        """The objective, :attr:`CoxTerms.total` of :meth:`terms`."""
+        return self.terms(values, kl).total
+
 
 def legendre_grid(lower, upper, orders):
     """Tensor-product Gauss-Legendre nodes and weights on a rectangle."""
@@ -157,16 +173,9 @@ def _tensor_grid(axes):
 
 
 def expected_rate(link, mu, var):
-    """``E[rho(f)]`` under ``f ~ N(mu, var)``, in closed form for both links."""
-    mu = np.asarray(mu, dtype=float)
-    var = np.asarray(var, dtype=float)
-    if link == "exp":
-        # inf on overflow is the right limit; callers reject such states
-        with np.errstate(over="ignore"):
-            return np.exp(mu + 0.5 * var)
-    if link == "square":
-        return mu * mu + var
-    raise ValueError(f"unknown link {link!r}")
+    """``E[rho(f)]`` under ``f ~ N(mu, var)``, in closed form for both links: the
+    value part of :func:`_rate_moments`."""
+    return _rate_moments(link, *_checked_moments_input(mu, var))[0]
 
 
 def expected_log_rate(link, mu, var):
@@ -176,15 +185,19 @@ def expected_log_rate(link, mu, var):
     ``log f^2`` is clamped at -30 per node and integrated with 64
     Gauss-Hermite nodes.  The value part of :func:`_log_rate_moments`.
     """
-    return _log_rate_moments(link, mu, var)[0]
+    return _log_rate_moments(link, *_checked_moments_input(mu, var))[0]
 
 
 def _rate_moments(link, mu, var):
     """:func:`expected_rate` and its derivatives in ``mu`` and ``var``, from the one rate."""
-    rate = expected_rate(link, mu, var)
     if link == "exp":
+        # inf on overflow is the right limit; callers reject such states
+        with np.errstate(over="ignore"):
+            rate = np.exp(mu + 0.5 * var)
         return rate, rate, 0.5 * rate
-    return rate, 2.0 * mu, np.ones_like(var)
+    if link == "square":
+        return mu * mu + var, 2.0 * mu, np.ones_like(var)
+    raise ValueError(f"unknown link {link!r}")
 
 
 def _log_rate_moments(link, mu, var):
@@ -218,34 +231,22 @@ class CoxTerms:
         return -self.kl_term + self.event_term - self.integral_term
 
 
-def _terms(fp: _WhitenedPass, model: CoxModel):
-    """The terms of a pass over ``model.points``, and :meth:`CoxModel.moments` there.
-
-    The event and integral sums stay apart, each exact, so the total keeps its
-    order and a +inf event sum never meets a -inf integral row in one sum.
-    """
-    moments = model.moments(fp.mean, fp.var)
-    values, ne = moments[0], model.n_events
-    # 0.0 - keeps an all-zero integral +0.0
-    return CoxTerms(fp.kl, math.fsum(values[:ne]), 0.0 - math.fsum(values[ne:])), moments
-
-
 def cox_elbo_terms(state: SVGPState, model: CoxModel) -> CoxTerms:
     """The three pieces of the objective, each summed in a fixed exact order."""
-    return _terms(_WhitenedPass.at_state(state, model.points), model)[0]
+    fp = _WhitenedPass.at_state(state, model.points, lik=model)
+    return model.terms(fp.moments()[0], fp.kl)
 
 
 def cox_elbo(state: SVGPState, model: CoxModel) -> float:
-    """Variational objective: :attr:`CoxTerms.total` of :func:`cox_elbo_terms`."""
-    return cox_elbo_terms(state, model).total
+    """Variational objective: the value of the pass over ``model.points`` with the
+    model as its data term, :attr:`CoxTerms.total` of :func:`cox_elbo_terms`."""
+    return _WhitenedPass.at_state(state, model.points, lik=model).value()
 
 
 def cox_elbo_and_grad(state: SVGPState, model: CoxModel):
     """:func:`cox_elbo` and its exact gradient, keyed as in
     :func:`sparsekl.svgp.elbo_and_grad`."""
-    fp = _WhitenedPass.at_state(state, model.points)
-    terms, (_, d_mean, d_var, _) = _terms(fp, model)
-    return terms.total, fp.backward(d_mean, d_var)
+    return _WhitenedPass.at_state(state, model.points, lik=model).value_and_grad()
 
 
 def fitted_intensity(state: SVGPState, model: CoxModel, Xstar) -> np.ndarray:

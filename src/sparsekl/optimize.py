@@ -41,41 +41,13 @@ __all__ = [
     "svgp_parameterization",
 ]
 
-TRANSFORMS = ("identity", "log", "softplus")
-
-
-def _apply_transform(tag, raw):
-    if tag == "identity":
-        return np.asarray(raw, dtype=float).copy()
-    if tag == "log":
-        return np.exp(raw)
-    if tag == "softplus":
-        return np.logaddexp(0.0, raw)
-    raise ValueError(f"unknown transform {tag!r}")
-
-
-def _transform_slope(tag, raw):
-    """Derivative of the model value with respect to the raw coordinate."""
-    if tag == "identity":
-        return 1.0
-    if tag == "log":
-        return np.exp(raw)
-    if tag == "softplus":
-        return expit(raw)
-    raise ValueError(f"unknown transform {tag!r}")
-
-
-def _invert_transform(tag, value):
-    value = np.asarray(value, dtype=float)
-    if tag == "identity":
-        return value.copy()
-    if np.any(value <= 0):
-        raise ValueError(f"{tag}-constrained values must be positive")
-    if tag == "log":
-        return np.log(value)
-    if tag == "softplus":
-        return value + np.log1p(-np.exp(-value))
-    raise ValueError(f"unknown transform {tag!r}")
+# tag -> (model value of a raw coordinate, its derivative in the raw coordinate,
+# raw coordinate of a model value); every tag but identity constrains to positives
+TRANSFORMS = {
+    "identity": (np.array, lambda raw: 1.0, np.array),
+    "log": (np.exp, np.exp, np.log),
+    "softplus": (lambda raw: np.logaddexp(0.0, raw), expit, lambda v: v + np.log1p(-np.exp(-v))),
+}
 
 
 @dataclass(frozen=True)
@@ -90,7 +62,7 @@ class ParamBlock:
         if self.transform not in TRANSFORMS:
             raise ValueError(
                 f"block {self.name!r} has unknown transform {self.transform!r}; "
-                f"expected one of {TRANSFORMS}"
+                f"expected one of {tuple(TRANSFORMS)}"
             )
 
 
@@ -147,7 +119,7 @@ class ParamVector:
         """Model-space values by name, with each block's transform applied."""
         sls = self.layout.slices()
         return {
-            b.name: _apply_transform(b.transform, self.raw[sls[b.name]])
+            b.name: TRANSFORMS[b.transform][0](self.raw[sls[b.name]])
             for b in self.layout.blocks
         }
 
@@ -180,7 +152,10 @@ def from_constrained(layout: ParamLayout, values: dict) -> ParamVector:
     for b in layout.blocks:
         if b.name not in values:
             raise ValueError(f"missing block {b.name!r}")
-        raw[b.name] = _invert_transform(b.transform, values[b.name])
+        value = np.asarray(values[b.name], dtype=float)
+        if b.transform != "identity" and np.any(value <= 0):
+            raise ValueError(f"{b.transform}-constrained values must be positive")
+        raw[b.name] = TRANSFORMS[b.transform][2](value)
     if set(values) != {b.name for b in layout.blocks}:
         extra = set(values) - {b.name for b in layout.blocks}
         raise ValueError(f"unexpected blocks {sorted(extra)}")
@@ -230,7 +205,7 @@ def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
     slices = x.layout.slices()
     for b in x.layout.blocks:
         sl = slices[b.name]
-        out[sl] = np.ravel(grads[b.name]) * _transform_slope(b.transform, x.raw[sl])
+        out[sl] = np.ravel(grads[b.name]) * TRANSFORMS[b.transform][1](x.raw[sl])
     return out
 
 

@@ -11,11 +11,15 @@ q(u) substituted analytically.  The data term enters only through the
 one-dimensional expectations: each likelihood's ``moments(mu, var, y)``
 gives them and their derivatives in mean and variance from one
 evaluation of its integrand, and the reverse pass takes those
-derivatives back to q, the kernel and the features.
+derivatives back to q, the kernel and the features.  Every objective is
+one pass with one data term, a likelihood or a Cox model
+(:class:`sparsekl.cox.CoxModel`): its value is the data term's ``total``
+of its per-row values, minus the KL.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -89,9 +93,22 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     evaluation points are ``mu + sqrt(2 var) * x`` and the weights are
     normalized by ``1/sqrt(pi)``: the value part of :func:`_gauss_hermite`.
     """
-    if np.isnan(np.asarray(var, dtype=float)).any():
-        raise ValueError("variances must not be NaN")
+    mu, var = _checked_moments_input(mu, var)
     return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var, order)[0]
+
+
+def _checked_moments_input(mu, var):
+    """``mu`` and ``var`` as float arrays of one shape, with no NaN and no negative
+    variance: the check of the public moment routines.  The fit's own pass skips
+    it, so a NaN variance from an overflowed pass reaches the optimizer."""
+    mu, var = np.asarray(mu, dtype=float), np.asarray(var, dtype=float)
+    if mu.shape != var.shape:
+        raise ValueError(f"mu shape {mu.shape} != var shape {var.shape}")
+    if np.isnan(var).any():
+        raise ValueError("variances must not be NaN")
+    if (var < 0).any():
+        raise ValueError("variances must be nonnegative")
+    return mu, var
 
 
 def _gauss_hermite(fn, mu, var, order):
@@ -99,15 +116,11 @@ def _gauss_hermite(fn, mu, var, order):
     elementwise, where ``fn`` maps the nodes to ``(g, dg/df)`` in one evaluation.
 
     A node moves by ``x / sqrt(2 var)`` per unit of ``var``; at ``var = 0``
-    the variance derivative is reported as 0.  A NaN variance (from an
-    overflowed pass) gives NaN, which the optimizer names at a probe.
+    the variance derivative is reported as 0.  Unchecked: a NaN variance (from
+    an overflowed pass) gives NaN, which the optimizer names at a probe.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
-    if mu.shape != var.shape:
-        raise ValueError(f"mu shape {mu.shape} != var shape {var.shape}")
-    if (var < 0).any():
-        raise ValueError("variances must be nonnegative")
     x, w = _gh_nodes(order)
     root = np.sqrt(2.0 * var)
     g, dg = fn(mu[:, None] + root[:, None] * x[None, :])
@@ -123,7 +136,11 @@ class _DataTerm:
     def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
         """``E[log p(y_i | f_i)]`` under ``f_i ~ N(mu_i, var_i)``: the value part of
         ``moments``."""
-        return self.moments(mu, var, y, quad_order)[0]
+        return self.moments(*_checked_moments_input(mu, var), y, quad_order)[0]
+
+    def total(self, values, kl) -> float:
+        """The elbo from the per-row ``values`` of ``moments``: their exact sum minus ``kl``."""
+        return math.fsum(values) - kl
 
 
 class _QuadratureTerm(_DataTerm):
@@ -343,9 +360,9 @@ def _factor_Kuu(features, kernel: Kernel):
 class _FeatureFactors:
     """The q-independent half of one evaluation at the rows of ``X``.
 
-    Validated inputs (``Y`` against ``lik`` when given), the features
-    stacked once, ``Kuu`` and ``Luu`` (:func:`_factor_Kuu`), ``Kuf`` and
-    ``A = Luu^-1 Kuf`` (M x n).
+    The data term ``lik`` (a likelihood, or a ``CoxModel``), validated inputs
+    (``Y`` against ``lik`` when given), the features stacked once, ``Kuu`` and
+    ``Luu`` (:func:`_factor_Kuu`), ``Kuf`` and ``A = Luu^-1 Kuf`` (M x n).
     """
 
     def __init__(self, features, kernel: Kernel, X, Y=None, lik=None):
@@ -399,27 +416,37 @@ class _WhitenedPass:
 
     @classmethod
     def at_state(cls, state, X, Y=None, lik=None):
-        """The pass at the state's own q, whitened if need be; ``lik`` defaults to the state's."""
+        """The pass at the state's own q, whitened if need be, with the data term
+        ``lik``: by default the state's likelihood, for Cox the ``CoxModel``."""
         f = _FeatureFactors(state.features, state.kernel, X, Y, lik or state.likelihood)
         w = state.whiten(f.Luu)
         return cls(f, w.alpha, w.half)
 
-    def expected_log_lik(self):
+    def rows(self, X):
+        """The pass at the same q over other rows ``X``, without targets or data term: the
+        same stacked features, kernel, ``Kuu``, ``Luu`` and jitter, a new ``Kuf`` and ``A``."""
+        f = copy.copy(self.factors)
+        f.X, f.Y, f.lik = as_points(X, f.kernel.input_dim), None, None
+        f.Kuf = assemble_Kuf(f.features, f.kernel, f.X)
+        f.A = solve_triangular(f.Luu, f.Kuf, lower=True)
+        return _WhitenedPass(f, self.alpha, self.half)
+
+    def moments(self):
+        """The data term's ``(values, d_mean, d_var, d_params)`` at this pass's marginals."""
         f = self.factors
-        return math.fsum(f.lik.variational_expectations(self.mean, self.var, f.Y))
+        return f.lik.moments(self.mean, self.var, f.Y)
 
     def value(self):
-        """The elbo, ``expected_log_lik - kl``."""
-        return self.expected_log_lik() - self.kl
+        """The elbo: the data term's ``total`` of its per-row values against the KL."""
+        return self.factors.lik.total(self.moments()[0], self.kl)
 
     def value_and_grad(self):
         """:meth:`value` and its gradient (see :func:`elbo_and_grad`), from one
-        ``moments`` call of the likelihood."""
-        f = self.factors
-        values, d_mean, d_var, d_lik = f.lik.moments(self.mean, self.var, f.Y)
+        ``moments`` call of the data term."""
+        values, d_mean, d_var, d_lik = self.moments()
         grads = self.backward(d_mean, d_var)
         grads.update(d_lik)
-        return math.fsum(values) - self.kl, grads
+        return self.factors.lik.total(values, self.kl), grads
 
     def backward(self, d_mean, d_var) -> dict:
         """Gradient of ``data - kl`` with q held in whitened coordinates, where
@@ -490,21 +517,21 @@ def predictive_marginals(state: SVGPState, Xstar):
     return fp.mean, fp.var
 
 
-def expected_log_lik(state: SVGPState, X, Y, lik=None):
+def expected_log_lik(state: SVGPState, X, Y):
     """Sum over data of ``E_q[log p(y_i | f_i)]``.
 
     Summed with exact accumulation so the result does not depend on the
     ordering of the data.
     """
-    return _WhitenedPass.at_state(state, X, Y, lik).expected_log_lik()
+    return math.fsum(_WhitenedPass.at_state(state, X, Y).moments()[0])
 
 
-def elbo(state: SVGPState, X, Y, lik=None) -> float:
+def elbo(state: SVGPState, X, Y) -> float:
     """Evidence lower bound: expected log likelihood minus KL(q(u) || p(u))."""
-    return _WhitenedPass.at_state(state, X, Y, lik).value()
+    return _WhitenedPass.at_state(state, X, Y).value()
 
 
-def elbo_and_grad(state: SVGPState, X, Y, lik=None):
+def elbo_and_grad(state: SVGPState, X, Y):
     """:func:`elbo` and its exact gradient from one forward and one reverse pass.
 
     The gradient is a dict of model-space derivatives, keyed as in
@@ -512,7 +539,7 @@ def elbo_and_grad(state: SVGPState, X, Y, lik=None):
     (``noise_var`` for Gaussian noise).  Also for an :class:`SVGPState`, q's
     entries are the whitened blocks of :class:`WhitenedState`, held fixed by the others.
     """
-    return _WhitenedPass.at_state(state, X, Y, lik).value_and_grad()
+    return _WhitenedPass.at_state(state, X, Y).value_and_grad()
 
 
 def _collapsed_factors(f: _FeatureFactors):
@@ -616,15 +643,16 @@ def collapsed_bound_and_grad(state: SVGPState, X, Y):
     return value, grads
 
 
-def _fitted_pass(fitted: WhitenedState, X, Y=None):
-    """``(state, pass, bound)`` after a fit, from one :class:`_FeatureFactors` over ``X``.
+def _fitted_pass(fitted: WhitenedState, X, Y=None, lik=None):
+    """``(state, pass, bound)`` after a fit, from one :class:`_FeatureFactors` over ``X``,
+    with the data term ``lik`` (by default the fitted likelihood; for Cox the model).
 
     For Gaussian noise q moves to its closed-form optimum (the collapsed bound leaves
     it at the prior) and ``bound`` is :func:`collapsed_bound` from the same ``(UB, c)``;
     else ``bound`` is None.  ``state`` is the :class:`SVGPState` a checkpoint stores, and
     the pass is at it whitened against ``Luu``, as :func:`elbo` evaluates a reload.
     """
-    f = _FeatureFactors(fitted.features, fitted.kernel, X, Y, fitted.likelihood)
+    f = _FeatureFactors(fitted.features, fitted.kernel, X, Y, lik or fitted.likelihood)
     bound = None
     if isinstance(f.lik, GaussianNoise):
         UB, c = _collapsed_factors(f)

@@ -234,6 +234,11 @@ class TestConfigValidation:
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_section_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bad.json", {"data": "x.csv", "model": 5})
+        assert main(["fit-regression", "--config", cfg]) == 2
+        assert capsys.readouterr().err.endswith("model: expected an object\n")
+
     def test_data_path_must_exist(self, tmp_path, capsys):
         cfg = small_fit_config(tmp_path, str(tmp_path / "nope.csv"), str(tmp_path / "o"))
         rc = main(["fit-regression", "--config", cfg])
@@ -479,6 +484,13 @@ class TestCsvHandling:
         with pytest.raises(cli.DataError) as err:
             read_csv(str(path), ["a", "b"])
         assert str(err.value).startswith(f"cannot read {path}: ")
+
+    def test_header_only_data_file_exits_with_the_data_code(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("x1,y\n", encoding="utf-8")
+        cfg = small_fit_config(tmp_path, str(data), str(tmp_path / "fit"), iters=1)
+        assert main(["fit-regression", "--config", cfg]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {data}: no data rows\n"
 
     def test_read_xy_shapes(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -799,10 +811,10 @@ class TestPostFitPass:
         np.testing.assert_array_equal(preds, np.column_stack([X, mean, var]))
 
     @staticmethod
-    def builds_after_the_fit(monkeypatch, argv):
-        """``(_FeatureFactors, assemble_Kuf, cholesky_jittered)`` calls made by
+    def builds_after_the_fit(monkeypatch, argv, names=("assemble_Kuf", "cholesky_jittered")):
+        """``(_FeatureFactors, *names)`` calls, ``names`` bound in ``svgp``, made by
         ``main(argv)`` once the optimizer returns."""
-        counts = dict.fromkeys(("_FeatureFactors", "assemble_Kuf", "cholesky_jittered"), 0)
+        counts = dict.fromkeys(("_FeatureFactors", *names), 0)
         real_factors, real_maximize = svgp._FeatureFactors, cli.maximize
 
         class Counted(real_factors):
@@ -825,7 +837,7 @@ class TestPostFitPass:
             return result
 
         monkeypatch.setattr(svgp, "_FeatureFactors", Counted)
-        for name in ("assemble_Kuf", "cholesky_jittered"):
+        for name in names:
             monkeypatch.setattr(svgp, name, counted(name))
         monkeypatch.setattr(cli, "maximize", fit_then_reset)
         assert main(argv) == 0
@@ -833,13 +845,13 @@ class TestPostFitPass:
 
     @pytest.mark.parametrize(
         "task, expected",
-        [("fit-regression", (1, 1, 1)), ("fit-classification", (1, 1, 1)), ("fit-cox", (2, 2, 2))],
+        [("fit-regression", (1, 1, 1)), ("fit-classification", (1, 1, 1)), ("fit-cox", (1, 2, 1))],
         ids=["regression", "classification", "cox"],
     )
     def test_fitted_model_is_factored_once(self, tmp_path, monkeypatch, task, expected):
         # one factorization at the fitted state serves the closed-form q, the
-        # conversion, final_elbo, the predictions, the collapsed bound and the
-        # Cox terms; only the Cox prediction grid, other rows, has its own
+        # conversion, final_elbo, the predictions, the collapsed bound, the Cox
+        # terms and the Cox prediction grid, whose rows get only their own Kuf
         out = str(tmp_path / "fit")
         if task == "fit-regression":
             cfg = small_fit_config(tmp_path, regression_dataset(tmp_path), out, iters=3)
@@ -870,6 +882,29 @@ class TestPostFitPass:
             terms = cox_elbo_terms(state, cox_model)
             assert summary["final_elbo"] == cox_elbo(state, cox_model)
             assert summary["integrated_intensity"] == terms.integral_term
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cox_grid_reuses_the_fitted_factor_of_Kuu(self, tmp_path, monkeypatch, dim):
+        # after the fit: one Kuu assembled and factored, one Kuf for the events and
+        # quadrature nodes and one for the prediction grid
+        data = tmp_path / "events.csv"
+        events = [[0.1, 0.8], [0.25, 0.3], [0.3, 0.5], [0.6, 0.1], [0.62, 0.9], [0.9, 0.4]]
+        write_csv(data, [f"x{i + 1}" for i in range(dim)], [e[:dim] for e in events])
+        model = {
+            "kernel": {"variance": 0.5, "lengthscales": [0.25] * dim, "mean": 1.5},
+            "num_inducing": 4,
+            "feature_type": "gwindow",
+            "domain": [[0.0, 1.0]] * dim,
+            "quad_orders": [12] * dim,
+        }
+        cfg = write_config(
+            tmp_path, "cox.json",
+            {"data": str(data), "out": str(tmp_path / "fit"), "model": model,
+             "optimizer": {"max_iters": 3}},
+        )
+        names = ("assemble_Kuu", "cholesky_jittered", "assemble_Kuf")
+        counts = self.builds_after_the_fit(monkeypatch, ["fit-cox", "--config", cfg], names)
+        assert counts == (1, 1, 1, 2)
 
 
 def fit_case(tmp_path, case):

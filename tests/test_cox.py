@@ -107,6 +107,20 @@ class TestLinks:
             expected_rate("cube", np.array([0.0]), np.array([1.0]))
 
 
+class TestPublicLinkMomentChecks:
+    """The public link moments reject a NaN or negative variance, which the fit's
+    own pass never produces."""
+
+    def test_expected_log_rate_rejects_a_nan_variance(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            expected_log_rate("exp", [0.0], [math.nan])
+
+    def test_expected_rate_rejects_a_negative_variance(self):
+        # the square link would give E[f^2] = -1, a negative rate
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            expected_rate("square", [0.0], [-1.0])
+
+
 class TestCoxModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="volume|upper"):
@@ -241,15 +255,17 @@ class TestCoxObjective:
 
     @pytest.mark.parametrize("link", ["exp", "square"])
     def test_one_expected_rate_per_evaluation(self, monkeypatch, link):
-        # the integral term's rate at the grid nodes also gives its gradient
+        # the integral term's rate at the grid nodes also gives its gradient; the
+        # pass computes it unchecked, without the public expected_rate
         calls = []
-        original = cox.expected_rate
+        original = cox._rate_moments
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cox, "expected_rate", counting)
+        monkeypatch.setattr(cox, "_rate_moments", counting)
+        monkeypatch.setattr(cox, "expected_rate", lambda *args: pytest.fail("checked expected_rate called"))
         state = tiny_state(mean_level=1.0, seed=8)
         model = CoxModel([0.0], [1.0], [[0.3], [0.6]], link=link, quad_orders=(12,))
         value, _ = cox_elbo_and_grad(state, model)

@@ -236,6 +236,11 @@ def test_serialization_rejects_bad_records():
         feature_from_dict({"type": "gwindow", "center": [0.0]})
 
 
+def test_record_without_type_is_rejected():
+    with pytest.raises(ValueError, match="must be a dict with a 'type' key"):
+        feature_from_dict({"loc": [0.0]})
+
+
 def test_feature_validation():
     with pytest.raises(ValueError, match="positive"):
         GaussianWindowFeature(center=[0.0], widths=[0.0])

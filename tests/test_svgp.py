@@ -261,6 +261,40 @@ class TestMoments:
         with pytest.raises(ValueError, match="unknown likelihood"):
             likelihood_from_dict({"kind": "cauchy"})
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"noise_var": 0.1}, "must be a dict with a 'kind'"),
+            ({"kind": "gaussian", "noise_var": 0.1, "extra": 1}, "malformed gaussian"),
+            ({"kind": "gaussian"}, "malformed gaussian"),
+            ({"kind": "bernoulli", "bin_width": 1.0}, "malformed bernoulli"),
+            ({"kind": "poisson", "bin_width": 1.0, "extra": 1}, "malformed poisson"),
+        ],
+        ids=["no-kind", "gaussian-extra", "gaussian-no-noise", "bernoulli-extra", "poisson-extra"],
+    )
+    def test_malformed_record_is_rejected(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            likelihood_from_dict(record)
+
+
+class TestPublicMomentChecks:
+    """The public moment routines reject what the fit's own pass never produces:
+    a NaN or negative variance, and means and variances of different shapes."""
+
+    @pytest.mark.parametrize(
+        "lik, mu, var, y, message",
+        [
+            (BernoulliProbit(), [0.0], [math.nan], [1.0], "must not be NaN"),
+            (PoissonCounts(), [0.0], [math.nan], [1.0], "must not be NaN"),
+            (GaussianNoise(0.1), [0.0], [-1.0], [1.0], "must be nonnegative"),
+            (GaussianNoise(0.1), [0.0, 1.0], [1.0], [1.0, 2.0], r"mu shape \(2,\) != var shape \(1,\)"),
+        ],
+        ids=["probit-nan", "poisson-nan", "gaussian-negative", "gaussian-shapes"],
+    )
+    def test_variational_expectations_reject(self, lik, mu, var, y, message):
+        with pytest.raises(ValueError, match=message):
+            lik.variational_expectations(mu, var, y)
+
 
 class TestState:
     def test_validation(self):
@@ -603,6 +637,13 @@ class TestCollapsed:
         with pytest.raises(ValueError, match="noise_var must be positive"):
             fn(feats, k, X, Y, 0.0)
 
+    def test_elbo_needs_a_likelihood(self):
+        k, X, Y, _, feats = self._instance(0, n=10)
+        M = len(feats)
+        state = SVGPState(feats, np.zeros(M), np.eye(M), k)
+        with pytest.raises(ValueError, match="no likelihood given and the state carries none"):
+            elbo(state, X, Y)
+
     def test_bound_and_grad_needs_gaussian_noise(self):
         k, X, Y, _, feats = self._instance(0, n=10)
         M = len(feats)
@@ -647,6 +688,18 @@ class TestCheckpoint:
         from sparsekl.svgp import from_checkpoint_dict
 
         with pytest.raises(ValueError, match="keys"):
+            from_checkpoint_dict(d)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_rejects_malformed_kernel_record(self, change):
+        from sparsekl.svgp import from_checkpoint_dict
+
+        d = to_checkpoint_dict(make_state(14))
+        if change == "missing":
+            del d["kernel"]["mean_const"]
+        else:
+            d["kernel"]["shape"] = 3.0
+        with pytest.raises(ValueError, match="malformed kernel record"):
             from_checkpoint_dict(d)
 
     def test_nan_token_in_checkpoint_is_rejected(self, tmp_path):
