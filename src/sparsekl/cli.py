@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -287,66 +288,58 @@ def load_config(path: str, task: str) -> dict:
 
 def write_csv(path, header, rows):
     """Header, then one line per row, each value written as ``repr(float(v))``."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.asarray(rows, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-def _reader_error(path, reader, exc):
-    """A ``csv`` or UTF-8 decoding failure as a ``DataError`` that names its line; the
-    text layer decodes ahead of the reader, so the bytes are decoded again line by line."""
-    lineno = reader.line_num
-    if isinstance(exc, UnicodeDecodeError):
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as line_exc:
-                    exc = line_exc
-                    break
-    return DataError(f"{path} line {lineno}: {exc}")
+        fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_csv(path, expected_header):
-    """Strict CSV: exact header, rectangular, finite floats; an error names the first bad line."""
+    """Strict CSV: exact header, rectangular, finite floats; an error names the first
+    bad line in file order.  The file is read and decoded once."""
     k = len(expected_header)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header "
-                            f"{','.join(expected_header)}") from None
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _reader_error(path, reader, exc) from exc
+    # every fault is raised after the finiteness check, so an earlier
+    # non-finite line is the one named
+    try:
+        text, fault = raw.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        # the lines before the undecodable one are parsed; its fault is the
+        # error that decoding it alone, with its line ending, raises
+        start = raw.rfind(b"\n", 0, exc.start) + 1
+        line = raw[start:raw.find(b"\n", exc.start) + 1 or None]
+        exc = UnicodeDecodeError(exc.encoding, line, exc.start - start, exc.end - start, exc.reason)
+        lineno = raw.count(b"\n", 0, start) + 1
+        fault = DataError(f"{path} line {lineno}: {exc}")
+        text = raw[:start].decode("utf-8")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    values, lines = [], []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise fault or DataError(f"{path}: empty file, expected header "
+                                     f"{','.join(expected_header)}")
         if [h.strip() for h in header] != list(expected_header):
-            raise DataError(
-                f"{path} line 1: header {','.join(header)!r} does not match "
-                f"expected {','.join(expected_header)!r}"
-            )
-        # a fault is raised after the finiteness check, so an earlier
-        # non-finite line is the one named
-        values, lines, fault = [], [], None
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != k:
-                    raise DataError(f"{path} line {lineno}: expected {k} fields, got {len(row)}")
-                try:
-                    values.extend(map(float, row))
-                except ValueError as exc:
-                    raise DataError(f"{path} line {lineno}: {exc}") from exc
-                lines.append(lineno)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            fault = _reader_error(path, reader, exc)
-        except (ValueError, OSError) as exc:
-            fault = exc
+            raise DataError(f"{path} line 1: header {','.join(header)!r} does not match "
+                            f"expected {','.join(expected_header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != k:
+                raise DataError(f"{path} line {lineno}: expected {k} fields, got {len(row)}")
+            try:
+                values.extend(map(float, row))
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from exc
+            lines.append(lineno)
+    except csv.Error as exc:
+        fault = DataError(f"{path} line {reader.line_num}: {exc}")
+    except ValueError as exc:
+        fault = exc
     data = np.array(values[:len(lines) * k], dtype=float).reshape(len(lines), k)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():

@@ -132,15 +132,17 @@ def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
     Broadcasts and reduces over the last axis.  For points ``comb`` is
     ``lengthscale^2``, whose square root is the lengthscale exactly, so
     ``scale`` is 1.0 and the result is bit-identical to
-    :func:`kernel_matrix`.  Work is done in place because each fresh
-    (M, n) temporary costs as much as the arithmetic on it.
+    :func:`kernel_matrix`.  Work is done in place, one dimension at a time,
+    because each fresh (M, n) temporary costs as much as the arithmetic on it.
     """
     root = np.sqrt(comb)
     scale = (kernel.lengthscales / root).prod(axis=-1)
-    t = A - B
-    t /= root
-    t *= t
-    K = t.sum(axis=-1)
+    K = None
+    for a in range(root.shape[-1]):
+        t = A[..., a] - B[..., a]
+        t /= root[..., a]
+        t *= t
+        K = t if K is None else np.add(K, t, out=K)
     K *= -0.5
     np.exp(K, out=K)
     K *= kernel.variance * scale

@@ -260,7 +260,7 @@ def maximize(
     instead report convergence there (on +inf) or wander off (on NaN).
     """
     counts = {"objective": 0, "gradient": 0}
-    probes = {}  # raw bytes -> (value, gradient norm) since the last accepted iterate
+    last = [None]  # (value, gradient norm) of the latest probe: L-BFGS-B accepts its last probe
     accepted = [x0.raw]
     trace = []
     records = []
@@ -295,13 +295,12 @@ def maximize(
             grad = numeric_grad(counted, pv)
         if not trace:
             trace.append(value)
-        probes[raw.tobytes()] = (value, float(np.linalg.norm(grad)))
+        last[0] = (value, float(np.linalg.norm(grad)))
         return -value, -grad
 
     def accept(intermediate_result):
         x = intermediate_result.x
-        value, grad_norm = probes[x.tobytes()]
-        probes.clear()
+        value, grad_norm = last[0]
         step = float(np.abs(x - accepted[-1]).max())
         records.append((len(records) + 1, value, step, grad_norm))
         trace.append(value)

@@ -135,8 +135,12 @@ class _DataTerm:
 
     def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
         """``E[log p(y_i | f_i)]`` under ``f_i ~ N(mu_i, var_i)``: the value part of
-        ``moments``."""
-        return self.moments(*_checked_moments_input(mu, var), y, quad_order)[0]
+        ``moments``, for targets the likelihood accepts, one per mean."""
+        mu, var = _checked_moments_input(mu, var)
+        y = self.validate_targets(y)
+        if y.shape != np.atleast_1d(mu).shape:
+            raise ValueError(f"y shape {y.shape} != mu shape {mu.shape}")
+        return self.moments(mu, var, y, quad_order)[0]
 
     def total(self, values, kl) -> float:
         """The elbo from the per-row ``values`` of ``moments``: their exact sum minus ``kl``."""

@@ -407,8 +407,18 @@ class TestCsvHandling:
 
     @pytest.mark.parametrize(
         "later",
-        [b"2," + b"1" * 200_000 + b"\n", b"2,3\n" * 5000 + b"\xff\xfe,1\n"],
-        ids=["field-over-csv-limit", "invalid-utf8"],
+        [
+            b"2," + b"1" * 200_000 + b"\n",
+            b"2,3\n" * 5000 + b"\xff\xfe,1\n",
+            b"\xff,1\n",
+            b"3\n\xff,1\n",
+        ],
+        ids=[
+            "field-over-csv-limit",
+            "invalid-utf8",
+            "invalid-utf8-next-line",
+            "field-count-then-invalid-utf8",
+        ],
     )
     def test_non_finite_is_named_before_a_reader_error(self, tmp_path, later):
         path = tmp_path / "t.csv"
@@ -457,8 +467,34 @@ class TestCsvHandling:
                 b'"' + b"a" * 200_000 + b'",b\n1,2\n',
                 "{path} line 1: field larger than field limit ({limit})",
             ),
+            (
+                b"a,b\n1,2\n3\n\xff,1\n",
+                "{path} line 3: expected 2 fields, got 1",
+            ),
+            (
+                b"a,b\n1,2\nfish,2\n\xff,1\n",
+                "{path} line 3: could not convert string to float: 'fish'",
+            ),
+            (
+                b"a,b\n4," + b"1" * 200_000 + b"\n\xff,1\n",
+                "{path} line 2: field larger than field limit ({limit})",
+            ),
+            (
+                b"a,b\n1,2\n5,\xc3\n",
+                "{path} line 3: 'utf-8' codec can't decode byte 0xc3 in "
+                "position 2: invalid continuation byte",
+            ),
         ],
-        ids=["field-over-csv-limit", "invalid-utf8", "invalid-utf8-header", "header-over-limit"],
+        ids=[
+            "field-over-csv-limit",
+            "invalid-utf8",
+            "invalid-utf8-header",
+            "header-over-limit",
+            "field-count-then-invalid-utf8",
+            "not-a-number-then-invalid-utf8",
+            "field-over-limit-then-invalid-utf8",
+            "truncated-multibyte",
+        ],
     )
     def test_reader_errors_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "t.csv"
@@ -478,6 +514,48 @@ class TestCsvHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {data} line 3002: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"a,b\n1,2\n",
+            b"a,b\n1.0,nan\n\xff,1\n",
+            b"a,b\n" + b"2,3\n" * 3000 + b"\xff,1\n",
+            b"\xff\n",
+            b"a,b\n4," + b"1" * 200_000 + b"\n",
+            b"",
+        ],
+        ids=["good", "non-finite", "invalid-utf8", "invalid-utf8-header", "field", "empty"],
+    )
+    def test_data_file_is_opened_once(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        opened = []
+
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        try:
+            read_csv(str(path), ["a", "b"])
+        except cli.DataError:
+            pass
+        assert opened == [str(path)]
+
+    def test_large_table_round_trips_exactly(self, tmp_path):
+        # 5,000 rows put the bytes and the values well past any read-ahead buffer
+        rng = np.random.default_rng(7)
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-310, 1e22, 0.1]
+        values = rng.standard_normal((5000, 2)) * 10.0 ** rng.integers(-8, 9, (5000, 2))
+        rows = [(i, v, edge[i % len(edge)], w) for i, (v, w) in enumerate(values.tolist())]
+        header = ["iter", "objective", "step_scale", "grad_norm"]
+        path = tmp_path / "big.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == self.per_cell_reference(header, rows)
+        assert path.read_text().splitlines()[4999].startswith("4998.0,")
+        back = read_csv(str(path), header)
+        assert back.tobytes() == np.asarray(rows, dtype=float).tobytes()
 
     def test_missing_file_message(self, tmp_path):
         path = tmp_path / "absent.csv"

@@ -167,6 +167,23 @@ class TestMaximize:
         objs = [r[1] for r in res.records]
         np.testing.assert_array_equal(objs, res.trace[1:])
 
+    @pytest.mark.parametrize("jac", [False, True], ids=["central-differences", "fused"])
+    def test_final_record_is_taken_at_the_result(self, jac):
+        layout = ParamLayout((ParamBlock("x", 2),))
+
+        def banana(v):
+            a, b = v.raw
+            value = float(-((1 - a) ** 2) - 5.0 * (b - a * a) ** 2)
+            grad = np.array([2.0 * (1 - a) + 20.0 * a * (b - a * a), -10.0 * (b - a * a)])
+            return (value, grad) if jac else value
+
+        res = maximize(banana, ParamVector(layout, np.array([-1.0, 1.5])), max_iters=300, jac=jac)
+        assert res.iterations > 5
+        value, grad = banana(res.x) if jac else (banana(res.x), numeric_grad(banana, res.x))
+        _, objective, _, grad_norm = res.records[-1]
+        assert objective == value == res.objective
+        assert grad_norm == float(np.linalg.norm(grad))
+
     def test_analytic_gradient_replaces_central_differences(self):
         # the same optimum, at one fused value-and-gradient call per evaluation
         layout = ParamLayout((ParamBlock("x", 3),))

@@ -279,7 +279,8 @@ class TestMoments:
 
 class TestPublicMomentChecks:
     """The public moment routines reject what the fit's own pass never produces:
-    a NaN or negative variance, and means and variances of different shapes."""
+    a NaN or negative variance, means and variances of different shapes, and
+    targets that the likelihood rejects or that do not match the means."""
 
     @pytest.mark.parametrize(
         "lik, mu, var, y, message",
@@ -288,8 +289,25 @@ class TestPublicMomentChecks:
             (PoissonCounts(), [0.0], [math.nan], [1.0], "must not be NaN"),
             (GaussianNoise(0.1), [0.0], [-1.0], [1.0], "must be nonnegative"),
             (GaussianNoise(0.1), [0.0, 1.0], [1.0], [1.0, 2.0], r"mu shape \(2,\) != var shape \(1,\)"),
+            (GaussianNoise(0.1), [0.0, 1.0], [1.0, 1.0], [1.0], r"y shape \(1,\) != mu shape \(2,\)"),
+            (BernoulliProbit(), [0.0, 1.0], [1.0, 1.0], [1.0], r"y shape \(1,\) != mu shape \(2,\)"),
+            (PoissonCounts(1.0), [0.0, 1.0], [1.0, 1.0], [1.0], r"y shape \(1,\) != mu shape \(2,\)"),
+            (BernoulliProbit(), [0.0], [1.0], [0.5], "labels must be -1 or"),
+            (PoissonCounts(1.0), [0.0], [1.0], [-1.0], "counts must be finite nonnegative"),
+            (GaussianNoise(0.1), [0.0], [1.0], [math.nan], "targets must be finite"),
         ],
-        ids=["probit-nan", "poisson-nan", "gaussian-negative", "gaussian-shapes"],
+        ids=[
+            "probit-nan",
+            "poisson-nan",
+            "gaussian-negative",
+            "gaussian-shapes",
+            "gaussian-target-length",
+            "probit-target-length",
+            "poisson-target-length",
+            "probit-label",
+            "poisson-negative-count",
+            "gaussian-nan-target",
+        ],
     )
     def test_variational_expectations_reject(self, lik, mu, var, y, message):
         with pytest.raises(ValueError, match=message):
