@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -294,6 +296,9 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
 def read_csv(path, expected_header):
     """Strict CSV: exact header, rectangular, finite floats; an error names the first
     bad line in file order.  The file is read and decoded once."""
@@ -309,11 +314,13 @@ def read_csv(path, expected_header):
         text, fault = raw.decode("utf-8"), None
     except UnicodeDecodeError as exc:
         # the lines before the undecodable one are parsed; its fault is the
-        # error that decoding it alone, with its line ending, raises
-        start = raw.rfind(b"\n", 0, exc.start) + 1
-        line = raw[start:raw.find(b"\n", exc.start) + 1 or None]
+        # error that decoding it alone, with its line ending, raises.  Lines
+        # end as csv ends them: at LF, CRLF or a lone CR.
+        start = max(raw.rfind(b"\n", 0, exc.start), raw.rfind(b"\r", 0, exc.start)) + 1
+        end = _LINE_END.search(raw, exc.start)
+        line = raw[start:end.end() if end else None]
         exc = UnicodeDecodeError(exc.encoding, line, exc.start - start, exc.end - start, exc.reason)
-        lineno = raw.count(b"\n", 0, start) + 1
+        lineno = len(_LINE_END.findall(raw, 0, start)) + 1
         fault = DataError(f"{path} line {lineno}: {exc}")
         text = raw[:start].decode("utf-8")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -326,7 +333,10 @@ def read_csv(path, expected_header):
         if [h.strip() for h in header] != list(expected_header):
             raise DataError(f"{path} line 1: header {','.join(header)!r} does not match "
                             f"expected {','.join(expected_header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            # a record starts on the line after the previous one ends
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != k:
@@ -610,7 +620,35 @@ def build_parser():
     return parser
 
 
+# glibc's own settings of its allocator, which the CLI never overrides
+_MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_"}
+
+
+def _keep_freed_heap() -> bool:
+    """Keep the heap memory this process frees mapped, so that each fit evaluation
+    reuses its M x n arrays' pages instead of faulting them in again.
+
+    By default glibc unmaps a freed block above its mmap threshold and trims the
+    heap's free top, so a block of 640 KB (M = 20, n = 4,000) costs a page fault
+    per 4 KB on every evaluation.  ``mallopt`` raises the mmap threshold to
+    32 MiB, glibc's 64-bit maximum, and then the trim threshold to 128 MiB;
+    either alone leaves more faults than the default.  Returns whether both were
+    set: not when the user set glibc's own ``MALLOC_*_`` or ``glibc.malloc.``
+    tunables, and not without glibc's ``mallopt``.
+    """
+    if _MALLOC_ENV & os.environ.keys() or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    return mallopt(m_mmap_threshold, 32 << 20) == 1 and mallopt(m_trim_threshold, 128 << 20) == 1
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.task)

@@ -6,15 +6,17 @@ set of operations on explicit mean/covariance pairs: factorize, solve,
 marginalize, condition, and compute KL divergences.  All solves go
 through Cholesky factors; no explicit matrix inverse is ever formed.
 
-One LAPACK call per factorization or solve, with every right-hand side
-stacked: :func:`cholesky`, :func:`solve_triangular` and :func:`cho_solve`
-call ``dpotrf``, ``dtrtrs`` and ``dpotrs`` directly and are the only
-route to them in the package.  The oracle's matrices are at most about
-12 x 12, where LAPACK takes 2-3 us and the general wrappers
-(``np.linalg.cholesky``, ``scipy.linalg.solve_triangular``/``cho_solve``)
-spend 7-22 us per call on dispatch, batching and validation; the kernels
-keep those wrappers' checks (finite inputs to a solve, shapes, failure
-as ``LinAlgError``) and drop the rest.
+One LAPACK or BLAS call per factorization or solve, with every right-hand
+side stacked: :func:`cholesky`, :func:`solve_triangular` and
+:func:`cho_solve` call ``dpotrf``, ``dtrtrs`` (or ``dtrsm`` from the right
+for a C-ordered right-hand side, which it solves without a layout copy)
+and ``dpotrs`` directly and are the only route to them in the package.
+The oracle's matrices are at most about 12 x 12, where LAPACK takes
+2-3 us and the general wrappers (``np.linalg.cholesky``,
+``scipy.linalg.solve_triangular``/``cho_solve``) spend 7-22 us per call
+on dispatch, batching and validation; the kernels keep those wrappers'
+checks (finite inputs to a solve, shapes, failure as ``LinAlgError``)
+and drop the rest.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
@@ -91,28 +94,40 @@ def _check_solve_inputs(L, B):
 
 
 def solve_triangular(L, B, *, lower=False, trans=0):
-    """``L^-1 B`` (``trans=0``) or ``L^-T B`` (``trans=1``) from one ``dtrtrs``.
+    """``L^-1 B`` (``trans=0``) or ``L^-T B`` (``trans=1``) from one ``dtrtrs``,
+    or for a 2-D C-ordered ``B`` from one ``dtrsm``.
 
     ``B`` is a vector or a matrix of stacked right-hand sides.  A
     C-ordered ``L`` goes in as its Fortran-ordered transpose with
-    ``lower`` and ``trans`` flipped, so it is not copied.  Raises
-    ``ValueError`` on a non-finite input and ``np.linalg.LinAlgError`` on
-    a zero diagonal, as ``scipy.linalg.solve_triangular`` does.
+    ``lower`` and ``trans`` flipped, so it is not copied.  A C-ordered
+    ``B`` is ``B^T`` in Fortran order, so it is solved from the right,
+    ``X^T op(L)^T = B^T``, without a layout copy, and ``X`` comes back
+    C-ordered like ``B``.  Raises ``ValueError`` on a non-finite input and
+    ``np.linalg.LinAlgError`` on a zero diagonal, as
+    ``scipy.linalg.solve_triangular`` does.
     """
     _check_solve_inputs(L, B)
     if B.size == 0:
         return np.zeros(B.shape)
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, B, lower=lower, trans=trans)
-    else:
-        x, info = dtrtrs(L.T, B, lower=not lower, trans=not trans)
+    a = L
+    if not L.flags.f_contiguous:
+        a, lower, trans = L.T, not lower, not trans
+    if B.ndim == 2 and B.flags.c_contiguous and not B.flags.f_contiguous:
+        # dtrsm does not check the diagonal; name its first zero as dtrtrs does
+        diag = a.diagonal().tolist()
+        if 0.0 in diag:
+            raise _singular(diag.index(0.0))
+        return dtrsm(1.0, a, B.T, side=1, lower=lower, trans_a=not trans).T
+    x, info = dtrtrs(a, B, lower=lower, trans=trans)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}"
-        )
+        raise _singular(info - 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dtrtrs")
     return x
+
+
+def _singular(i):
+    return np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {i}")
 
 
 def cho_solve(factor, B):

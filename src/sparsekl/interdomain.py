@@ -182,6 +182,10 @@ def assemble_vjp(features, kernel: Kernel, X, Q_uu, Q_uf) -> dict:
     Returns ``kernel_variance`` (float), ``kernel_lengthscales`` (d,),
     ``feature_centers`` and ``feature_widths`` (M, d each; the widths
     gradient of a point feature is the width-0 limit, always 0).
+
+    ``Kuf``'s comb is constant along each row, so its pullback needs only
+    row sums: per input dimension one (M, n) difference ``t`` gives
+    ``sum_j Q t`` and, squared in place, ``sum_j Q t^2``.
     """
     C, W = _stack(features, kernel)
     ell = kernel.lengthscales
@@ -190,17 +194,24 @@ def assemble_vjp(features, kernel: Kernel, X, Q_uu, Q_uf) -> dict:
     var_uu, ell_uu, dc_uu, dcomb_uu = _se_cov_vjp(
         kernel, C[:, None, :], C[None, :, :], comb_uu, Q_uu
     )
-    comb_uf = (ell**2 + W2)[:, None, :]
-    var_uf, ell_uf, dc_uf, dcomb_uf = _se_cov_vjp(
-        kernel, C[:, None, :], X[None, :, :], comb_uf, Q_uf
-    )
-    # comb_uu[i, j] holds w_i^2 + w_j^2, comb_uf[i, :] holds w_i^2
-    d_w2 = dcomb_uu.sum(axis=1) + dcomb_uu.sum(axis=0) + dcomb_uf.sum(axis=1)
-    d_comb = dcomb_uu.sum(axis=(0, 1)) + dcomb_uf.sum(axis=(0, 1))
+    comb_uf = ell**2 + W2
+    q_rows = Q_uf.sum(axis=1)
+    qt, qt2 = np.empty_like(C), np.empty_like(C)
+    for a in range(C.shape[1]):
+        t = C[:, a, None] - X[None, :, a]
+        qt[:, a] = np.einsum("ij,ij->i", Q_uf, t)
+        t *= t
+        qt2[:, a] = np.einsum("ij,ij->i", Q_uf, t)
+    # the row sums of _se_cov_vjp's d_comb and of its centre term
+    dcomb_uf = 0.5 * (qt2 / comb_uf - q_rows[:, None]) / comb_uf
+    total_uf = float(q_rows.sum())
+    # comb_uu[i, j] holds w_i^2 + w_j^2, comb_uf[i] holds w_i^2
+    d_w2 = dcomb_uu.sum(axis=1) + dcomb_uu.sum(axis=0) + dcomb_uf
+    d_comb = dcomb_uu.sum(axis=(0, 1)) + dcomb_uf.sum(axis=0)
     return {
-        "kernel_variance": var_uu + var_uf,
-        "kernel_lengthscales": ell_uu + ell_uf + 2.0 * ell * d_comb,
-        "feature_centers": dc_uu.sum(axis=1) - dc_uu.sum(axis=0) + dc_uf.sum(axis=1),
+        "kernel_variance": var_uu + total_uf / kernel.variance,
+        "kernel_lengthscales": ell_uu + total_uf / ell + 2.0 * ell * d_comb,
+        "feature_centers": dc_uu.sum(axis=1) - dc_uu.sum(axis=0) - qt / comb_uf,
         "feature_widths": 2.0 * W * d_w2,
     }
 

@@ -8,6 +8,9 @@ import csv
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -502,6 +505,43 @@ class TestCsvHandling:
         with pytest.raises(cli.DataError) as err:
             read_csv(str(path), ["a", "b"])
         assert str(err.value) == message.format(path=path, limit=csv.field_size_limit())
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'a,b\n"1\n",2\n3,nan\n', "{path} line 4: non-finite value"),
+            (b'a,b\n"1\n",2\n3,4,5\n', "{path} line 4: expected 2 fields, got 3"),
+            (
+                b'a,b\n"1\n",2\n\n"3\n\n",fish\n',
+                "{path} line 5: could not convert string to float: 'fish'",
+            ),
+            (
+                b"a,b\r1,2\r\xff,1\r",
+                "{path} line 3: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte",
+            ),
+            (
+                b"a,b\r1,2\r\n3,4\r5,\xc3\r6,7\r",
+                "{path} line 4: 'utf-8' codec can't decode byte 0xc3 in "
+                "position 2: invalid continuation byte",
+            ),
+        ],
+        ids=[
+            "non-finite-after-multiline-field",
+            "field-count-after-multiline-field",
+            "not-a-number-in-multiline-record",
+            "invalid-utf8-cr-only",
+            "truncated-multibyte-mixed-line-ends",
+        ],
+    )
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path, body, message):
+        # lines are counted as csv counts them: a quoted field may span lines,
+        # and a line ends at LF, CRLF or a lone CR
+        path = tmp_path / "t.csv"
+        path.write_bytes(body)
+        with pytest.raises(cli.DataError) as err:
+            read_csv(str(path), ["a", "b"])
+        assert str(err.value) == message.format(path=path)
 
     @pytest.mark.parametrize(
         "later", [b"4," + b"1" * 200_000 + b"\n", b"\xff,1\n"], ids=["field", "utf8"]
@@ -1307,3 +1347,90 @@ class TestVerifyTask:
         )
         assert main(["verify", "--config", cfg]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+
+# Minor page faults of each of six reg-large-shaped collapsed_bound_and_grad calls
+# (n = 4,000, M = 20), after a CLI main() call or after the imports alone.
+FAULTS_PER_EVALUATION = """
+import resource, sys
+import numpy as np
+from sparsekl import cli
+from sparsekl.interdomain import PointFeature
+from sparsekl.kernels import Kernel
+from sparsekl.svgp import GaussianNoise, collapsed_bound_and_grad
+if sys.argv[1] == "main":
+    assert cli.main(["verify", "--config", sys.argv[2]]) == cli.EXIT_CONFIG
+rng = np.random.default_rng(0)
+X = rng.uniform(0.0, 1.0, size=(4000, 1))
+Y = np.sin(6.0 * X[:, 0]) + 0.1 * rng.standard_normal(4000)
+features = [PointFeature([z]) for z in np.linspace(0.0, 1.0, 20)]
+state = cli._initial_state(features, Kernel(1.0, [0.1]), GaussianNoise(0.1))
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    collapsed_bound_and_grad(state, X, Y)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+class TestAllocatorPolicy:
+    """The CLI keeps the heap memory it frees mapped; a library import and a user's
+    own glibc malloc settings are left alone.  Each case runs in a fresh process,
+    so this process's allocator is not touched."""
+
+    @staticmethod
+    def run(args, **env):
+        base = {k: v for k, v in os.environ.items()
+                if k not in cli._MALLOC_ENV and k != "GLIBC_TUNABLES"}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", *args], env={**base, **env},
+                              capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def faults(self, tmp_path, mode, **env):
+        out = self.run([FAULTS_PER_EVALUATION, mode, str(tmp_path / "absent.json")], **env)
+        return json.loads(out)
+
+    def test_cli_evaluations_after_the_first_reuse_their_pages(self, tmp_path):
+        # the parent made about 1,030 faults per evaluation
+        faults = self.faults(tmp_path, "main")
+        assert max(faults[2:]) < 100, faults
+
+    @pytest.mark.parametrize(
+        "mode, env",
+        [("import", {}), ("main", {"MALLOC_TRIM_THRESHOLD_": "131072"})],
+        ids=["import-alone", "main-with-user-setting"],
+    )
+    def test_allocator_is_left_alone(self, tmp_path, mode, env):
+        # the control: without the policy the same evaluations fault their pages in
+        faults = self.faults(tmp_path, mode, **env)
+        assert min(faults[2:]) >= 100, faults
+
+    def test_policy_says_whether_it_was_set(self):
+        # each user setting alone stops the policy; with none it is set
+        script = """
+import json, os
+from sparsekl import cli
+user = [("MALLOC_TRIM_THRESHOLD_", "131072"), ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "131072"), ("MALLOC_MMAP_MAX_", "65536"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072")]
+result = {}
+for name, value in user:
+    os.environ[name] = value
+    result[name] = cli._keep_freed_heap()
+    del os.environ[name]
+os.environ["GLIBC_TUNABLES"] = "glibc.rtld.optional_static_tls=1024"
+result["other tunables"] = cli._keep_freed_heap()
+print(json.dumps(result))
+"""
+        assert json.loads(self.run([script])) == {
+            "MALLOC_TRIM_THRESHOLD_": False,
+            "MALLOC_MMAP_THRESHOLD_": False,
+            "MALLOC_TOP_PAD_": False,
+            "MALLOC_MMAP_MAX_": False,
+            "GLIBC_TUNABLES": False,
+            "other tunables": True,
+        }

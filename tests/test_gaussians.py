@@ -620,6 +620,86 @@ class TestLapackKernelsAgainstScipy:
         assert np.isnan(L[1, 1]) and L[0, 1] == 0.0
 
 
+class TestSolveTriangularLayouts:
+    """A 2-D C-ordered right-hand side is solved from the right by ``dtrsm``
+    without a layout copy; every other one by ``dtrtrs``.  Both routes give
+    one answer and one error."""
+
+    @staticmethod
+    def record_routes(monkeypatch):
+        routes = []
+
+        def recorded(name):
+            real = getattr(gaussians, name)
+
+            def call(*args, **kwargs):
+                routes.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("dtrtrs", "dtrsm"):
+            monkeypatch.setattr(gaussians, name, recorded(name))
+        return routes
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        columns=st.integers(2, 40),
+        lower=st.booleans(),
+        trans=st.sampled_from([0, 1]),
+        order=ORDERS,
+    )
+    @example(seed=0, dim=20, columns=4000, lower=True, trans=0, order="F")
+    @example(seed=1, dim=20, columns=4000, lower=True, trans=1, order="C")
+    def test_c_and_f_ordered_rhs_agree(self, seed, dim, columns, lower, trans, order):
+        rng = np.random.default_rng(seed)
+        L = triangular_factor(rng, dim, lower, order)
+        B = rng.standard_normal((dim, columns))
+        got = gaussians.solve_triangular(L, B, lower=lower, trans=trans)
+        expected = gaussians.solve_triangular(L, np.asfortranarray(B), lower=lower, trans=trans)
+        assert got.flags.c_contiguous and expected.flags.f_contiguous
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "shape, order, route",
+        [
+            ((5,), "C", "dtrtrs"),
+            ((5, 1), "C", "dtrtrs"),
+            ((5, 3), "F", "dtrtrs"),
+            ((5, 3), "C", "dtrsm"),
+        ],
+        ids=["vector", "single-column", "fortran", "c-ordered"],
+    )
+    @pytest.mark.parametrize("factor_order", ["C", "F"])
+    def test_route_is_chosen_by_layout(self, monkeypatch, shape, order, route, factor_order):
+        rng = np.random.default_rng(2)
+        L = triangular_factor(rng, 5, True, factor_order)
+        B = np.asarray(rng.standard_normal(shape), order=order)
+        routes = self.record_routes(monkeypatch)
+        x = gaussians.solve_triangular(L, B, lower=True)
+        assert routes == [route]
+        assert x.shape == B.shape
+        np.testing.assert_allclose(x, scipy.linalg.solve_triangular(L, B, lower=True), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_every_route_raises_the_same_errors(self, order, lower, trans):
+        L = np.tril(np.ones((4, 4))) - np.diag([0.0, 0.0, 1.0, 0.0])
+        L = np.asarray(L if lower else L.T, order=order)
+        messages = set()
+        for B in (np.ones((4, 3)), np.asfortranarray(np.ones((4, 3))), np.ones(4)):
+            with pytest.raises(np.linalg.LinAlgError) as err:
+                gaussians.solve_triangular(L, B, lower=lower, trans=trans)
+            messages.add(str(err.value))
+            B[(1,) * B.ndim] = np.nan
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                gaussians.solve_triangular(L + np.eye(4), B, lower=lower, trans=trans)
+        assert messages == {"singular matrix: resolution failed at diagonal 2"}
+
+
 WRAPPERS = {"cholesky", "solve_triangular", "cho_solve"}
 
 

@@ -8,9 +8,12 @@ import pytest
 from sparsekl.interdomain import (
     GaussianWindowFeature,
     _adaptive_gl,
+    _se_cov_vjp,
+    _stack,
     PointFeature,
     assemble_Kuf,
     assemble_Kuu,
+    assemble_vjp,
     feature_feature_cov,
     feature_feature_cov_quadrature,
     feature_from_dict,
@@ -204,6 +207,55 @@ def test_all_point_assembly_matches_kernel_matrix(d, scale):
     X = scale * rng.uniform(-1, 1, size=(7, d))
     np.testing.assert_array_equal(assemble_Kuu(feats, k), kernel_matrix(k, Z, Z))
     np.testing.assert_array_equal(assemble_Kuf(feats, k, X), kernel_matrix(k, Z, X))
+
+
+def broadcast_vjp(features, kernel, X, Q_uu, Q_uf):
+    """The oracle route of :func:`assemble_vjp`: both blocks pulled back through
+    (M, n, d) broadcasts by :func:`_se_cov_vjp`, then summed."""
+    C, W = _stack(features, kernel)
+    ell = kernel.lengthscales
+    W2 = W * W
+    comb_uu = ell**2 + (W2[:, None, :] + W2[None, :, :])
+    var_uu, ell_uu, dc_uu, dcomb_uu = _se_cov_vjp(
+        kernel, C[:, None, :], C[None, :, :], comb_uu, Q_uu
+    )
+    comb_uf = (ell**2 + W2)[:, None, :]
+    var_uf, ell_uf, dc_uf, dcomb_uf = _se_cov_vjp(
+        kernel, C[:, None, :], X[None, :, :], comb_uf, Q_uf
+    )
+    d_w2 = dcomb_uu.sum(axis=1) + dcomb_uu.sum(axis=0) + dcomb_uf.sum(axis=1)
+    d_comb = dcomb_uu.sum(axis=(0, 1)) + dcomb_uf.sum(axis=(0, 1))
+    return {
+        "kernel_variance": var_uu + var_uf,
+        "kernel_lengthscales": ell_uu + ell_uf + 2.0 * ell * d_comb,
+        "feature_centers": dc_uu.sum(axis=1) - dc_uu.sum(axis=0) + dc_uf.sum(axis=1),
+        "feature_widths": 2.0 * W * d_w2,
+    }
+
+
+@pytest.mark.parametrize("M, n", [(3, 7), (8, 150), (16, 500), (20, 4000)])
+@pytest.mark.parametrize("window", [False, True], ids=["point", "window"])
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"d{d}")
+def test_assemble_vjp_matches_the_broadcast_pullback(d, window, M, n):
+    rng = np.random.default_rng(100 * d + M)
+    k = Kernel(variance=1.3, lengthscales=rng.uniform(0.1, 1.0, size=d), mean_const=0.2)
+    C = rng.uniform(0.0, 1.0, size=(M, d))
+    feats = tuple(
+        GaussianWindowFeature(c, rng.uniform(0.02, 0.3, size=d)) if window else PointFeature(c)
+        for c in C
+    )
+    X = rng.uniform(0.0, 1.0, size=(n, d))
+    Q_uu = rng.standard_normal((M, M)) * assemble_Kuu(feats, k)
+    Q_uf = rng.standard_normal((M, n)) * assemble_Kuf(feats, k, X)
+    got = assemble_vjp(feats, k, X, Q_uu, Q_uf)
+    expected = broadcast_vjp(feats, k, X, Q_uu, Q_uf)
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        value, other = np.asarray(value), np.asarray(got[key])
+        assert other.shape == value.shape, key
+        assert np.abs(other - value).max() <= 1e-12 * np.abs(value).max(), key
+    if not window:
+        assert not got["feature_widths"].any()
 
 
 def test_prior_mean_is_constant():
