@@ -17,7 +17,6 @@ from .cox import (
     sample_inhomogeneous_pp,
 )
 from .finite_oracle import (
-    ApproxPosterior,
     FiniteModel,
     augmentation_gap,
     check_finite_equivalence,
@@ -51,17 +50,14 @@ from .interdomain import (
     assemble_Kuu,
     feature_feature_cov,
     feature_point_cov,
-    feature_prior_mean,
 )
 from .kernels import Kernel, kernel_matrix, prior_at
 from .optimize import (
     NonFiniteObjectiveError,
     ParamBlock,
-    ParamLayout,
     ParamVector,
     maximize,
     numeric_grad,
-    pack,
     raw_gradient,
     svgp_parameterization,
 )
@@ -76,7 +72,6 @@ from .svgp import (
     collapsed_optimal_q,
     elbo,
     elbo_and_grad,
-    expected_log_lik,
     gauss_hermite_expectation,
     load_checkpoint,
     predictive_marginals,

@@ -460,6 +460,9 @@ def _fit(state, value_and_grad_of, cfg):
 def _task_fit(task, cfg, outdir, seed):
     """Every fit task: its setup, one fit from q at the prior, one post-fit pass, its report."""
     model_cfg = cfg["model"]
+    # a setting that the features do not read is an error, not silently dropped
+    if "window_width" in model_cfg and model_cfg.get("feature_type", "point") == "point":
+        raise ConfigError("model.window_width does not apply to feature_type 'point'")
     kernel = _build_kernel(model_cfg)
     d = kernel.input_dim
     # setup: the data, the likelihood or Cox model, the objective, the starting

@@ -11,10 +11,10 @@ Gauss-Legendre grid:
                 + sum_events E[log rho(f_y)]
                 - sum_grid w_g E[rho(f_g)].
 
-The exponential link has both moments in closed form; the square link
-is kept as an experimental alternative and uses quadrature for the log
-moment.  The model is the data term of the sparse pass over its events
-and grid nodes, as a likelihood is over its data: :meth:`CoxModel.moments`
+Both links have both moments in closed form, the square link's log
+moment through Dawson's function.  The model is the data term of the
+sparse pass over its events and grid nodes, as a likelihood is over its
+data: :meth:`CoxModel.moments`
 gives each row's term and its derivatives in mean and variance from one
 evaluation of each link moment, and :meth:`CoxModel.total` turns the rows
 and the KL into the objective.
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import dawsn, digamma
 
 from .interdomain import _gl_nodes
 from .kernels import as_points
@@ -34,7 +35,6 @@ from .svgp import (
     SVGPState,
     _WhitenedPass,
     _checked_moments_input,
-    _gauss_hermite,
     predictive_marginals,
 )
 
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 LINKS = ("exp", "square")
-SQUARE_LOG_CLAMP = -30.0
-SQUARE_QUAD_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,12 @@ class CoxModel:
         orders = self.quad_orders
         if orders is None:
             orders = (50,) if d == 1 else (20,) * d
-        orders = tuple(int(o) for o in np.atleast_1d(orders))
-        if len(orders) != d or any(o < 2 for o in orders):
+        orders = tuple(np.atleast_1d(orders).tolist())
+        if len(orders) != d or any(not float(o).is_integer() or o < 2 for o in orders):
             raise ValueError(
-                f"need one quadrature order >= 2 per dimension, got {orders}"
+                f"need one integer quadrature order >= 2 per dimension, got {orders}"
             )
+        orders = tuple(int(o) for o in orders)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "events", events)
@@ -181,9 +180,8 @@ def expected_rate(link, mu, var):
 def expected_log_rate(link, mu, var):
     """``E[log rho(f)]`` under ``f ~ N(mu, var)``.
 
-    Exact for the exponential link; for the square link the integrand
-    ``log f^2`` is clamped at -30 per node and integrated with 64
-    Gauss-Hermite nodes.  The value part of :func:`_log_rate_moments`.
+    Exact for both links, for the square link through Dawson's function
+    (:func:`_square_log_moments`).  The value part of :func:`_log_rate_moments`.
     """
     return _log_rate_moments(link, *_checked_moments_input(mu, var))[0]
 
@@ -201,22 +199,41 @@ def _rate_moments(link, mu, var):
 
 
 def _log_rate_moments(link, mu, var):
-    """:func:`expected_log_rate` and its derivatives in ``mu`` and ``var``; for the
-    square link, of the same clamped 64-node sum, from one evaluation of its integrand."""
+    """:func:`expected_log_rate` and its derivatives in ``mu`` and ``var``."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     if link == "exp":
         return mu.copy(), np.ones_like(mu), np.zeros_like(var)
     if link == "square":
-        floor = math.exp(SQUARE_LOG_CLAMP)
-
-        def integrand(f):
-            # the derivative is 2 / f where the clamp is inactive, 0 where it holds
-            f2 = f * f
-            return np.log(np.maximum(f2, floor)), 2.0 / np.where(f2 > floor, f, np.inf)
-
-        return _gauss_hermite(integrand, mu, var, SQUARE_QUAD_ORDER)
+        return _square_log_moments(mu, var)
     raise ValueError(f"unknown link {link!r}")
+
+
+# c_n = (2n - 1)!! / (2^(n + 1) 2n), n = 1..12, for _square_log_moments
+_TAIL_N = np.arange(1.0, 13.0)
+_TAIL_C = np.cumprod(2.0 * _TAIL_N - 1.0) / (2.0 ** (_TAIL_N + 1.0) * 2.0 * _TAIL_N)
+
+
+def _square_log_moments(mu, var):
+    """``E[log f^2]`` under ``f ~ N(mu, var)`` and its derivatives, exact (Lloyd et al. 2015,
+    arXiv:1411.0254): with ``z = mu / sqrt(2 var)`` and F Dawson's function, the value is
+    ``log(2 var) + psi(1/2) + 4 int_0^z F``, ``d/dmu = 2 sqrt(2 / var) F(z)`` and
+    ``d/dvar = (1 - 2 z F(z)) / var``.  Beyond |z| = 8 the asymptotic series of F gives
+    ``log mu^2 - 4 sum_n c_n y^n`` in ``y = 2 var / mu^2``, to 1e-15 and also at ``var = 0``."""
+    t, w = _gl_nodes(48)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = mu / np.sqrt(2.0 * var)
+        near = np.abs(z) <= 8.0
+        z, v = np.where(near, z, 0.0), np.where(near, var, 1.0)
+        F, integral = dawsn(z), 2.0 * z * (dawsn(np.multiply.outer(z, 0.5 * (t + 1.0))) @ w)
+        y = np.where(near, 0.0, 2.0 * var / (mu * mu))
+        y_n1 = y[:, None] ** (_TAIL_N - 1.0)  # y^(n - 1)
+        tail, d_tail = (y_n1 * y[:, None]) @ _TAIL_C, y_n1 @ (_TAIL_N * _TAIL_C)
+        return (
+            np.where(near, np.log(2.0 * v) + digamma(0.5) + integral, np.log(mu * mu) - 4.0 * tail),
+            np.where(near, 2.0 * np.sqrt(2.0 / v) * F, (2.0 + 8.0 * y * d_tail) / mu),
+            np.where(near, (1.0 - 2.0 * z * F) / v, -8.0 * d_tail / (mu * mu)),
+        )
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from .kernels import Kernel, as_points, prior_at
 
 __all__ = [
     "FiniteModel",
-    "ApproxPosterior",
     "exact_posterior",
     "log_marginal_likelihood",
     "collapsed_bound_dense",
@@ -126,13 +125,6 @@ class FiniteModel:
         return cls(X, data_idx, inducing_idx, prior_at(kernel, X), Y, noise_var, kernel)
 
 
-@dataclass(frozen=True)
-class ApproxPosterior:
-    """Free Gaussian over the inducing subset, extended by the prior conditional."""
-
-    q_u: GaussianDist
-
-
 def _posterior_on(m: FiniteModel, idx) -> GaussianDist:
     """Exact posterior marginal on the points ``idx`` given the data."""
     # the joint of (f[idx], Y), where Y observes f[data_idx] under noise
@@ -192,18 +184,19 @@ def _extend_within(prior: GaussianDist, q_mean, q_cov, z, rest) -> GaussianDist:
     return GaussianDist(q_mean[order], q_cov[order[:, None], order])
 
 
-def extend_approx(m: FiniteModel, q: ApproxPosterior) -> GaussianDist:
-    """The approximate posterior over all points of the model."""
+def extend_approx(m: FiniteModel, q: GaussianDist) -> GaussianDist:
+    """The approximate posterior over all points of the model: q(u), a free Gaussian
+    over the inducing subset, extended by the prior conditional."""
     z = np.asarray(m.inducing_idx, dtype=int)
-    return _extend_within(m.prior, q.q_u.mean, q.q_u.cov, z, _complement(z, m.n_points))
+    return _extend_within(m.prior, q.mean, q.cov, z, _complement(z, m.n_points))
 
 
-def full_kl(m: FiniteModel, q: ApproxPosterior) -> float:
+def full_kl(m: FiniteModel, q: GaussianDist) -> float:
     """KL between the extended approximation and the exact posterior over all X."""
     return mvn_kl(extend_approx(m, q), exact_posterior(m))
 
 
-def titsias_kl(m: FiniteModel, q: ApproxPosterior) -> float:
+def titsias_kl(m: FiniteModel, q: GaussianDist) -> float:
     """The same divergence assembled directly on the union D u Z.
 
     Both sides are built as explicit Gaussians over the union: the
@@ -213,13 +206,13 @@ def titsias_kl(m: FiniteModel, q: ApproxPosterior) -> float:
     :func:`full_kl`.
     """
     union = sorted(set(m.data_idx) | set(m.inducing_idx))
-    # q in ascending coordinate order, C-ordered like extend_approx's q.q_u.cov
+    # q in ascending coordinate order, C-ordered like extend_approx's q.cov
     # (one fancy index), so the products in _joint_moments round the same way
     order = np.argsort(m.inducing_idx)
     q_union = _extend_within(
         m.prior,
-        q.q_u.mean[order],
-        q.q_u.cov[order[:, None], order],
+        q.mean[order],
+        q.cov[order[:, None], order],
         np.sort(m.inducing_idx),
         np.array(sorted(set(m.data_idx) - set(m.inducing_idx)), dtype=int),
     )
@@ -243,7 +236,7 @@ class FiniteEquivalenceReport:
     p_X: GaussianDist = field(compare=False, repr=False)
 
 
-def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquivalenceReport:
+def check_finite_equivalence(m: FiniteModel, q: GaussianDist) -> FiniteEquivalenceReport:
     """Evaluate the divergence three independent ways and report the spread.
 
     The routes: the KL over the whole index set, the KL assembled on
@@ -265,8 +258,8 @@ def check_finite_equivalence(m: FiniteModel, q: ApproxPosterior) -> FiniteEquiva
     tits = titsias_kl(m, q)
     state = SVGPState(
         features=tuple(PointFeature(loc) for loc in m.X[list(m.inducing_idx)]),
-        q_mean=q.q_u.mean,
-        q_chol=q.q_u.chol,
+        q_mean=q.mean,
+        q_chol=q.chol,
         kernel=m.kernel,
         likelihood=GaussianNoise(m.noise_var),
     )
@@ -344,7 +337,7 @@ class AugmentationReport:
 
 def augmentation_gap(
     m: FiniteModel,
-    q: ApproxPosterior,
+    q: GaussianDist,
     q_conditional: AffineConditional,
     prior_conditional: AffineConditional = None,
 ) -> AugmentationReport:

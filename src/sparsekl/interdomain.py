@@ -28,7 +28,6 @@ __all__ = [
     "feature_feature_cov",
     "assemble_Kuu",
     "assemble_Kuf",
-    "feature_prior_mean",
     "feature_point_cov_quadrature",
     "feature_feature_cov_quadrature",
     "feature_to_dict",
@@ -248,17 +247,6 @@ def assemble_Kuf(features, kernel: Kernel, X) -> np.ndarray:
     X = as_points(X, kernel.input_dim)
     comb = kernel.lengthscales**2 + W * W
     return _se_cov(kernel, C[:, None, :], X[None, :, :], comb[:, None, :])
-
-
-def feature_prior_mean(features, kernel: Kernel) -> np.ndarray:
-    """Prior mean of the feature vector.
-
-    Point evaluations and probability-density windows both map the
-    constant mean function to the same constant.
-    """
-    for g in features:
-        _check_dim(g, kernel)
-    return np.full(len(features), kernel.mean_const)
 
 
 @lru_cache(maxsize=16)

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,9 +32,7 @@ from .svgp import GaussianNoise, WhitenedState, _triangle
 
 __all__ = [
     "ParamBlock",
-    "ParamLayout",
     "ParamVector",
-    "pack",
     "from_constrained",
     "numeric_grad",
     "raw_gradient",
@@ -50,116 +51,77 @@ TRANSFORMS = {
 }
 
 
-@dataclass(frozen=True)
-class ParamBlock:
+class ParamBlock(NamedTuple):
     name: str
     size: int
     transform: str = "identity"
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"block {self.name!r} must have positive size")
-        if self.transform not in TRANSFORMS:
+
+@lru_cache(maxsize=16)
+def _layout(blocks) -> tuple:
+    """``(each block's slice by name, total size)`` of blocks laid end to end,
+    checked once per tuple of blocks: names unique, transform tags known."""
+    slices, start = {}, 0
+    for b in blocks:
+        if b.transform not in TRANSFORMS:
             raise ValueError(
-                f"block {self.name!r} has unknown transform {self.transform!r}; "
+                f"block {b.name!r} has unknown transform {b.transform!r}; "
                 f"expected one of {tuple(TRANSFORMS)}"
             )
-
-
-@dataclass(frozen=True)
-class ParamLayout:
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        names = [b.name for b in blocks]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate block names in layout: {names}")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def total_size(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def slices(self) -> dict:
-        out, start = {}, 0
-        for b in self.blocks:
-            out[b.name] = slice(start, start + b.size)
-            start += b.size
-        return out
-
-    def coordinate_names(self) -> list:
-        names = []
-        for b in self.blocks:
-            names.extend(f"{b.name}[{i}]" for i in range(b.size))
-        return names
+        if b.name in slices:
+            raise ValueError(f"duplicate block name {b.name!r} in {[b.name for b in blocks]}")
+        slices[b.name] = slice(start, start + b.size)
+        start += b.size
+    return MappingProxyType(slices), start
 
 
 @dataclass(frozen=True)
 class ParamVector:
-    """A flat raw vector together with its block layout."""
+    """A flat raw vector together with its named blocks, laid end to end; a block may be empty."""
 
-    layout: ParamLayout
+    blocks: tuple
     raw: np.ndarray
 
     def __post_init__(self):
+        blocks = tuple(self.blocks)
+        size = _layout(blocks)[1]
         raw = np.atleast_1d(np.asarray(self.raw, dtype=float))
-        if raw.shape != (self.layout.total_size,):
-            raise ValueError(
-                f"raw vector has shape {raw.shape}, layout expects "
-                f"({self.layout.total_size},)"
-            )
+        if raw.shape != (size,):
+            raise ValueError(f"raw vector has shape {raw.shape}, its blocks expect ({size},)")
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "raw", raw)
+
+    def slices(self):
+        """Each block's slice of ``raw``, by name (read-only)."""
+        return _layout(self.blocks)[0]
+
+    def coordinate_names(self) -> list:
+        return [f"{b.name}[{i}]" for b in self.blocks for i in range(b.size)]
 
     def unpack(self) -> dict:
         """Raw blocks by name; a pure slicing of the flat vector."""
-        return {name: self.raw[sl].copy() for name, sl in self.layout.slices().items()}
+        return {name: self.raw[sl].copy() for name, sl in self.slices().items()}
 
     def constrained(self) -> dict:
         """Model-space values by name, with each block's transform applied."""
-        sls = self.layout.slices()
         return {
-            b.name: TRANSFORMS[b.transform][0](self.raw[sls[b.name]])
-            for b in self.layout.blocks
+            b.name: TRANSFORMS[b.transform][0](self.raw[sl])
+            for b, sl in zip(self.blocks, self.slices().values())
         }
 
     def with_raw(self, raw) -> "ParamVector":
-        return ParamVector(self.layout, raw)
+        return ParamVector(self.blocks, raw)
 
 
-def pack(layout: ParamLayout, raw_blocks: dict) -> ParamVector:
-    """Concatenate named raw blocks into a flat vector."""
-    sls = layout.slices()
-    if set(raw_blocks) != set(sls):
-        raise ValueError(
-            f"blocks {sorted(raw_blocks)} do not match layout {sorted(sls)}"
-        )
-    out = np.empty(layout.total_size)
-    for name, sl in sls.items():
-        block = np.atleast_1d(np.asarray(raw_blocks[name], dtype=float))
-        if block.shape != (sl.stop - sl.start,):
-            raise ValueError(
-                f"block {name!r} has shape {block.shape}, expected "
-                f"({sl.stop - sl.start},)"
-            )
-        out[sl] = block
-    return ParamVector(layout, out)
-
-
-def from_constrained(layout: ParamLayout, values: dict) -> ParamVector:
-    """Build a raw vector from model-space values; rejects infeasible ones."""
-    raw = {}
-    for b in layout.blocks:
-        if b.name not in values:
-            raise ValueError(f"missing block {b.name!r}")
+def from_constrained(blocks, values: dict) -> ParamVector:
+    """The raw vector of model-space values by block name; rejects infeasible ones."""
+    raw = []
+    for b in blocks:
         value = np.asarray(values[b.name], dtype=float)
         if b.transform != "identity" and np.any(value <= 0):
             raise ValueError(f"{b.transform}-constrained values must be positive")
-        raw[b.name] = TRANSFORMS[b.transform][2](value)
-    if set(values) != {b.name for b in layout.blocks}:
-        extra = set(values) - {b.name for b in layout.blocks}
-        raise ValueError(f"unexpected blocks {sorted(extra)}")
-    return pack(layout, raw)
+        raw.append(np.ravel(TRANSFORMS[b.transform][2](value)))
+    return ParamVector(blocks, np.concatenate(raw))
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -177,7 +139,7 @@ def numeric_grad(objective, x: ParamVector, h: float = 1e-5) -> np.ndarray:
     """
     raw = x.raw
     grad = np.empty(raw.shape[0])
-    names = x.layout.coordinate_names()
+    names = x.coordinate_names()
     for i in range(raw.shape[0]):
         step = h * (1.0 + abs(raw[i]))
         plus = raw.copy()
@@ -201,10 +163,8 @@ def raw_gradient(x: ParamVector, grads: dict) -> np.ndarray:
     ``grads`` is keyed by block name, as ``elbo_and_grad`` returns it.
     Each block is multiplied by the slope of its transform.
     """
-    out = np.empty(x.layout.total_size)
-    slices = x.layout.slices()
-    for b in x.layout.blocks:
-        sl = slices[b.name]
+    out = np.empty(x.raw.shape[0])
+    for b, sl in zip(x.blocks, x.slices().values()):
         out[sl] = np.ravel(grads[b.name]) * TRANSFORMS[b.transform][1](x.raw[sl])
     return out
 
@@ -289,7 +249,7 @@ def maximize(
         if jac:
             grad = np.asarray(grad, dtype=float)
             if not np.isfinite(grad).all():
-                bad = x0.layout.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
+                bad = x0.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
                 raise NonFiniteObjectiveError(f"gradient is non-finite at coordinate {bad}")
         else:
             grad = numeric_grad(counted, pv)
@@ -339,7 +299,7 @@ def svgp_parameterization(
     """Expose a variational state as a flat parameter vector.
 
     Returns ``(x0, rebuild)`` where ``rebuild`` maps any parameter vector
-    with the same layout to a :class:`~sparsekl.svgp.WhitenedState`.  q is
+    with the same blocks to a :class:`~sparsekl.svgp.WhitenedState`.  q is
     exposed whitened (an ``SVGPState`` is whitened once, here): ``alpha``,
     the diagonal of ``half`` behind a softplus and its strict lower
     triangle.  Scale parameters live behind a log, everything else is
@@ -352,21 +312,19 @@ def svgp_parameterization(
     M = len(state.features)
     d = state.kernel.input_dim
     lower = _triangle(M)[0]
-    blocks = [ParamBlock("alpha", M), ParamBlock("half_diag", M, "softplus")]
-    values = {"alpha": state.alpha, "half_diag": state.half.diagonal()}
-    if M > 1:
-        blocks.append(ParamBlock("half_lower", M * (M - 1) // 2))
-        values["half_lower"] = state.half[lower]
+    params = [
+        (ParamBlock("alpha", M), state.alpha),
+        (ParamBlock("half_diag", M, "softplus"), state.half.diagonal()),
+        (ParamBlock("half_lower", M * (M - 1) // 2), state.half[lower]),
+    ]
     if optimize_hypers:
-        blocks.append(ParamBlock("kernel_variance", 1, "log"))
-        blocks.append(ParamBlock("kernel_lengthscales", d, "log"))
-        blocks.append(ParamBlock("kernel_mean", 1))
-        values["kernel_variance"] = np.array([state.kernel.variance])
-        values["kernel_lengthscales"] = state.kernel.lengthscales
-        values["kernel_mean"] = np.array([state.kernel.mean_const])
+        params += [
+            (ParamBlock("kernel_variance", 1, "log"), [state.kernel.variance]),
+            (ParamBlock("kernel_lengthscales", d, "log"), state.kernel.lengthscales),
+            (ParamBlock("kernel_mean", 1), [state.kernel.mean_const]),
+        ]
         if isinstance(state.likelihood, GaussianNoise):
-            blocks.append(ParamBlock("noise_var", 1, "log"))
-            values["noise_var"] = np.array([state.likelihood.noise_var])
+            params.append((ParamBlock("noise_var", 1, "log"), [state.likelihood.noise_var]))
     if optimize_features:
         # a point is a window of width 0: both kinds move their centres,
         # and windows their (log) widths too
@@ -378,17 +336,14 @@ def svgp_parameterization(
             )
         windows = kinds == {GaussianWindowFeature}
         centers, widths = _stack(state.features, state.kernel)
-        blocks.append(ParamBlock("feature_centers", M * d))
-        values["feature_centers"] = centers.ravel()
+        params.append((ParamBlock("feature_centers", M * d), centers))
         if windows:
-            blocks.append(ParamBlock("feature_widths", M * d, "log"))
-            values["feature_widths"] = widths.ravel()
-    layout = ParamLayout(tuple(blocks))
-    x0 = from_constrained(layout, values)
+            params.append((ParamBlock("feature_widths", M * d, "log"), widths))
+    x0 = from_constrained([b for b, _ in params], {b.name: v for b, v in params})
 
     def rebuild(pv: ParamVector) -> WhitenedState:
         vals = pv.constrained()
-        for b in layout.blocks:
+        for b in pv.blocks:
             v = vals[b.name]
             if b.transform != "identity" and not ((v > 0.0) & (v < np.inf)).all():
                 raise NonFiniteObjectiveError(
@@ -396,8 +351,7 @@ def svgp_parameterization(
                     f"leaves (0, inf) at raw {pv.unpack()[b.name].tolist()}"
                 )
         half = np.diag(vals["half_diag"])
-        if M > 1:
-            half[lower] = vals["half_lower"]
+        half[lower] = vals["half_lower"]
         kernel, likelihood = state.kernel, state.likelihood
         if optimize_hypers:
             kernel = Kernel(

@@ -56,7 +56,6 @@ __all__ = [
     "WhitenedState",
     "gauss_hermite_expectation",
     "predictive_marginals",
-    "expected_log_lik",
     "elbo",
     "elbo_and_grad",
     "collapsed_optimal_q",
@@ -519,15 +518,6 @@ def predictive_marginals(state: SVGPState, Xstar):
     """
     fp = _WhitenedPass.at_state(state, Xstar)
     return fp.mean, fp.var
-
-
-def expected_log_lik(state: SVGPState, X, Y):
-    """Sum over data of ``E_q[log p(y_i | f_i)]``.
-
-    Summed with exact accumulation so the result does not depend on the
-    ordering of the data.
-    """
-    return math.fsum(_WhitenedPass.at_state(state, X, Y).moments()[0])
 
 
 def elbo(state: SVGPState, X, Y) -> float:

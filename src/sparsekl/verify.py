@@ -21,7 +21,6 @@ import numpy as np
 import scipy
 
 from .finite_oracle import (
-    ApproxPosterior,
     FiniteModel,
     augmented_report,
     check_finite_equivalence,
@@ -68,7 +67,8 @@ CHUNKS_PER_WORKER = 8
 
 
 def random_finite_instance(seed: int, regime: str = None):
-    """A seeded, well-conditioned model with an arbitrary approximation.
+    """A seeded, well-conditioned model with an arbitrary approximation q(u),
+    a Gaussian over its inducing points.
 
     Points are spaced at least 1.2 lengthscales apart so the prior Gram
     matrix stays far from singular; the identities under test are exact
@@ -116,7 +116,7 @@ def random_finite_instance(seed: int, regime: str = None):
     q_mean = prior.mean[list(inducing_idx)] + 0.5 * scale * rng.standard_normal(nz)
     W = 0.4 * scale * rng.standard_normal((nz, nz))
     q_cov = W @ W.T + 0.3 * kernel.variance * np.eye(nz)
-    return model, ApproxPosterior(GaussianDist(q_mean, q_cov))
+    return model, GaussianDist(q_mean, q_cov)
 
 
 def random_gaussian_pair(rng, dim: int):

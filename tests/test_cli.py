@@ -209,6 +209,21 @@ class TestConfigValidation:
         assert rc == 2
         assert "unknown keys" in err and "optimizer.step" in err
 
+    @pytest.mark.parametrize("feature_type", [None, "point"])
+    def test_window_width_of_point_features_is_a_config_error(self, tmp_path, capsys, feature_type):
+        # point features have no width: the setting is rejected, not dropped
+        out = tmp_path / "o"
+        cfg = small_fit_config(tmp_path, regression_dataset(tmp_path), str(out))
+        doc = json.loads(open(cfg, encoding="utf-8").read())
+        doc["model"]["window_width"] = 0.05
+        if feature_type is not None:
+            doc["model"]["feature_type"] = feature_type
+        rc = main(["fit-regression", "--config", write_config(tmp_path, "w.json", doc)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and "model.window_width" in err
+        assert not out.exists()
+
     def test_refine_iters_is_accepted_and_ignored(self, tmp_path):
         data = regression_dataset(tmp_path)
         summaries = []
@@ -1289,6 +1304,20 @@ class TestFitCox:
             assert abs(summary["integrated_intensity"] - n_events) <= 0.01 * n_events, M
         for M in (16, 24):
             assert summaries[M]["final_elbo"] >= summaries[8]["final_elbo"] - 1e-3, M
+
+    def test_square_link_fit_integrates_to_the_event_count(self, tmp_path):
+        # f -> a f scales the rate by a^2 and keeps the KL, so at a stationary point of
+        # the exact objective the fitted intensity integrates to the event count; the
+        # fit starts at mean 0, where E[log f^2] is most curved
+        data, n_events = events_of_test_09(tmp_path), 109
+        model = {"kernel": {"variance": 1.0, "lengthscales": [0.2]}, "num_inducing": 8,
+                 "link": "square", "domain": [[0.0, 1.0]]}
+        out = tmp_path / "sq"
+        cfg = write_config(tmp_path, "sq.json", {"data": data, "out": str(out), "model": model})
+        assert main(["fit-cox", "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"], summary["stop_reason"]
+        assert abs(summary["integrated_intensity"] - n_events) <= 0.01 * n_events
 
 
 class TestVerifyTask:

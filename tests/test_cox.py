@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from sparsekl import cox
 from sparsekl.cox import (
@@ -83,8 +83,7 @@ class TestLinks:
         )
 
     def test_square_log_rate_monte_carlo_away_from_zero(self):
-        # with negligible mass near f = 0 the clamped quadrature is
-        # unbiased and Monte Carlo can check it directly
+        # with negligible mass near f = 0 Monte Carlo checks the value directly
         rng = np.random.default_rng(0)
         n = 1_000_000
         z = rng.standard_normal(n)
@@ -96,11 +95,36 @@ class TestLinks:
             assert abs(quad - mc) <= 3.0 * se + 1e-10
 
     def test_square_log_rate_near_zero_stays_sane(self):
-        # mass near f = 0 makes the integrand singular; the clamped
-        # value must sit between the clamp floor and the Jensen bound
+        # mass near f = 0, where log f^2 is singular: the value stays finite
+        # and below the Jensen bound
         for mu, var in [(0.0, 0.5), (0.3, 1.0), (-0.1, 0.2)]:
             val = expected_log_rate("square", np.array([mu]), np.array([var]))[0]
             assert -30.0 <= val <= math.log(mu * mu + var)
+
+    @staticmethod
+    def poisson_series(lam):
+        """``sum_j Poisson(j; lam) psi(j + 1/2)`` and ``sum_j Poisson(j; lam) / (j + 1/2)``,
+        the value and slope in ``lam`` of ``E[log f^2] - log(2 var)``; the weights come
+        by recursion from the mode and are normalized by their sum."""
+        mode = int(lam)
+        j = np.arange(int(mode + 40.0 * math.sqrt(lam) + 40.0))
+        with np.errstate(divide="ignore"):  # log 0 at lam = 0: all weight on j = 0
+            log_p = np.concatenate([[0.0], np.cumsum(np.log(lam) - np.log(j[1:]))])
+        p = np.exp(log_p - log_p[mode])
+        total = math.fsum(p)
+        return math.fsum(p * digamma(j + 0.5)) / total, math.fsum(p / (j + 0.5)) / total
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 0.3, 2.0, 30.0, 63.9, 64.0, 64.1, 500.0, 1e4])
+    def test_square_log_moments_match_the_poisson_series(self, lam):
+        # with lam = mu^2 / (2 var), f^2 / var is noncentral chi-square with one degree of
+        # freedom: E[log f^2] = log(2 var) + S(lam), and S'(lam) gives both derivatives
+        series, slope = self.poisson_series(lam)
+        for var in (0.1, 1.0, 7.0):
+            mu = math.sqrt(2.0 * var * lam) * np.array([1.0, -1.0])
+            value, d_mu, d_var = cox._log_rate_moments("square", mu, np.full(2, var))
+            np.testing.assert_allclose(value, math.log(2.0 * var) + series, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(d_mu, mu / var * slope, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(d_var, (1.0 - lam * slope) / var, rtol=1e-12, atol=1e-12)
 
     def test_unknown_link_rejected(self):
         with pytest.raises(ValueError, match="link"):
@@ -133,6 +157,9 @@ class TestCoxModel:
             CoxModel([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.zeros((0, 3)))
         with pytest.raises(ValueError, match="order"):
             CoxModel([0.0], [1.0], [[0.5]], quad_orders=(1,))
+        # a fractional order is rejected, not truncated to a coarser grid
+        with pytest.raises(ValueError, match="integer quadrature order"):
+            CoxModel([0.0], [1.0], [[0.5]], quad_orders=(2.7,))
 
     def test_empty_events_allowed(self):
         m = CoxModel([0.0], [1.0], [])
@@ -300,12 +327,8 @@ class TestCoxMoments:
         mu = rng.uniform(-1.0, 1.0, n)
         var = rng.uniform(0.2, 1.0, n)
         if link == "square":
-            # event means near 0, where log f^2 is most curved; every node stays
-            # at least 0.02 from f = 0, away from the clamp's edge at |f| = exp(-15)
+            # event means near 0, where E[log f^2] is most curved
             mu[: model.n_events] = rng.uniform(-0.05, 0.05, model.n_events)
-            x = np.polynomial.hermite.hermgauss(cox.SQUARE_QUAD_ORDER)[0]
-            nodes = mu[:, None] + np.sqrt(2.0 * var)[:, None] * x
-            assert np.abs(nodes[: model.n_events]).min() > 0.02
         values, d_mu, d_var, d_params = model.moments(mu, var)
         assert values.tobytes() == self.rows(link, mu, var, model).tobytes()
         assert d_params == {}
@@ -315,11 +338,16 @@ class TestCoxMoments:
         np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-6, atol=1e-7)
         np.testing.assert_allclose(d_var, fd_var, rtol=1e-6, atol=1e-7)
 
-    def test_square_log_moment_reports_zero_variance_derivative_at_zero_variance(self):
+    def test_square_log_moment_at_zero_variance_is_its_limit(self):
+        # E[log f^2] -> log mu^2 as var -> 0, with slopes 2 / mu and -1 / mu^2
         model = CoxModel([0.0], [1.0], [[0.2], [0.7]], link="square", quad_orders=(5,))
         n = model.points.shape[0]
-        _, _, d_var, _ = model.moments(np.linspace(-1.0, 1.0, n), np.zeros(n))
-        assert (d_var[: model.n_events] == 0.0).all()
+        mu = np.linspace(-1.0, 1.0, n)
+        values, d_mu, d_var, _ = model.moments(mu, np.zeros(n))
+        ev = mu[: model.n_events]
+        np.testing.assert_allclose(values[: model.n_events], np.log(ev * ev), rtol=1e-15)
+        np.testing.assert_allclose(d_mu[: model.n_events], 2.0 / ev, rtol=1e-15)
+        np.testing.assert_allclose(d_var[: model.n_events], -1.0 / (ev * ev), rtol=1e-15)
 
 
 class TestFittedIntensity:

@@ -16,7 +16,6 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from sparsekl.finite_oracle import (
-    ApproxPosterior,
     FiniteModel,
     augmentation_gap,
     check_finite_equivalence,
@@ -154,14 +153,14 @@ class TestThreeWayEquivalence:
             np.arange(5.0), (0, 3), (4, 1), prior, rng.standard_normal(2), 0.4
         )
         q_cov = np.array([[0.7, 0.2], [0.2, 0.9]])
-        q = ApproxPosterior(GaussianDist(np.array([0.3, -0.5]), q_cov))
+        q = GaussianDist(np.array([0.3, -0.5]), q_cov)
         assert titsias_kl(m, q) == pytest.approx(full_kl(m, q), rel=1e-9, abs=1e-11)
 
     def test_kernel_required_for_bound_route(self):
         rng = np.random.default_rng(6)
         prior = GaussianDist(np.zeros(3), np.eye(3))
         m = FiniteModel(np.arange(3.0), (0,), (1,), prior, [0.1], 1.0)
-        q = ApproxPosterior(GaussianDist([0.0], [[1.0]]))
+        q = GaussianDist([0.0], [[1.0]])
         with pytest.raises(ValueError, match="kernel"):
             check_finite_equivalence(m, q)
 
@@ -187,8 +186,8 @@ class TestExtension:
         m, q = random_finite_instance(11, regime="disjoint")
         ext = extend_approx(m, q)
         got = mvn_marginal(ext, list(m.inducing_idx))
-        np.testing.assert_allclose(got.mean, q.q_u.mean, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(got.cov, q.q_u.cov, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got.mean, q.mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(got.cov, q.cov, rtol=1e-10, atol=1e-12)
 
     def test_conditional_beyond_inducing_is_prior(self):
         m, q = random_finite_instance(12, regime="disjoint")
@@ -215,7 +214,7 @@ class TestExtension:
         m = FiniteModel(
             np.arange(4.0), (0,), (2, 0, 3, 1), prior, [0.0], 1.0
         )
-        ext = extend_approx(m, ApproxPosterior(q_u))
+        ext = extend_approx(m, q_u)
         # coordinate i of the extension is component of q at the position
         # where i appears in the inducing tuple
         for pos, idx in enumerate(m.inducing_idx):

@@ -137,7 +137,7 @@ class TestGradientOracle:
         excess = np.abs(g - g_fd) - 1e-5 * (1.0 + np.abs(g_fd))
         worst = int(np.argmax(excess))
         assert excess[worst] <= 0.0, (
-            f"{x0.layout.coordinate_names()[worst]}: analytic {g[worst]!r}, "
+            f"{x0.coordinate_names()[worst]}: analytic {g[worst]!r}, "
             f"central difference {g_fd[worst]!r}"
         )
 
@@ -164,7 +164,7 @@ class TestGradientOracle:
         X = rng.uniform(0.0, 1.0, 20)
         Y = np.sin(5.0 * X)
         x0, rebuild = svgp_parameterization(state, optimize_hypers=True)
-        i = x0.layout.coordinate_names().index("kernel_variance[0]")
+        i = x0.coordinate_names().index("kernel_variance[0]")
         h = 1e-2
         step = h * (1.0 + abs(x0.raw[i]))
         for sign in (1.0, -1.0):
@@ -233,7 +233,7 @@ class TestCollapsedGradientOracle:
         assert value == pytest.approx(bound_of(state), rel=1e-10, abs=1e-10)
         g = raw_gradient(x0, grads)
         g_fd = numeric_grad(lambda pv: bound_of(rebuild(pv)), x0)
-        names = x0.layout.coordinate_names()
+        names = x0.coordinate_names()
         for i, name in enumerate(names):
             if name.startswith("q_"):
                 assert g[i] == 0.0, name
@@ -294,7 +294,7 @@ class TestCollapsedGradientOracle:
         X = rng.uniform(0.0, 1.0, 20)
         Y = np.sin(5.0 * X)
         x0, rebuild = svgp_parameterization(state, optimize_hypers=True)
-        i = x0.layout.coordinate_names().index("kernel_variance[0]")
+        i = x0.coordinate_names().index("kernel_variance[0]")
         h = 1e-2
         step = h * (1.0 + abs(x0.raw[i]))
         for sign in (1.0, -1.0):

@@ -19,10 +19,10 @@ from sparsekl.interdomain import (
     feature_from_dict,
     feature_point_cov,
     feature_point_cov_quadrature,
-    feature_prior_mean,
     feature_to_dict,
 )
 from sparsekl.kernels import Kernel, kernel_matrix
+from sparsekl.svgp import SVGPState
 
 
 def test_point_feature_is_kernel_evaluation():
@@ -259,9 +259,11 @@ def test_assemble_vjp_matches_the_broadcast_pullback(d, window, M, n):
 
 
 def test_prior_mean_is_constant():
+    # point evaluations and density windows map the constant mean to itself
     k = Kernel(variance=1.0, lengthscales=1.0, mean_const=3.25)
     feats = (PointFeature([0.0]), GaussianWindowFeature(center=[1.0], widths=[0.5]))
-    np.testing.assert_array_equal(feature_prior_mean(feats, k), [3.25, 3.25])
+    state = SVGPState(feats, np.zeros(2), np.eye(2), k)
+    np.testing.assert_array_equal(state.prior_dist().mean, [3.25, 3.25])
 
 
 def test_serialization_roundtrip():

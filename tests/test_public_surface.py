@@ -1,0 +1,91 @@
+"""Every public name has a caller.
+
+A name in a module's ``__all__`` must be used somewhere in ``src/sparsekl``
+outside its own definition (``__all__`` lists and ``__init__.py``
+re-exports do not count, and neither do docstrings), or be named in
+README.md, which lists the public API that no route in ``src/`` calls.
+"""
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sparsekl"
+README = SRC.parents[1] / "README.md"
+
+
+def _public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _definitions(tree):
+    """Top-level definitions by name: the nodes whose own references do not count."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = node
+    return out
+
+
+def _used_names(node):
+    """Names and attributes read in ``node``; string constants, docstrings among
+    them, and import statements are not uses."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+    return names
+
+
+def uncalled_public_names(src, readme_text):
+    """``module.name`` for each public name with no use in ``src`` and no mention in the README."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    trees.pop("__init__", None)
+    used = {}  # name -> modules and definitions it is used from
+    for module, tree in trees.items():
+        defs = _definitions(tree)
+        for node in tree.body:
+            owner = next((name for name, d in defs.items() if d is node), None)
+            for name in _used_names(node):
+                used.setdefault(name, set()).add((module, owner))
+    missing = []
+    for module, tree in trees.items():
+        for name in _public_names(tree):
+            callers = used.get(name, set()) - {(module, name)}
+            if not callers and not re.search(rf"\b{re.escape(name)}\b", readme_text):
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_every_public_name_has_a_caller_or_a_readme_entry():
+    assert uncalled_public_names(SRC, README.read_text(encoding="utf-8")) == []
+
+
+def test_scan_counts_only_real_uses(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import *\nfrom .a import lonely\n")
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["used", "lonely", "recursive", "documented", "listed", "CONST"]\n'
+        "CONST = 3\n"
+        "def used(): return CONST\n"
+        "def lonely(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def documented(): pass\n"
+        "def listed(): pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        '"""Names ``lonely`` in a docstring only."""\n'
+        "from .a import listed\nfrom . import a\nx = a.used()\n"
+    )
+    missing = uncalled_public_names(tmp_path, "The API also offers `documented`.")
+    assert missing == ["a.lonely", "a.recursive", "a.listed"]

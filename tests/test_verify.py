@@ -45,7 +45,7 @@ def test_instances_are_deterministic():
     m1, q1 = random_finite_instance(5)
     m2, q2 = random_finite_instance(5)
     np.testing.assert_array_equal(m1.X, m2.X)
-    np.testing.assert_array_equal(q1.q_u.mean, q2.q_u.mean)
+    np.testing.assert_array_equal(q1.mean, q2.mean)
     assert m1.data_idx == m2.data_idx
 
 
