@@ -39,7 +39,7 @@ from .cox import (
     sample_inhomogeneous_pp,
 )
 from .gaussians import NotPositiveDefiniteError
-from .interdomain import GaussianWindowFeature, PointFeature
+from .interdomain import GaussianWindowFeature
 from .kernels import Kernel
 from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_parameterization
 from .svgp import (
@@ -407,15 +407,12 @@ def _grid_locations(lower, upper, M):
 
 
 def _make_features(model_cfg, locations):
-    kind = model_cfg.get("feature_type", "point")
-    if kind == "point":
-        return tuple(PointFeature(loc) for loc in locations)
-    width = model_cfg.get("window_width")
+    point = model_cfg.get("feature_type", "point") == "point"
+    width = 0.0 if point else model_cfg.get("window_width")
     if width is None:
         span = locations.max(axis=0) - locations.min(axis=0)
         width = float(np.max(span)) / (2.0 * max(len(locations), 1)) or 0.1
-    widths = np.full(locations.shape[1], float(width))
-    return tuple(GaussianWindowFeature(loc, widths) for loc in locations)
+    return tuple(GaussianWindowFeature(loc, width) for loc in locations)
 
 
 def _initial_state(features, kernel, likelihood) -> WhitenedState:
@@ -504,7 +501,8 @@ def _task_fit(task, cfg, outdir, seed):
     state, fp, bound = _fitted_pass(state, *covered)
     wall = time.perf_counter() - started
     # report: the final objective, the predictions, the task's summary fields and line
-    final = fp.value()
+    values = fp.moments()[0]
+    final = fp.factors.lik.total(values, fp.kl)
     if task == "fit-cox":
         # the objective's integral term is the fitted intensity integrated over the
         # quadrature grid, so the pass gives both; the prediction grid is a pass at
@@ -514,7 +512,7 @@ def _task_fit(task, cfg, outdir, seed):
         g = fp.rows(grid)
         columns, preds = ["intensity"], np.column_stack([grid, expected_rate(model.link, g.mean, g.var)])
         reported = {"n_events": model.n_events, "final_elbo": final,
-                    "integrated_intensity": model.terms(fp.moments()[0], fp.kl).integral_term}
+                    "integrated_intensity": model.terms(values, fp.kl).integral_term}
         line = ("{task}: elbo {final_elbo:.6f}, integrated intensity "
                 "{integrated_intensity:.2f} over {n_events} events")
     else:

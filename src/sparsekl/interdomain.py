@@ -1,15 +1,16 @@
 """Inducing features defined by integrals of the process.
 
-A feature is a scalar random variable obtained from the process ``f``:
-either a point evaluation ``u = f(z)`` or a Gaussian-window average
+A feature is a scalar random variable obtained from the process ``f``,
+the Gaussian-window average
 
     u = integral N(s; center, diag(widths^2)) f(s) ds,
 
-with the window normalized as a probability density.  A point
-evaluation is the zero-width limit of such a window, so for the
+with the window normalized as a probability density.  A width of 0
+evaluates ``f`` in its dimension, so the point evaluation ``u = f(z)`` is
+the window of all-zero widths at ``z`` (:func:`PointFeature`), and for the
 squared-exponential kernel one broadcast closed form gives every
-feature/point and feature/feature covariance, points and windows alike.
-Adaptive quadrature versions are kept alongside as an independent check.
+feature/point and feature/feature covariance.  Adaptive quadrature versions,
+for positive widths, are kept alongside as an independent check.
 """
 
 from __future__ import annotations
@@ -39,29 +40,12 @@ QUADRATURE_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PointFeature:
-    """Point evaluation ``u = f(location)``."""
-
-    location: np.ndarray
-
-    def __post_init__(self):
-        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
-        if loc.ndim != 1:
-            raise ValueError(f"location must be a vector, got shape {loc.shape}")
-        if not np.all(np.isfinite(loc)):
-            raise ValueError("location must be finite")
-        object.__setattr__(self, "location", loc)
-
-    @property
-    def input_dim(self) -> int:
-        return self.location.shape[0]
-
-
-@dataclass(frozen=True)
 class GaussianWindowFeature:
     """Average of the process under a normalized Gaussian window.
 
-    ``widths`` are the per-dimension standard deviations of the window.
+    ``widths`` are the per-dimension standard deviations of the window, or
+    one scalar for all.  A width of 0 evaluates the process in its dimension;
+    all-zero widths are the point evaluation at ``center`` (``location``).
     """
 
     center: np.ndarray
@@ -69,22 +53,32 @@ class GaussianWindowFeature:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        w = np.atleast_1d(np.asarray(self.widths, dtype=float))
+        w = np.asarray(self.widths, dtype=float)
+        w = np.full_like(c, w) if w.ndim == 0 else w
         if c.shape != w.shape or c.ndim != 1:
             raise ValueError(
                 f"center and widths must be vectors of equal length, got "
                 f"shapes {c.shape} and {w.shape}"
             )
-        if not np.all(w > 0):
-            raise ValueError(f"widths must be positive, got {w.tolist()}")
-        if not np.all(np.isfinite(c)) or not np.all(np.isfinite(w)):
-            raise ValueError("center and widths must be finite")
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be finite, got {c.tolist()}")
+        if not ((w >= 0) & (w < np.inf)).all():
+            raise ValueError(f"widths must be finite and nonnegative, got {w.tolist()}")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "widths", w)
 
     @property
+    def location(self) -> np.ndarray:
+        return self.center
+
+    @property
     def input_dim(self) -> int:
         return self.center.shape[0]
+
+
+def PointFeature(location) -> GaussianWindowFeature:
+    """Point evaluation ``u = f(location)``: the window of width 0 at ``location``."""
+    return GaussianWindowFeature(location, 0.0)
 
 
 def _check_dim(feature, kernel: Kernel):
@@ -95,6 +89,13 @@ def _check_dim(feature, kernel: Kernel):
         )
 
 
+def _check_quadrature(feature, kernel: Kernel):
+    """The quadrature checks integrate a window density, which needs positive widths."""
+    _check_dim(feature, kernel)
+    if not np.all(feature.widths > 0):
+        raise ValueError(f"quadrature check needs positive widths, got {feature.widths.tolist()}")
+
+
 class _Stack(tuple):
     """Centres and widths of M features as two (M, d) arrays, checked
     against a kernel's dimension by :func:`_stack`.  The covariance
@@ -103,26 +104,14 @@ class _Stack(tuple):
 
 
 def _stack(features, kernel: Kernel) -> _Stack:
-    """Centres and widths of ``features``; a :class:`_Stack` is returned as it is.
-
-    A point evaluation is the zero-width limit of a window: width 0.
-    """
+    """Centres and widths of ``features``; a :class:`_Stack` is returned as it is."""
     if isinstance(features, _Stack):
         return features
     if len(features) == 0:
         raise ValueError("need at least one inducing feature")
-    zero = np.zeros(kernel.input_dim)
-    rows = []
     for g in features:
-        if isinstance(g, PointFeature):
-            rows.append((g.location, zero))
-        elif isinstance(g, GaussianWindowFeature):
-            rows.append((g.center, g.widths))
-        else:
-            raise TypeError(f"unknown feature type {type(g).__name__}")
         _check_dim(g, kernel)
-    centres, widths = zip(*rows)
-    return _Stack((np.array(centres), np.array(widths)))
+    return _Stack((np.array([g.center for g in features]), np.array([g.widths for g in features])))
 
 
 def _se_cov(kernel: Kernel, A, B, comb) -> np.ndarray:
@@ -179,8 +168,8 @@ def assemble_vjp(features, kernel: Kernel, X, Q_uu, Q_uf) -> dict:
     ``X`` already checked by :func:`as_points`.
 
     Returns ``kernel_variance`` (float), ``kernel_lengthscales`` (d,),
-    ``feature_centers`` and ``feature_widths`` (M, d each; the widths
-    gradient of a point feature is the width-0 limit, always 0).
+    ``feature_centers`` and ``feature_widths`` (M, d each; a width enters as
+    ``w^2``, so its gradient ``2 w dK/d(w^2)`` is 0 at width 0, for points).
 
     ``Kuf``'s comb is constant along each row, so its pullback needs only
     row sums: per input dimension one (M, n) difference ``t`` gives
@@ -292,16 +281,14 @@ def _window_density(s, center, width):
 
 
 def feature_point_cov_quadrature(feature, kernel: Kernel, x):
-    """Quadrature evaluation of ``cov(u, f(x))`` for a window feature.
+    """Quadrature evaluation of ``cov(u, f(x))`` for a window of positive widths.
 
     Integrates dimension by dimension (the squared-exponential kernel
     and the window both factorize), each to ``QUADRATURE_ABS_TOL``.
     Bounds extend eight combined widths past the window center and the
     evaluation point.
     """
-    if not isinstance(feature, GaussianWindowFeature):
-        raise TypeError("quadrature check applies to window features")
-    _check_dim(feature, kernel)
+    _check_quadrature(feature, kernel)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != feature.center.shape:
         raise ValueError(
@@ -323,14 +310,10 @@ def feature_point_cov_quadrature(feature, kernel: Kernel, x):
 
 
 def feature_feature_cov_quadrature(f1, f2, kernel: Kernel):
-    """Nested quadrature evaluation of ``cov(u1, u2)`` for window features: per
-    dimension, the outer integral to ``QUADRATURE_ABS_TOL``, the inner to a tenth of it."""
-    if not (
-        isinstance(f1, GaussianWindowFeature) and isinstance(f2, GaussianWindowFeature)
-    ):
-        raise TypeError("quadrature check applies to window features")
-    _check_dim(f1, kernel)
-    _check_dim(f2, kernel)
+    """Nested quadrature evaluation of ``cov(u1, u2)`` for windows of positive widths:
+    per dimension, the outer integral to ``QUADRATURE_ABS_TOL``, the inner to a tenth of it."""
+    _check_quadrature(f1, kernel)
+    _check_quadrature(f2, kernel)
     total = kernel.variance
     for a in range(f1.input_dim):
         c1, w1 = f1.center[a], f1.widths[a]
@@ -358,16 +341,14 @@ def feature_feature_cov_quadrature(f1, f2, kernel: Kernel):
 
 
 def feature_to_dict(feature) -> dict:
-    """JSON-ready record for a feature."""
-    if isinstance(feature, PointFeature):
-        return {"type": "point", "loc": feature.location.tolist()}
-    if isinstance(feature, GaussianWindowFeature):
-        return {
-            "type": "gwindow",
-            "center": feature.center.tolist(),
-            "widths": feature.widths.tolist(),
-        }
-    raise TypeError(f"unknown feature type {type(feature).__name__}")
+    """JSON-ready record for a feature: ``"point"`` for all-zero widths, else ``"gwindow"``."""
+    if not feature.widths.any():
+        return {"type": "point", "loc": feature.center.tolist()}
+    return {
+        "type": "gwindow",
+        "center": feature.center.tolist(),
+        "widths": feature.widths.tolist(),
+    }
 
 
 def feature_from_dict(record: dict):
@@ -375,17 +356,10 @@ def feature_from_dict(record: dict):
     if not isinstance(record, dict) or "type" not in record:
         raise ValueError(f"feature record must be a dict with a 'type' key: {record!r}")
     kind = record["type"]
-    if kind == "point":
-        extra = set(record) - {"type", "loc"}
-        if extra or "loc" not in record:
-            raise ValueError(f"malformed point feature record: {record!r}")
-        return PointFeature(np.asarray(record["loc"], dtype=float))
-    if kind == "gwindow":
-        extra = set(record) - {"type", "center", "widths"}
-        if extra or "center" not in record or "widths" not in record:
-            raise ValueError(f"malformed gwindow feature record: {record!r}")
-        return GaussianWindowFeature(
-            np.asarray(record["center"], dtype=float),
-            np.asarray(record["widths"], dtype=float),
-        )
-    raise ValueError(f"unknown feature type {kind!r}")
+    if kind == "point" and set(record) == {"type", "loc"}:
+        return PointFeature(record["loc"])
+    if kind == "gwindow" and set(record) == {"type", "center", "widths"}:
+        return GaussianWindowFeature(record["center"], record["widths"])
+    if kind not in ("point", "gwindow"):
+        raise ValueError(f"unknown feature type {kind!r}")
+    raise ValueError(f"malformed {kind} feature record: {record!r}")

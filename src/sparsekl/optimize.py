@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .interdomain import GaussianWindowFeature, PointFeature, _stack
+from .interdomain import GaussianWindowFeature, _stack
 from .kernels import Kernel
 from .svgp import GaussianNoise, WhitenedState, _triangle
 
@@ -307,6 +307,10 @@ def svgp_parameterization(
     when such a transform underflows to 0 or overflows to inf (a far
     line-search probe on an objective that is unbounded above, such as a
     single data point).
+
+    With ``optimize_features`` the feature centres move, and the widths behind
+    a log when all are positive; all-zero widths (points) stay 0, and a mix of
+    zero and positive widths raises ``ValueError``.
     """
     state = state.whiten()
     M = len(state.features)
@@ -326,16 +330,13 @@ def svgp_parameterization(
         if isinstance(state.likelihood, GaussianNoise):
             params.append((ParamBlock("noise_var", 1, "log"), [state.likelihood.noise_var]))
     if optimize_features:
-        # a point is a window of width 0: both kinds move their centres,
-        # and windows their (log) widths too
-        kinds = {type(g) for g in state.features}
-        if kinds not in ({PointFeature}, {GaussianWindowFeature}):
-            raise ValueError(
-                "feature optimization needs a homogeneous feature type, got "
-                f"{sorted(k.__name__ for k in kinds)}"
-            )
-        windows = kinds == {GaussianWindowFeature}
         centers, widths = _stack(state.features, state.kernel)
+        windows = bool((widths > 0).all())
+        if widths.any() and not windows:
+            raise ValueError(
+                "feature optimization needs all widths positive or all zero, got "
+                f"{widths.tolist()}"
+            )
         params.append((ParamBlock("feature_centers", M * d), centers))
         if windows:
             params.append((ParamBlock("feature_widths", M * d, "log"), widths))
@@ -364,13 +365,8 @@ def svgp_parameterization(
         features = state.features
         if optimize_features:
             centers = vals["feature_centers"].reshape(M, d)
-            if windows:
-                widths = vals["feature_widths"].reshape(M, d)
-                features = tuple(
-                    GaussianWindowFeature(c, w) for c, w in zip(centers, widths)
-                )
-            else:
-                features = tuple(PointFeature(c) for c in centers)
+            widths = vals["feature_widths"].reshape(M, d) if windows else np.zeros((M, d))
+            features = tuple(map(GaussianWindowFeature, centers, widths))
         return WhitenedState(features, vals["alpha"], half, kernel, likelihood)
 
     return x0, rebuild

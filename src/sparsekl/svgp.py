@@ -255,21 +255,18 @@ def likelihood_from_dict(record: dict):
     if not isinstance(record, dict) or "kind" not in record:
         raise ValueError(f"likelihood record must be a dict with a 'kind': {record!r}")
     kind = record["kind"]
-    if kind == "gaussian":
-        extra = set(record) - {"kind", "noise_var"}
-        if extra or "noise_var" not in record:
-            raise ValueError(f"malformed gaussian likelihood record: {record!r}")
-        return GaussianNoise(float(record["noise_var"]))
-    if kind == "bernoulli":
-        if set(record) - {"kind"}:
-            raise ValueError(f"malformed bernoulli likelihood record: {record!r}")
-        return BernoulliProbit()
-    if kind == "poisson":
-        extra = set(record) - {"kind", "bin_width"}
-        if extra:
-            raise ValueError(f"malformed poisson likelihood record: {record!r}")
-        return PoissonCounts(float(record.get("bin_width", 1.0)))
-    raise ValueError(f"unknown likelihood kind {kind!r}")
+    try:
+        if kind == "gaussian" and set(record) == {"kind", "noise_var"}:
+            return GaussianNoise(float(record["noise_var"]))
+        if kind == "bernoulli" and set(record) == {"kind"}:
+            return BernoulliProbit()
+        if kind == "poisson" and set(record) <= {"kind", "bin_width"}:
+            return PoissonCounts(float(record.get("bin_width", 1.0)))
+    except TypeError:  # a parameter that is not a number
+        pass
+    if kind not in ("gaussian", "bernoulli", "poisson"):
+        raise ValueError(f"unknown likelihood kind {kind!r}")
+    raise ValueError(f"malformed {kind} likelihood record: {record!r}")
 
 
 @dataclass(frozen=True)
@@ -683,11 +680,16 @@ def from_checkpoint_dict(record: dict) -> SVGPState:
     kern = record["kernel"]
     if not isinstance(kern, dict) or set(kern) != {"variance", "lengthscales", "mean_const"}:
         raise ValueError(f"malformed kernel record: {kern!r}")
-    kernel = Kernel(
-        float(kern["variance"]),
-        np.asarray(kern["lengthscales"], dtype=float),
-        float(kern["mean_const"]),
-    )
+    try:
+        kernel = Kernel(
+            float(kern["variance"]),
+            np.asarray(kern["lengthscales"], dtype=float),
+            float(kern["mean_const"]),
+        )
+    except TypeError:  # a parameter that is not a number
+        raise ValueError(f"malformed kernel record: {kern!r}") from None
+    if not isinstance(record["features"], list):
+        raise ValueError(f"malformed features record: {record['features']!r}")
     lik = record["likelihood"]
     return SVGPState(
         features=tuple(feature_from_dict(g) for g in record["features"]),

@@ -88,6 +88,18 @@ def test_window_window_matches_quadrature():
         assert closed == pytest.approx(quad, abs=1e-7)
 
 
+def test_quadrature_rejects_a_zero_width():
+    k = Kernel(variance=1.0, lengthscales=[1.0, 1.0])
+    window = GaussianWindowFeature(center=[0.0, 0.1], widths=[0.5, 0.5])
+    for f in (PointFeature([0.0, 0.1]), GaussianWindowFeature([0.0, 0.1], [0.5, 0.0])):
+        with pytest.raises(ValueError, match="positive widths"):
+            feature_point_cov_quadrature(f, k, [0.3, 0.3])
+        with pytest.raises(ValueError, match="positive widths"):
+            feature_feature_cov_quadrature(f, window, k)
+        with pytest.raises(ValueError, match="positive widths"):
+            feature_feature_cov_quadrature(window, f, k)
+
+
 def _normal_mass(lo, hi, centre, width):
     scale = width * math.sqrt(2.0)
     return 0.5 * (math.erf((hi - centre) / scale) - math.erf((lo - centre) / scale))
@@ -274,11 +286,34 @@ def test_serialization_roundtrip():
     for f in feats:
         back = feature_from_dict(feature_to_dict(f))
         assert type(back) is type(f)
-        if isinstance(f, PointFeature):
-            np.testing.assert_array_equal(back.location, f.location)
-        else:
-            np.testing.assert_array_equal(back.center, f.center)
-            np.testing.assert_array_equal(back.widths, f.widths)
+        np.testing.assert_array_equal(back.center, f.center)
+        np.testing.assert_array_equal(back.widths, f.widths)
+
+
+def test_point_feature_is_the_zero_width_window():
+    f = PointFeature([0.25, -1.5])
+    assert type(f) is GaussianWindowFeature
+    np.testing.assert_array_equal(f.widths, [0.0, 0.0])
+    assert f.location is f.center
+    # a scalar width applies to every dimension
+    np.testing.assert_array_equal(GaussianWindowFeature([0.1, 0.2], 0.5).widths, [0.5, 0.5])
+
+
+def test_zero_width_window_writes_a_point_record():
+    f = GaussianWindowFeature(center=[0.25, -1.5], widths=[0.0, 0.0])
+    record = feature_to_dict(f)
+    assert record == {"type": "point", "loc": [0.25, -1.5]}
+    back = feature_from_dict(record)
+    np.testing.assert_array_equal(back.center, f.center)
+    np.testing.assert_array_equal(back.widths, f.widths)
+
+
+def test_window_record_with_one_zero_width_reads_back():
+    record = {"type": "gwindow", "center": [0.1, 0.2], "widths": [0.0, 0.5]}
+    back = feature_from_dict(record)
+    np.testing.assert_array_equal(back.center, [0.1, 0.2])
+    np.testing.assert_array_equal(back.widths, [0.0, 0.5])
+    assert feature_to_dict(back) == record
 
 
 def test_serialization_rejects_bad_records():
@@ -296,8 +331,10 @@ def test_record_without_type_is_rejected():
 
 
 def test_feature_validation():
-    with pytest.raises(ValueError, match="positive"):
-        GaussianWindowFeature(center=[0.0], widths=[0.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        GaussianWindowFeature(center=[0.0], widths=[-0.1])
+    with pytest.raises(ValueError, match="finite"):
+        GaussianWindowFeature(center=[0.0], widths=[np.inf])
     with pytest.raises(ValueError, match="equal length"):
         GaussianWindowFeature(center=[0.0, 1.0], widths=[0.5])
     with pytest.raises(ValueError, match="finite"):

@@ -299,6 +299,21 @@ class TestSvgpParameterization:
         back = rebuild(x0)
         np.testing.assert_allclose(back.features[0].widths, [0.5], rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "widths",
+        [[[0.0, 0.0], [0.3, 0.3]], [[0.0, 0.2], [0.3, 0.2]]],
+        ids=["across-features", "within-a-feature"],
+    )
+    def test_mixed_zero_and_positive_widths_are_rejected(self, widths):
+        # all-zero widths move only the centres, all-positive widths their logs too;
+        # a mix has no one rule
+        k = Kernel(variance=1.0, lengthscales=[0.5, 0.5])
+        features = [GaussianWindowFeature([c, c], w) for c, w in zip((0.2, 0.8), widths)]
+        state = SVGPState(features, np.zeros(2), np.eye(2), k)
+        with pytest.raises(ValueError, match="all widths positive or all zero"):
+            svgp_parameterization(state, optimize_features=True)
+        svgp_parameterization(state, optimize_features=False)  # fixed features may mix
+
     @staticmethod
     def single_feature_state(window):
         # a regression state with a point feature, or a Cox state (no likelihood)

@@ -268,8 +268,13 @@ class TestMoments:
             ({"kind": "gaussian"}, "malformed gaussian"),
             ({"kind": "bernoulli", "bin_width": 1.0}, "malformed bernoulli"),
             ({"kind": "poisson", "bin_width": 1.0, "extra": 1}, "malformed poisson"),
+            ({"kind": "gaussian", "noise_var": None}, "malformed gaussian"),
+            ({"kind": "poisson", "bin_width": None}, "malformed poisson"),
         ],
-        ids=["no-kind", "gaussian-extra", "gaussian-no-noise", "bernoulli-extra", "poisson-extra"],
+        ids=[
+            "no-kind", "gaussian-extra", "gaussian-no-noise", "bernoulli-extra", "poisson-extra",
+            "gaussian-null-noise", "poisson-null-bin-width",
+        ],
     )
     def test_malformed_record_is_rejected(self, record, message):
         with pytest.raises(ValueError, match=message):
@@ -706,16 +711,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="keys"):
             from_checkpoint_dict(d)
 
-    @pytest.mark.parametrize("change", ["missing", "extra"])
-    def test_rejects_malformed_kernel_record(self, change):
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d["kernel"].pop("mean_const"), "malformed kernel record"),
+            (lambda d: d["kernel"].update(shape=3.0), "malformed kernel record"),
+            (lambda d: d["kernel"].update(variance=None), "malformed kernel record"),
+            (lambda d: d.update(features=None), "malformed features record"),
+        ],
+        ids=["missing", "extra", "null-variance", "null-features"],
+    )
+    def test_rejects_malformed_kernel_record(self, change, message):
         from sparsekl.svgp import from_checkpoint_dict
 
         d = to_checkpoint_dict(make_state(14))
-        if change == "missing":
-            del d["kernel"]["mean_const"]
-        else:
-            d["kernel"]["shape"] = 3.0
-        with pytest.raises(ValueError, match="malformed kernel record"):
+        change(d)
+        with pytest.raises(ValueError, match=message):
             from_checkpoint_dict(d)
 
     def test_nan_token_in_checkpoint_is_rejected(self, tmp_path):
