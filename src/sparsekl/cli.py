@@ -40,7 +40,7 @@ from .cox import (
 )
 from .gaussians import NotPositiveDefiniteError
 from .interdomain import GaussianWindowFeature
-from .kernels import Kernel
+from .kernels import Kernel, is_json_number
 from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_parameterization
 from .svgp import (
     BernoulliProbit,
@@ -81,7 +81,7 @@ class DataError(ValueError):
 
 def _is_number(x):
     """A finite JSON number: not a bool, a string, NaN or Infinity."""
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+    return is_json_number(x) and math.isfinite(x)
 
 
 def _real(x):

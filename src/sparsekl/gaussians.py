@@ -14,9 +14,9 @@ and ``dpotrs`` directly and are the only route to them in the package.
 The oracle's matrices are at most about 12 x 12, where LAPACK takes
 2-3 us and the general wrappers (``np.linalg.cholesky``,
 ``scipy.linalg.solve_triangular``/``cho_solve``) spend 7-22 us per call
-on dispatch, batching and validation; the kernels keep those wrappers'
-checks (finite inputs to a solve, shapes, failure as ``LinAlgError``)
-and drop the rest.
+on dispatch, batching and validation.  The kernels keep their shape checks
+and ``LinAlgError`` on failure but scan no values: a NaN or inf goes to
+LAPACK, which keeps it in its own right-hand-side column of a solve.
 """
 
 from __future__ import annotations
@@ -84,9 +84,7 @@ def cholesky(A):
 
 
 def _check_solve_inputs(L, B):
-    """``scipy.linalg``'s checks on a factor and right-hand side, with its messages."""
-    if not (np.isfinite(L).all() and np.isfinite(B).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    """``scipy.linalg``'s shape checks on a factor and right-hand side, with its messages."""
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("expected square matrix")
     if L.shape[0] != B.shape[0]:
@@ -102,9 +100,9 @@ def solve_triangular(L, B, *, lower=False, trans=0):
     ``lower`` and ``trans`` flipped, so it is not copied.  A C-ordered
     ``B`` is ``B^T`` in Fortran order, so it is solved from the right,
     ``X^T op(L)^T = B^T``, without a layout copy, and ``X`` comes back
-    C-ordered like ``B``.  Raises ``ValueError`` on a non-finite input and
-    ``np.linalg.LinAlgError`` on a zero diagonal, as
-    ``scipy.linalg.solve_triangular`` does.
+    C-ordered like ``B``.  Shapes and the diagonal are checked as in
+    ``scipy.linalg.solve_triangular`` (``ValueError``, ``LinAlgError``), values
+    are not: a NaN or inf stays in its own column of ``X`` on either route.
     """
     _check_solve_inputs(L, B)
     if B.size == 0:
@@ -134,7 +132,7 @@ def cho_solve(factor, B):
     """``(L L^T)^-1 B`` from one ``dpotrs``, with ``factor = (L, lower)``.
 
     ``lower`` false means ``L`` is upper triangular and the matrix is
-    ``L^T L``.  Checks and ordering as :func:`solve_triangular`;
+    ``L^T L``.  Checks, ordering and NaN or inf as :func:`solve_triangular`;
     ``dpotrs`` itself does not test the diagonal, so a zero on it raises
     ``np.linalg.LinAlgError`` here rather than giving infinities.
     """
@@ -293,11 +291,11 @@ def mvn_kl(q: GaussianDist, p: GaussianDist) -> float:
 
 
 def mvn_logpdf(p: GaussianDist, x) -> float:
-    """Log density of ``p`` at the point ``x``."""
+    """Log density of ``p`` at the point ``x``, which must be finite."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != p.mean.shape:
+    if x.shape != p.mean.shape or not np.isfinite(x).all():
         raise ValueError(
-            f"point has shape {x.shape} but distribution has dimension {p.dim}"
+            f"point must be finite and of shape {p.mean.shape}, got {x.tolist()}"
         )
     alpha = solve_triangular(p.chol, x - p.mean, lower=True)
     return float(-0.5 * (p.dim * LOG_2PI + alpha @ alpha) - p.half_log_det())

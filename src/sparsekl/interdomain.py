@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import Kernel, as_points
+from .kernels import Kernel, as_points, is_json_number
 
 __all__ = [
     "PointFeature",
@@ -356,9 +356,10 @@ def feature_from_dict(record: dict):
     if not isinstance(record, dict) or "type" not in record:
         raise ValueError(f"feature record must be a dict with a 'type' key: {record!r}")
     kind = record["type"]
-    if kind == "point" and set(record) == {"type", "loc"}:
+    numbers = all(is_json_number(v, 1) for k, v in record.items() if k != "type")
+    if numbers and kind == "point" and set(record) == {"type", "loc"}:
         return PointFeature(record["loc"])
-    if kind == "gwindow" and set(record) == {"type", "center", "widths"}:
+    if numbers and kind == "gwindow" and set(record) == {"type", "center", "widths"}:
         return GaussianWindowFeature(record["center"], record["widths"])
     if kind not in ("point", "gwindow"):
         raise ValueError(f"unknown feature type {kind!r}")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .gaussians import GaussianDist
 
-__all__ = ["Kernel", "kernel_matrix", "prior_at", "as_points"]
+__all__ = ["Kernel", "kernel_matrix", "prior_at", "as_points", "is_json_number"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,15 @@ def as_points(X, dim=None):
     if not np.isfinite(X).all():
         raise ValueError("input locations must be finite")
     return X
+
+
+def is_json_number(x, depth=0) -> bool:
+    """Whether ``x`` is a JSON number, not a bool, or lists of them nested up to ``depth``
+    deep: the rule for every number in a record.  NaN and inf pass, for the class built
+    from the record to reject by name."""
+    if isinstance(x, list):
+        return depth > 0 and all(is_json_number(v, depth - 1) for v in x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def kernel_matrix(kernel: Kernel, X1, X2) -> np.ndarray:

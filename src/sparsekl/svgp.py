@@ -44,7 +44,7 @@ from .interdomain import (
     feature_from_dict,
     feature_to_dict,
 )
-from .kernels import Kernel, as_points
+from .kernels import Kernel, as_points, is_json_number
 
 __all__ = [
     "GaussianNoise",
@@ -255,15 +255,13 @@ def likelihood_from_dict(record: dict):
     if not isinstance(record, dict) or "kind" not in record:
         raise ValueError(f"likelihood record must be a dict with a 'kind': {record!r}")
     kind = record["kind"]
-    try:
-        if kind == "gaussian" and set(record) == {"kind", "noise_var"}:
-            return GaussianNoise(float(record["noise_var"]))
-        if kind == "bernoulli" and set(record) == {"kind"}:
-            return BernoulliProbit()
-        if kind == "poisson" and set(record) <= {"kind", "bin_width"}:
-            return PoissonCounts(float(record.get("bin_width", 1.0)))
-    except TypeError:  # a parameter that is not a number
-        pass
+    numbers = all(is_json_number(v) for k, v in record.items() if k != "kind")
+    if numbers and kind == "gaussian" and set(record) == {"kind", "noise_var"}:
+        return GaussianNoise(record["noise_var"])
+    if kind == "bernoulli" and set(record) == {"kind"}:
+        return BernoulliProbit()
+    if numbers and kind == "poisson" and set(record) <= {"kind", "bin_width"}:
+        return PoissonCounts(record.get("bin_width", 1.0))
     if kind not in ("gaussian", "bernoulli", "poisson"):
         raise ValueError(f"unknown likelihood kind {kind!r}")
     raise ValueError(f"malformed {kind} likelihood record: {record!r}")
@@ -379,14 +377,6 @@ class _FeatureFactors:
         self.A = solve_triangular(self.Luu, self.Kuf, lower=True)
 
 
-def _solve_t(Luu, B):
-    """``Luu^-T B``; a non-finite column of ``B`` (an overflowed link) gives NaN, not an error."""
-    finite = np.isfinite(B).all(axis=0)
-    if finite.all():
-        return solve_triangular(Luu, B, lower=True, trans=1)
-    return np.where(finite, solve_triangular(Luu, np.where(finite, B, 0.0), lower=True, trans=1), np.nan)
-
-
 class _WhitenedPass:
     """The q half of one evaluation, and its reverse pass.
 
@@ -477,14 +467,16 @@ class _WhitenedPass:
         lower, diag, tril = _triangle(M)
         g_var = np.where(self.positive, d_var, 0.0)
         Ag, AvAt = A @ d_mean, (A * g_var) @ A.T
-        R = _solve_t(Luu, np.concatenate([2.0 * (half @ half.T - np.eye(M)), alpha[:, None]], axis=1))
+        R = np.concatenate([2.0 * (half @ half.T - np.eye(M)), alpha[:, None]], axis=1)
+        R = solve_triangular(Luu, R, lower=True, trans=1)
         d_Kuf = R[:, :M] @ A
         d_Kuf *= g_var
         d_Kuf += np.multiply.outer(R[:, M], d_mean)
         d_Luu = -(R[:, :M] @ AvAt) - np.multiply.outer(R[:, M], Ag)
         Phi = np.where(tril, Luu.T @ d_Luu, 0.0)
         Phi[diag] *= 0.5
-        Z = _solve_t(Luu, _solve_t(Luu, Phi).T)
+        Z = solve_triangular(Luu, Phi, lower=True, trans=1)
+        Z = solve_triangular(Luu, Z.T, lower=True, trans=1)
         d_Kuu = 0.5 * (Z + Z.T)
         d_Kuu[diag] += f.jitter / f.Kuu.trace() * d_Kuu.trace()
         d_Kuu *= f.Kuu
@@ -678,24 +670,22 @@ def from_checkpoint_dict(record: dict) -> SVGPState:
             f"got {sorted(record) if isinstance(record, dict) else type(record).__name__}"
         )
     kern = record["kernel"]
-    if not isinstance(kern, dict) or set(kern) != {"variance", "lengthscales", "mean_const"}:
+    depths = {"variance": 0, "lengthscales": 1, "mean_const": 0}
+    if not isinstance(kern, dict) or set(kern) != set(depths) or not all(
+        is_json_number(kern[k], depth) for k, depth in depths.items()
+    ):
         raise ValueError(f"malformed kernel record: {kern!r}")
-    try:
-        kernel = Kernel(
-            float(kern["variance"]),
-            np.asarray(kern["lengthscales"], dtype=float),
-            float(kern["mean_const"]),
-        )
-    except TypeError:  # a parameter that is not a number
-        raise ValueError(f"malformed kernel record: {kern!r}") from None
+    for key, depth in (("q_mean", 1), ("q_chol", 2)):
+        if not is_json_number(record[key], depth):
+            raise ValueError(f"malformed {key} record: {record[key]!r}")
     if not isinstance(record["features"], list):
         raise ValueError(f"malformed features record: {record['features']!r}")
     lik = record["likelihood"]
     return SVGPState(
         features=tuple(feature_from_dict(g) for g in record["features"]),
-        q_mean=np.asarray(record["q_mean"], dtype=float),
-        q_chol=np.asarray(record["q_chol"], dtype=float),
-        kernel=kernel,
+        q_mean=record["q_mean"],
+        q_chol=record["q_chol"],
+        kernel=Kernel(kern["variance"], kern["lengthscales"], kern["mean_const"]),
         likelihood=None if lik is None else likelihood_from_dict(lik),
     )
 

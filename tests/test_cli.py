@@ -1363,10 +1363,10 @@ class TestVerifyTask:
         # the error is raised in a pool worker and must reach main intact
         original = verify.instance_record
 
-        def failing_record(seed, regime=None):
+        def failing_record(seed):
             if seed == 2:
                 raise NotPositiveDefiniteError("Kuu is not positive definite", 1e-2)
-            return original(seed, regime)
+            return original(seed)
 
         monkeypatch.setattr(verify, "instance_record", failing_record)
         cfg = write_config(

@@ -323,6 +323,19 @@ def test_serialization_rejects_bad_records():
         feature_from_dict({"type": "point", "loc": [0.0], "extra": 1})
     with pytest.raises(ValueError, match="malformed"):
         feature_from_dict({"type": "gwindow", "center": [0.0]})
+    # every numeric field is a JSON number or a list of them: not an object,
+    # a bool or a string, and not a list nested deeper than the field
+    for record in (
+        {"type": "point", "loc": {}},
+        {"type": "point", "loc": True},
+        {"type": "point", "loc": [[0.0]]},
+        {"type": "gwindow", "center": {}, "widths": [0.5]},
+        {"type": "gwindow", "center": [0.0], "widths": {}},
+        {"type": "gwindow", "center": [0.0], "widths": ["0.5"]},
+        {"type": "gwindow", "center": [False], "widths": [0.5]},
+    ):
+        with pytest.raises(ValueError, match=f"malformed {record['type']} feature record"):
+            feature_from_dict(record)
 
 
 def test_record_without_type_is_rejected():

@@ -1,9 +1,11 @@
-"""Every public name has a caller.
+"""Every public name and every private helper has a caller.
 
 A name in a module's ``__all__`` must be used somewhere in ``src/sparsekl``
 outside its own definition (``__all__`` lists and ``__init__.py``
 re-exports do not count, and neither do docstrings), or be named in
 README.md, which lists the public API that no route in ``src/`` calls.
+A private top-level function or class must be used in ``src/sparsekl``
+outside its own definition; a use in a test does not count.
 """
 
 import ast
@@ -48,17 +50,24 @@ def _used_names(node):
     return names
 
 
-def uncalled_public_names(src, readme_text):
-    """``module.name`` for each public name with no use in ``src`` and no mention in the README."""
+def _trees_and_uses(src):
+    """Each module's tree but ``__init__``'s, and for each name the modules and
+    top-level definitions it is used from."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
     trees.pop("__init__", None)
-    used = {}  # name -> modules and definitions it is used from
+    used = {}
     for module, tree in trees.items():
         defs = _definitions(tree)
         for node in tree.body:
             owner = next((name for name, d in defs.items() if d is node), None)
             for name in _used_names(node):
                 used.setdefault(name, set()).add((module, owner))
+    return trees, used
+
+
+def uncalled_public_names(src, readme_text):
+    """``module.name`` for each public name with no use in ``src`` and no mention in the README."""
+    trees, used = _trees_and_uses(src)
     missing = []
     for module, tree in trees.items():
         for name in _public_names(tree):
@@ -68,8 +77,25 @@ def uncalled_public_names(src, readme_text):
     return missing
 
 
+def uncalled_private_helpers(src):
+    """``module.name`` for each private top-level function or class with no use in ``src``."""
+    trees, used = _trees_and_uses(src)
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, node in _definitions(tree).items()
+        if name.startswith("_")
+        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not used.get(name, set()) - {(module, name)}
+    ]
+
+
 def test_every_public_name_has_a_caller_or_a_readme_entry():
     assert uncalled_public_names(SRC, README.read_text(encoding="utf-8")) == []
+
+
+def test_every_private_helper_has_a_caller():
+    assert uncalled_private_helpers(SRC) == []
 
 
 def test_scan_counts_only_real_uses(tmp_path):
@@ -82,6 +108,10 @@ def test_scan_counts_only_real_uses(tmp_path):
         "def recursive(n): return recursive(n - 1)\n"
         "def documented(): pass\n"
         "def listed(): pass\n"
+        "def _helper(): return _Shared()\n"
+        "class _Shared: pass\n"
+        "def _stale(n): return _stale(n - 1)\n"
+        "x = _helper()\n"
     )
     (tmp_path / "b.py").write_text(
         '"""Names ``lonely`` in a docstring only."""\n'
@@ -89,3 +119,5 @@ def test_scan_counts_only_real_uses(tmp_path):
     )
     missing = uncalled_public_names(tmp_path, "The API also offers `documented`.")
     assert missing == ["a.lonely", "a.recursive", "a.listed"]
+    # a private helper whose only use is inside its own definition has no caller
+    assert uncalled_private_helpers(tmp_path) == ["a._stale"]

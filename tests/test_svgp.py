@@ -25,7 +25,6 @@ from sparsekl.gaussians import (
     NotPositiveDefiniteError,
     cholesky,
     mvn_kl,
-    solve_triangular,
 )
 from sparsekl.interdomain import GaussianWindowFeature, PointFeature, assemble_Kuu
 from sparsekl.kernels import Kernel, kernel_matrix
@@ -46,7 +45,6 @@ from sparsekl.svgp import (
     predictive_marginals,
     save_checkpoint,
     to_checkpoint_dict,
-    _solve_t,
     _WhitenedPass,
 )
 from sparsekl.verify import EQUIVALENCE_RTOL
@@ -270,10 +268,17 @@ class TestMoments:
             ({"kind": "poisson", "bin_width": 1.0, "extra": 1}, "malformed poisson"),
             ({"kind": "gaussian", "noise_var": None}, "malformed gaussian"),
             ({"kind": "poisson", "bin_width": None}, "malformed poisson"),
+            ({"kind": "gaussian", "noise_var": "0.2"}, "malformed gaussian"),
+            ({"kind": "gaussian", "noise_var": True}, "malformed gaussian"),
+            ({"kind": "gaussian", "noise_var": [0.2]}, "malformed gaussian"),
+            ({"kind": "poisson", "bin_width": "1"}, "malformed poisson"),
+            ({"kind": "poisson", "bin_width": True}, "malformed poisson"),
         ],
         ids=[
             "no-kind", "gaussian-extra", "gaussian-no-noise", "bernoulli-extra", "poisson-extra",
-            "gaussian-null-noise", "poisson-null-bin-width",
+            "gaussian-null-noise", "poisson-null-bin-width", "gaussian-string-noise",
+            "gaussian-bool-noise", "gaussian-list-noise", "poisson-string-bin-width",
+            "poisson-bool-bin-width",
         ],
     )
     def test_malformed_record_is_rejected(self, record, message):
@@ -416,36 +421,6 @@ class TestPredictive:
         )
         mean, var = predictive_marginals(state, np.array([0.5]))
         assert np.isfinite(mean).all() and np.isfinite(var).all()
-
-
-class TestSolveT:
-    """``_solve_t``: ``Luu^-T B`` column by column, NaN where ``B`` is not finite."""
-
-    @staticmethod
-    def factor(M, seed):
-        rng = np.random.default_rng(seed)
-        W = rng.standard_normal((M, M))
-        return cholesky(W @ W.T + M * np.eye(M)), rng
-
-    def test_finite_columns_equal_the_solve_and_the_others_are_nan(self):
-        L, rng = self.factor(5, 0)
-        B = rng.standard_normal((5, 7))
-        B[2, 1], B[0, 4], B[3, 4], B[4, 6] = np.inf, np.nan, -np.inf, np.nan
-        before = B.copy()
-        out = _solve_t(L, B)
-        finite = np.array([True, False, True, True, False, True, False])
-        assert np.isnan(out[:, ~finite]).all()
-        expected = solve_triangular(L, np.where(finite, B, 0.0), lower=True, trans=1)
-        np.testing.assert_array_equal(out[:, finite], expected[:, finite])
-        np.testing.assert_array_equal(B, before)
-
-    @pytest.mark.parametrize("transposed", [False, True])
-    def test_all_finite_equals_the_solve_bit_for_bit(self, transposed):
-        # the reverse pass also hands it a transposed, F-ordered product
-        L, rng = self.factor(6, 1)
-        B = rng.standard_normal((6, 6))
-        B = B.T if transposed else B
-        np.testing.assert_array_equal(_solve_t(L, B), solve_triangular(L, B, lower=True, trans=1))
 
 
 class TestWhitenedKL:
@@ -718,8 +693,22 @@ class TestCheckpoint:
             (lambda d: d["kernel"].update(shape=3.0), "malformed kernel record"),
             (lambda d: d["kernel"].update(variance=None), "malformed kernel record"),
             (lambda d: d.update(features=None), "malformed features record"),
+            (lambda d: d["features"][0].update(loc={}), "malformed point feature record"),
+            (lambda d: d["features"][0].update(loc=True), "malformed point feature record"),
+            (lambda d: d.update(q_mean={}), "malformed q_mean record"),
+            (lambda d: d.update(q_mean=[True, False]), "malformed q_mean record"),
+            (lambda d: d.update(q_chol="x"), "malformed q_chol record"),
+            (lambda d: d["kernel"].update(variance="2"), "malformed kernel record"),
+            (lambda d: d["kernel"].update(variance=True), "malformed kernel record"),
+            (lambda d: d["kernel"].update(variance=[1.2]), "malformed kernel record"),
+            (lambda d: d["kernel"].update(lengthscales={}), "malformed kernel record"),
+            (lambda d: d["kernel"].update(mean_const="0.1"), "malformed kernel record"),
         ],
-        ids=["missing", "extra", "null-variance", "null-features"],
+        ids=[
+            "missing", "extra", "null-variance", "null-features", "object-loc", "bool-loc",
+            "object-q-mean", "bool-q-mean", "string-q-chol", "string-variance", "bool-variance",
+            "list-variance", "object-lengthscales", "string-mean-const",
+        ],
     )
     def test_rejects_malformed_kernel_record(self, change, message):
         from sparsekl.svgp import from_checkpoint_dict

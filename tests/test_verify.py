@@ -101,17 +101,18 @@ def test_run_verification_small():
     json.dumps(report)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
-def test_parallel_battery_equals_sequential(n, monkeypatch):
+@pytest.mark.parametrize(
+    "n, seed", [(1, 3), (2, 3), (7, 3), (6, 31)], ids=["1", "2", "7", "6-from-seed-31"]
+)
+def test_parallel_battery_equals_sequential(n, seed, monkeypatch):
     # n=1 and 2 hit the cap of one worker per instance; with one chunk per
-    # worker, n=7 splits into chunks of uneven length on 2 or 3 CPUs
+    # worker, n=7 splits into chunks of uneven length on 2 or 3 CPUs.  Each
+    # row is reproducible from its seed alone, also in a batch whose first
+    # seed is not a multiple of the number of regimes.
     monkeypatch.setattr(verify, "CHUNKS_PER_WORKER", 1)
-    seed = 3
     report = run_verification(seed, n)
     assert not multiprocessing.active_children()
-    assert report["instances"] == [
-        instance_record(seed + i, REGIMES[i % len(REGIMES)]) for i in range(n)
-    ]
+    assert report["instances"] == [instance_record(seed + i) for i in range(n)]
     assert report["quadrature"] == quadrature_crosschecks(seed + 777_777)
 
 
