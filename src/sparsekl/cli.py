@@ -40,7 +40,7 @@ from .cox import (
 )
 from .gaussians import NotPositiveDefiniteError
 from .interdomain import GaussianWindowFeature
-from .kernels import Kernel, is_json_number
+from .kernels import Kernel, is_json_number, write_json
 from .optimize import NonFiniteObjectiveError, maximize, raw_gradient, svgp_parameterization
 from .svgp import (
     BernoulliProbit,
@@ -184,43 +184,38 @@ MODEL_COMMON = {
     "window_width": (False, _positive),
 }
 
+RUN_KEYS = {
+    "out": (False, _string),
+    "seed": (False, _nonneg_int),
+}
+
+
+def _fit_schema(**model_keys):
+    """A fit task's schema: its data, the run keys, its model's keys and the optimizer."""
+    return {
+        "data": (True, _string),
+        **RUN_KEYS,
+        "model": dict(MODEL_COMMON, **model_keys),
+        "optimizer": OPTIMIZER_SCHEMA,
+    }
+
+
 SCHEMAS = {
-    "fit-regression": {
-        "data": (True, _string),
-        "out": (False, _string),
-        "seed": (False, _nonneg_int),
-        "model": dict(MODEL_COMMON, noise_var=(True, _positive)),
-        "optimizer": OPTIMIZER_SCHEMA,
-    },
-    "fit-classification": {
-        "data": (True, _string),
-        "out": (False, _string),
-        "seed": (False, _nonneg_int),
-        "model": MODEL_COMMON,
-        "optimizer": OPTIMIZER_SCHEMA,
-    },
-    "fit-cox": {
-        "data": (True, _string),
-        "out": (False, _string),
-        "seed": (False, _nonneg_int),
-        "model": dict(
-            MODEL_COMMON,
-            link=(False, _choice("exp", "square")),
-            domain=(True, _domain),
-            quad_orders=(False, _order_list),
-        ),
-        "optimizer": OPTIMIZER_SCHEMA,
-    },
+    "fit-regression": _fit_schema(noise_var=(True, _positive)),
+    "fit-classification": _fit_schema(),
+    "fit-cox": _fit_schema(
+        link=(False, _choice("exp", "square")),
+        domain=(True, _domain),
+        quad_orders=(False, _order_list),
+    ),
     "verify": {
-        "out": (False, _string),
-        "seed": (False, _nonneg_int),
+        **RUN_KEYS,
         "verify": {
             "instances": (False, _positive_int),
         },
     },
     "generate": {
-        "out": (False, _string),
-        "seed": (False, _nonneg_int),
+        **RUN_KEYS,
         "generate": {
             "kind": (True, _choice("regression", "classification", "cox")),
             "n": (False, _positive_int),
@@ -372,12 +367,6 @@ def read_xy_data(path, input_dim):
 
 def read_events(path, input_dim):
     return read_csv(path, _x_header(input_dim))
-
-
-def write_json(path, record):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

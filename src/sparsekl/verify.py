@@ -29,7 +29,6 @@ from .finite_oracle import (
 )
 from .gaussians import (
     GaussianDist,
-    cholesky,
     expected_conditional_kl,
     joint_from_marginal_and_conditional,
     mvn_kl,
@@ -41,7 +40,7 @@ from .interdomain import (
     feature_point_cov,
     feature_point_cov_quadrature,
 )
-from .kernels import Kernel, kernel_matrix
+from .kernels import Kernel, prior_at
 from .svgp import GaussianNoise, gauss_hermite_expectation
 
 __all__ = [
@@ -104,10 +103,8 @@ def random_finite_instance(seed: int, regime: str = None):
         nd = int(rng.integers(1, 5))
         data_idx = tuple(perm[:nd])
         inducing_idx = data_idx
-    K = kernel_matrix(kernel, X, X)
-    prior = GaussianDist(np.full(n, kernel.mean_const), K)
-    L = cholesky(K)
-    f = prior.mean + L @ rng.standard_normal(n)
+    prior = prior_at(kernel, X)
+    f = prior.mean + prior.chol @ rng.standard_normal(n)
     Y = f[list(data_idx)] + np.sqrt(noise_var) * rng.standard_normal(len(data_idx))
     model = FiniteModel(X, data_idx, inducing_idx, prior, Y, noise_var, kernel)
     nz = len(inducing_idx)
@@ -235,7 +232,7 @@ def quadrature_crosschecks(seed: int) -> dict:
         y = rng.uniform(-3, 3, size=4)
         closed = lik.variational_expectations(mu, var, y)
         quad = gauss_hermite_expectation(
-            lambda f: lik.log_density(f, y[:, None]), mu, var, 20
+            lambda f: lik.log_density(f, y[:, None]), mu, var
         )
         max_gh = max(max_gh, float(np.max(np.abs(closed - quad))))
     return {

@@ -199,6 +199,35 @@ class TestConfigValidation:
         assert rc == 2
         assert key in err and phrase in err
 
+    @pytest.mark.parametrize(
+        "task, key, value, phrase",
+        [
+            ("fit-regression", "seed", -1, "seed: must be a nonnegative integer"),
+            ("fit-regression", "model.num_inducing", 0, "model.num_inducing: must be a positive integer"),
+            ("fit-regression", "data", 3, "data: must be a string"),
+            ("fit-regression", "optimizer.optimize_features", "yes", "must be true or false"),
+            ("fit-cox", "model.domain", [[1.0, 0.0]], "every lower bound must be below its upper"),
+            ("fit-regression", "model.feature_type", "line", "model.feature_type: must be one of"),
+        ],
+        ids=["negative-seed", "zero-inducing", "numeric-data", "string-bool", "reversed-domain",
+             "unknown-choice"],
+    )
+    def test_every_validator_names_its_key(self, tmp_path, capsys, task, key, value, phrase):
+        model = {"kernel": {"variance": 1.0, "lengthscales": [1.0]}, "num_inducing": 2}
+        if task == "fit-regression":
+            model["noise_var"] = 0.1
+        else:
+            model["domain"] = [[0.0, 1.0]]
+        doc = {"data": "x.csv", "model": model}
+        *parents, leaf = key.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+        rc = main([task, "--config", write_config(tmp_path, "bad.json", doc)])
+        assert rc == 2
+        assert phrase in capsys.readouterr().err
+
     def test_removed_step_key_is_rejected(self, tmp_path, capsys):
         data = regression_dataset(tmp_path)
         cfg = small_fit_config(tmp_path, data, str(tmp_path / "o"))

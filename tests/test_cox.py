@@ -410,3 +410,31 @@ class TestSampler:
         assert ev.shape[1] == 2
         assert np.all(ev[:, 0] >= 0.0) and np.all(ev[:, 0] <= 2.0)
         assert np.all(ev[:, 1] >= -1.0) and np.all(ev[:, 1] <= 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (
+            lambda: CoxModel(lower=[0.0, 0.0], upper=[1.0], events=[]),
+            "domain bounds must be equal-length vectors",
+        ),
+        (lambda: expected_log_rate("cubic", [0.0], [1.0]), "unknown link 'cubic'"),
+        (
+            lambda: sample_inhomogeneous_pp(lambda p: np.ones(len(p)), 2.0, [1.0], [0.0], seed=0),
+            "domain bounds must satisfy lower < upper",
+        ),
+        (
+            lambda: sample_inhomogeneous_pp(lambda p: np.ones(len(p)), 0.0, [0.0], [1.0], seed=0),
+            "upper_bound must be positive",
+        ),
+        (
+            lambda: sample_inhomogeneous_pp(lambda p: -np.ones(len(p)), 2.0, [0.0], [1.0], seed=0),
+            "intensity must be finite and nonnegative",
+        ),
+    ],
+    ids=["ragged-domain", "unknown-log-link", "reversed-domain", "zero-bound", "negative-intensity"],
+)
+def test_caller_input_is_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -20,6 +20,7 @@ from sparsekl.finite_oracle import (
     augmentation_gap,
     check_finite_equivalence,
     collapsed_bound_dense,
+    deterministic_map_report,
     deterministic_union_kl,
     exact_posterior,
     extend_approx,
@@ -31,6 +32,7 @@ from sparsekl.finite_oracle import (
     titsias_kl,
 )
 from sparsekl.gaussians import (
+    AffineConditional,
     GaussianDist,
     conditional_from_joint,
     mvn_kl,
@@ -287,7 +289,7 @@ class TestAugmentation:
         for seed in range(10):
             m, q = random_finite_instance(seed)
             cond = noisy_copy_conditional(m)
-            rep = augmentation_gap(m, q, cond, cond)
+            rep = augmentation_gap(m, q, cond)
             assert abs(rep.gap) <= 1e-9 * (1 + abs(rep.kl_X))
             assert rep.kl_union == pytest.approx(
                 rep.kl_X, abs=1e-9 * (1 + abs(rep.kl_X))
@@ -299,9 +301,8 @@ class TestAugmentation:
         for seed in (0, 4, 8):
             m, q = random_finite_instance(seed)
             nz = len(m.inducing_idx)
-            matched = noisy_copy_conditional(m)
             doubled = noisy_copy_conditional(m, cov_scale=2.0)
-            rep = augmentation_gap(m, q, doubled, matched)
+            rep = augmentation_gap(m, q, doubled)
             expected = nz * (1.0 - math.log(2.0)) / 2.0
             assert rep.gap == pytest.approx(expected, abs=1e-9)
             assert rep.gap > 0.01
@@ -438,3 +439,50 @@ class TestModelValidation:
         prior = GaussianDist(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError, match="Y must be finite"):
             FiniteModel(np.arange(3.0), (0, 2), (1,), prior, [0.5, y], 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (
+            lambda m, q: extend_approx(m, GaussianDist(np.zeros(q.dim + 1), np.eye(q.dim + 1))),
+            "but there are",
+        ),
+        (
+            lambda m, q: kl_chain_rule_decompose(
+                GaussianDist(np.zeros(2), np.eye(2)), GaussianDist(np.zeros(3), np.eye(3)), [0], [1]
+            ),
+            "joint dimensions differ",
+        ),
+        (lambda m, q: noisy_copy_conditional(m, cov_scale=0.0), "cov_scale must be positive"),
+        (
+            lambda m, q: augmentation_gap(
+                m, q, AffineConditional(np.ones((1, m.n_points + 1)), np.zeros(1), np.eye(1))
+            ),
+            "q_conditional must read the full index set",
+        ),
+        (
+            lambda m, q: pushforward_check(GaussianDist(np.zeros(2), np.eye(2)), np.eye(3, 2)),
+            "more rows than columns",
+        ),
+        (
+            lambda m, q: pushforward_check(GaussianDist(np.zeros(2), np.eye(2)), np.ones((1, 3))),
+            "map has 3 columns but the distribution has dimension 2",
+        ),
+        (
+            lambda m, q: deterministic_map_report(
+                GaussianDist(np.zeros(2), np.eye(2)), GaussianDist(np.zeros(3), np.eye(3)),
+                np.ones((1, 2)),
+            ),
+            "map and distributions must share one dimension",
+        ),
+    ],
+    ids=[
+        "q-dimension", "joint-dimensions", "zero-cov-scale", "narrow-conditional",
+        "tall-map", "wide-map", "map-dimensions",
+    ],
+)
+def test_caller_input_is_rejected(call, fragment):
+    m, q = random_finite_instance(0)
+    with pytest.raises(ValueError, match=fragment):
+        call(m, q)

@@ -761,3 +761,37 @@ def test_wrapper_scan_finds_each_route():
         ]
     )
     assert sorted(wrapper_uses(source)) == [1, 4, 5, 6]
+
+
+def _joint(dim):
+    return GaussianDist(np.zeros(dim), np.eye(dim) + 0.5)
+
+
+def _conditional(out_dim, in_dim):
+    return AffineConditional(np.ones((out_dim, in_dim)), np.zeros(out_dim), np.eye(out_dim))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: mvn_condition(_joint(3), [0], [1.0, 2.0]), "1 observed indices but 2 values"),
+        (lambda: conditional_from_joint(_joint(3), [0, 1], [1]), "index sets overlap"),
+        (
+            lambda: expected_conditional_kl(_conditional(1, 2), _conditional(2, 2), _joint(2)),
+            "conditional shape mismatch",
+        ),
+        (
+            lambda: joint_from_marginal_and_conditional(_joint(3), _conditional(1, 2)),
+            "conditional expects input dimension 2, marginal has 3",
+        ),
+    ],
+    ids=["value-count", "overlapping-blocks", "conditional-shapes", "marginal-dimension"],
+)
+def test_caller_input_is_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_cholesky_jittered_of_an_empty_matrix_is_empty():
+    L, jitter = cholesky_jittered(np.zeros((0, 0)))
+    assert L.shape == (0, 0) and jitter == 0.0

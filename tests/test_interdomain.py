@@ -359,3 +359,21 @@ def test_dimension_mismatch_with_kernel():
     f = PointFeature([0.0])
     with pytest.raises(ValueError):
         feature_point_cov(f, k, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: assemble_Kuu([], Kernel(1.0, [0.5])), "need at least one inducing feature"),
+        (
+            lambda: feature_point_cov_quadrature(
+                GaussianWindowFeature([0.0], [0.5]), Kernel(1.0, [0.5]), [0.0, 1.0]
+            ),
+            "point has shape",
+        ),
+    ],
+    ids=["no-features", "point-dimension"],
+)
+def test_caller_input_is_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -1,5 +1,7 @@
 """Squared-exponential kernel checks: frozen values, symmetry, PSD."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,21 @@ def test_prior_at_constant_mean():
     assert isinstance(p, GaussianDist)
     np.testing.assert_array_equal(p.mean, np.full(4, -2.5))
     np.testing.assert_allclose(np.diag(p.cov), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: Kernel(1.0, [[0.5, 0.5]]), "lengthscales must be a nonempty vector"),
+        (lambda: Kernel(np.inf, [0.5]), "kernel parameters must be finite"),
+        (lambda: as_points(np.zeros((2, 2, 2))), "inputs must be a (n, d) array"),
+        (
+            lambda: kernel_matrix(Kernel(1.0, [0.5]), np.zeros((2, 2)), np.zeros((3, 2))),
+            "kernel expects dimension 1",
+        ),
+    ],
+    ids=["matrix-lengthscales", "infinite-variance", "three-axis-inputs", "kernel-dimension"],
+)
+def test_caller_input_is_rejected(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -1,9 +1,11 @@
 """Every public name and every private helper has a caller.
 
-A name in a module's ``__all__`` must be used somewhere in ``src/sparsekl``
-outside its own definition (``__all__`` lists and ``__init__.py``
-re-exports do not count, and neither do docstrings), or be named in
-README.md, which lists the public API that no route in ``src/`` calls.
+A name in a module's ``__all__``, and a public method or property of a
+public class, must be used somewhere in ``src/sparsekl`` outside its own
+definition (``__all__`` lists and ``__init__.py`` re-exports do not count,
+and neither do docstrings; a member's own class does not count), or be named
+in README.md, which lists the public API that no route in ``src/`` calls; a
+member is named there as ``Class.member``.
 A private top-level function or class must be used in ``src/sparsekl``
 outside its own definition; a use in a test does not count.
 """
@@ -65,15 +67,30 @@ def _trees_and_uses(src):
     return trees, used
 
 
+def _public_api(tree):
+    """``(label, name, owner)`` for each public name of a module, then each public method
+    or property of its public classes: uses inside the top-level definition ``owner``
+    do not count, and the README must name the ``label`` (``Class.member``)."""
+    names = _public_names(tree)
+    for name in names:
+        yield name, name, name
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, node.name
+
+
 def uncalled_public_names(src, readme_text):
-    """``module.name`` for each public name with no use in ``src`` and no mention in the README."""
+    """``module.label`` for each public name, method or property with no use in ``src``
+    and no mention in the README."""
     trees, used = _trees_and_uses(src)
     missing = []
     for module, tree in trees.items():
-        for name in _public_names(tree):
-            callers = used.get(name, set()) - {(module, name)}
-            if not callers and not re.search(rf"\b{re.escape(name)}\b", readme_text):
-                missing.append(f"{module}.{name}")
+        for label, name, owner in _public_api(tree):
+            callers = used.get(name, set()) - {(module, owner)}
+            if not callers and not re.search(rf"\b{re.escape(label)}\b", readme_text):
+                missing.append(f"{module}.{label}")
     return missing
 
 
@@ -101,7 +118,7 @@ def test_every_private_helper_has_a_caller():
 def test_scan_counts_only_real_uses(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import *\nfrom .a import lonely\n")
     (tmp_path / "a.py").write_text(
-        '__all__ = ["used", "lonely", "recursive", "documented", "listed", "CONST"]\n'
+        '__all__ = ["used", "lonely", "recursive", "documented", "listed", "CONST", "Holder"]\n'
         "CONST = 3\n"
         "def used(): return CONST\n"
         "def lonely(): pass\n"
@@ -112,12 +129,16 @@ def test_scan_counts_only_real_uses(tmp_path):
         "class _Shared: pass\n"
         "def _stale(n): return _stale(n - 1)\n"
         "x = _helper()\n"
+        "class Holder:\n"
+        "    def called(self): return self.unused()\n"
+        "    def unused(self): pass\n"
     )
     (tmp_path / "b.py").write_text(
         '"""Names ``lonely`` in a docstring only."""\n'
-        "from .a import listed\nfrom . import a\nx = a.used()\n"
+        "from .a import listed\nfrom . import a\nx = a.used()\ny = a.Holder().called()\n"
     )
-    missing = uncalled_public_names(tmp_path, "The API also offers `documented`.")
-    assert missing == ["a.lonely", "a.recursive", "a.listed"]
+    missing = uncalled_public_names(tmp_path, "The API also offers `documented`, not `unused`.")
+    # a public method whose only use is inside its own class has no caller
+    assert missing == ["a.lonely", "a.recursive", "a.listed", "a.Holder.unused"]
     # a private helper whose only use is inside its own definition has no caller
     assert uncalled_private_helpers(tmp_path) == ["a._stale"]

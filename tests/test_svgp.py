@@ -169,14 +169,14 @@ class TestLikelihoods:
         # doubling the order barely moves the value: below 1e-6 relative
         # for moderate variances, below 2e-4 out to var = 10
         lik = BernoulliProbit()
+        x, w = np.polynomial.hermite.hermgauss(40)
         for mu in (-5.0, -1.0, 0.0, 2.0, 5.0):
             for var in (0.1, 1.0, 2.0, 5.0, 10.0):
                 a = lik.variational_expectations(
-                    np.array([mu]), np.array([var]), np.array([1.0]), quad_order=20
+                    np.array([mu]), np.array([var]), np.array([1.0])
                 )[0]
-                b = lik.variational_expectations(
-                    np.array([mu]), np.array([var]), np.array([1.0]), quad_order=40
-                )[0]
+                f = mu + math.sqrt(2.0 * var) * x
+                b = float(lik.log_density(f, 1.0) @ w) / math.sqrt(math.pi)
                 budget = 1e-6 if var <= 2.0 else 2e-4
                 assert abs(a - b) <= budget * (1.0 + abs(b))
 
@@ -648,6 +648,13 @@ class TestCollapsed:
             collapsed_bound_and_grad(state, X, np.sign(Y))
 
 
+def _drop_every_dimension(record):
+    """A checkpoint record of dimension 0: empty lengthscales and feature locations."""
+    record["kernel"]["lengthscales"] = []
+    for g in record["features"]:
+        g["loc"] = []
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bit_faithful(self, tmp_path):
         state = make_state(12, likelihood=PoissonCounts(0.5))
@@ -703,16 +710,58 @@ class TestCheckpoint:
             (lambda d: d["kernel"].update(variance=[1.2]), "malformed kernel record"),
             (lambda d: d["kernel"].update(lengthscales={}), "malformed kernel record"),
             (lambda d: d["kernel"].update(mean_const="0.1"), "malformed kernel record"),
+            (lambda d: d["q_chol"][1].pop(), "malformed q_chol record"),
         ],
         ids=[
             "missing", "extra", "null-variance", "null-features", "object-loc", "bool-loc",
             "object-q-mean", "bool-q-mean", "string-q-chol", "string-variance", "bool-variance",
-            "list-variance", "object-lengthscales", "string-mean-const",
+            "list-variance", "object-lengthscales", "string-mean-const", "ragged-q-chol",
         ],
     )
     def test_rejects_malformed_kernel_record(self, change, message):
         from sparsekl.svgp import from_checkpoint_dict
 
+        d = to_checkpoint_dict(make_state(14))
+        change(d)
+        with pytest.raises(ValueError, match=message):
+            from_checkpoint_dict(d)
+
+    @pytest.mark.parametrize(
+        "build, change, message",
+        [
+            (
+                lambda: SVGPState(
+                    (PointFeature([0.5, 0.5]), PointFeature([1.0])),
+                    np.zeros(2), np.eye(2), Kernel(1.0, [0.8]),
+                ),
+                lambda d: d["features"][0].update(loc=[0.5, 0.5]),
+                "feature has dimension 2, kernel expects 1",
+            ),
+            (
+                lambda: Kernel(1.0, []),
+                lambda d: d["kernel"].update(lengthscales=[]),
+                "lengthscales must be a nonempty vector",
+            ),
+            (
+                lambda: GaussianWindowFeature([], 0.0),
+                lambda d: d["features"][1].update(loc=[]),
+                "must be nonempty vectors",
+            ),
+            (
+                lambda: PointFeature([]),
+                _drop_every_dimension,
+                "nonempty",
+            ),
+        ],
+        ids=["feature-dimension", "empty-lengthscales", "empty-centre", "zero-dimensional"],
+    )
+    def test_state_dimension_is_checked_when_built(self, build, change, message):
+        # a dimension the features and kernel do not share, or a dimension of 0,
+        # is named when the state is built or loaded, not at its first evaluation
+        from sparsekl.svgp import from_checkpoint_dict
+
+        with pytest.raises(ValueError, match=message):
+            build()
         d = to_checkpoint_dict(make_state(14))
         change(d)
         with pytest.raises(ValueError, match=message):
@@ -735,3 +784,22 @@ class TestCheckpoint:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert set(doc) == {"features", "q_mean", "q_chol", "kernel", "likelihood"}
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: likelihood_to_dict(object()), TypeError, "unknown likelihood type object"),
+        (
+            lambda: SVGPState(
+                (PointFeature([0.0]), PointFeature([1.0])), np.zeros(2), np.eye(3), Kernel(1.0, [0.5])
+            ),
+            ValueError,
+            "q_chol has shape",
+        ),
+    ],
+    ids=["unknown-likelihood", "q-chol-shape"],
+)
+def test_caller_input_is_rejected(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -237,7 +237,7 @@ def test_instance_record_factors_each_oracle_matrix_once(monkeypatch):
         assert calls == {"exact_posterior": 1, "extend_approx": 1, "svd": 2, "pinv": 0}
 
 
-@pytest.mark.parametrize("seed, factorizations", [(0, 30), (1, 30), (2, 29)])
+@pytest.mark.parametrize("seed, factorizations", [(0, 31), (1, 31), (2, 30)])
 def test_instance_record_builds_no_throwaway_gaussians(monkeypatch, seed, factorizations):
     # 22 validated Gaussians: no joint is built only to be permuted and no
     # marginal only to be extended.  The chain rule's conditionals reuse the
@@ -259,3 +259,17 @@ def test_instance_record_builds_no_throwaway_gaussians(monkeypatch, seed, factor
     monkeypatch.setattr(finite_oracle, "cholesky", cholesky)
     assert instance_record(seed)["pass"] is True
     assert counts == {"GaussianDist": 22, "cholesky": factorizations}
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: verify.random_finite_instance(0, "overlap"), "unknown regime 'overlap'"),
+        # rejected before any worker starts
+        (lambda: verify.run_verification(seed=0, n_instances=0), "n_instances must be positive"),
+    ],
+    ids=["unknown-regime", "no-instances"],
+)
+def test_caller_input_is_rejected(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
