@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from .cox import (
+    LINKS,
     CoxModel,
     _tensor_grid,
     cox_elbo_and_grad,
@@ -204,7 +205,7 @@ SCHEMAS = {
     "fit-regression": _fit_schema(noise_var=(True, _positive)),
     "fit-classification": _fit_schema(),
     "fit-cox": _fit_schema(
-        link=(False, _choice("exp", "square")),
+        link=(False, _choice(*LINKS)),
         domain=(True, _domain),
         quad_orders=(False, _order_list),
     ),
@@ -426,9 +427,7 @@ def _fit(state, value_and_grad_of, cfg):
             value, grads = value_and_grad_of(rebuild(pv))
             return value, raw_gradient(pv, grads)
 
-    result = maximize(
-        fused, x0, max_iters=opt.get("max_iters", 300), tol=opt.get("tol", 1e-8), jac=True
-    )
+    result = maximize(fused, x0, max_iters=opt.get("max_iters", 300), tol=opt.get("tol", 1e-8))
     fields = {
         "iterations": result.iterations,
         "objective_evaluations": result.evaluations,
@@ -465,7 +464,7 @@ def _task_fit(task, cfg, outdir, seed):
                 lower=domain[:, 0],
                 upper=domain[:, 1],
                 events=events,
-                link=model_cfg.get("link", "exp"),
+                link=model_cfg.get("link", CoxModel.link),
                 quad_orders=orders,
             )
         except ValueError as exc:
@@ -642,10 +641,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.task)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        outdir = args.out if args.out is not None else cfg.get("out", "sparsekl-out")
+        # --seed and --out follow the config's rules for the keys they override
+        for key, (_, validator) in RUN_KEYS.items():
+            if getattr(args, key) is not None:
+                try:
+                    cfg[key] = validator(getattr(args, key))
+                except ValueError as exc:
+                    raise ConfigError(f"--{key}: {exc}") from None
+        seed, outdir = cfg.get("seed", 0), cfg.get("out", "sparsekl-out")
         if "data" in SCHEMAS[args.task] and not os.path.exists(cfg["data"]):
             raise ConfigError(f"data path does not exist: {cfg['data']}")
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise ConfigError(f"output path exists and is not a directory: {outdir}")
         if args.task.startswith("fit-"):
             return _task_fit(args.task, cfg, outdir, seed)
         if args.task == "verify":

@@ -174,7 +174,8 @@ def _tensor_grid(axes):
 def expected_rate(link, mu, var):
     """``E[rho(f)]`` under ``f ~ N(mu, var)``, in closed form for both links: the
     value part of :func:`_rate_moments`."""
-    return _rate_moments(link, *_checked_moments_input(mu, var))[0]
+    mu, var, shape = _checked_moments_input(mu, var)
+    return _rate_moments(link, mu, var)[0].reshape(shape)
 
 
 def expected_log_rate(link, mu, var):
@@ -183,7 +184,8 @@ def expected_log_rate(link, mu, var):
     Exact for both links, for the square link through Dawson's function
     (:func:`_square_log_moments`).  The value part of :func:`_log_rate_moments`.
     """
-    return _log_rate_moments(link, *_checked_moments_input(mu, var))[0]
+    mu, var, shape = _checked_moments_input(mu, var)
+    return _log_rate_moments(link, mu, var)[0].reshape(shape)
 
 
 def _rate_moments(link, mu, var):
@@ -199,9 +201,7 @@ def _rate_moments(link, mu, var):
 
 
 def _log_rate_moments(link, mu, var):
-    """:func:`expected_log_rate` and its derivatives in ``mu`` and ``var``."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    var = np.atleast_1d(np.asarray(var, dtype=float))
+    """:func:`expected_log_rate` and its derivatives in ``mu`` and ``var``, float vectors."""
     if link == "exp":
         return mu.copy(), np.ones_like(mu), np.zeros_like(var)
     if link == "square":
@@ -219,18 +219,21 @@ def _square_log_moments(mu, var):
     arXiv:1411.0254): with ``z = mu / sqrt(2 var)`` and F Dawson's function, the value is
     ``log(2 var) + psi(1/2) + 4 int_0^z F``, ``d/dmu = 2 sqrt(2 / var) F(z)`` and
     ``d/dvar = (1 - 2 z F(z)) / var``.  Beyond |z| = 8 the asymptotic series of F gives
-    ``log mu^2 - 4 sum_n c_n y^n`` in ``y = 2 var / mu^2``, to 1e-15 and also at ``var = 0``."""
+    ``log mu^2 - 4 sum_n c_n y^n`` in ``y = 2 var / mu^2``, to 1e-15.  At ``var = 0``
+    the value is ``log mu^2`` exactly, -inf at ``mu = 0``."""
     t, w = _gl_nodes(48)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = mu / np.sqrt(2.0 * var)
         near = np.abs(z) <= 8.0
         z, v = np.where(near, z, 0.0), np.where(near, var, 1.0)
         F, integral = dawsn(z), 2.0 * z * (dawsn(np.multiply.outer(z, 0.5 * (t + 1.0))) @ w)
-        y = np.where(near, 0.0, 2.0 * var / (mu * mu))
+        # mu * mu underflows to 0 below |mu| = 1e-162, where 0 / 0 would give NaN
+        y = np.where(near | (var == 0.0), 0.0, 2.0 * var / (mu * mu))
+        log_sq = np.where(var > 0.0, np.log(mu * mu), 2.0 * np.log(np.abs(mu)))
         y_n1 = y[:, None] ** (_TAIL_N - 1.0)  # y^(n - 1)
         tail, d_tail = (y_n1 * y[:, None]) @ _TAIL_C, y_n1 @ (_TAIL_N * _TAIL_C)
         return (
-            np.where(near, np.log(2.0 * v) + digamma(0.5) + integral, np.log(mu * mu) - 4.0 * tail),
+            np.where(near, np.log(2.0 * v) + digamma(0.5) + integral, log_sq - 4.0 * tail),
             np.where(near, 2.0 * np.sqrt(2.0 / v) * F, (2.0 + 8.0 * y * d_tail) / mu),
             np.where(near, (1.0 - 2.0 * z * F) / v, -8.0 * d_tail / (mu * mu)),
         )

@@ -415,7 +415,7 @@ def _condition_on_image(dist: GaussianDist, A):
     """
     SA = dist.cov @ A.T
     image = GaussianDist(A @ dist.mean, A @ SA)
-    B = cho_solve((image.chol, True), SA.T).T
+    B = cho_solve(image.chol, SA.T).T
     return image, B, dist.cov - B @ (A @ dist.cov)
 
 

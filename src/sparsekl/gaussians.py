@@ -6,11 +6,11 @@ set of operations on explicit mean/covariance pairs: factorize, solve,
 marginalize, condition, and compute KL divergences.  All solves go
 through Cholesky factors; no explicit matrix inverse is ever formed.
 
-One LAPACK or BLAS call per factorization or solve, with every right-hand
-side stacked: :func:`cholesky`, :func:`solve_triangular` and
-:func:`cho_solve` call ``dpotrf``, ``dtrtrs`` (or ``dtrsm`` from the right
-for a C-ordered right-hand side, which it solves without a layout copy)
-and ``dpotrs`` directly and are the only route to them in the package.
+One LAPACK or BLAS call per factorization or triangular solve, with every
+right-hand side stacked: :func:`cholesky` and :func:`solve_triangular` call
+``dpotrf`` and ``dtrtrs`` (or ``dtrsm`` from the right for a C-ordered
+right-hand side, solved without a layout copy) directly, the only route to
+them in the package; :func:`cho_solve` is two triangular solves.
 The oracle's matrices are at most about 12 x 12, where LAPACK takes
 2-3 us and the general wrappers (``np.linalg.cholesky``,
 ``scipy.linalg.solve_triangular``/``cho_solve``) spend 7-22 us per call
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -128,27 +128,9 @@ def _singular(i):
     return np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {i}")
 
 
-def cho_solve(factor, B):
-    """``(L L^T)^-1 B`` from one ``dpotrs``, with ``factor = (L, lower)``.
-
-    ``lower`` false means ``L`` is upper triangular and the matrix is
-    ``L^T L``.  Checks, ordering and NaN or inf as :func:`solve_triangular`;
-    ``dpotrs`` itself does not test the diagonal, so a zero on it raises
-    ``np.linalg.LinAlgError`` here rather than giving infinities.
-    """
-    L, lower = factor
-    _check_solve_inputs(L, B)
-    if not L.diagonal().all():
-        raise np.linalg.LinAlgError("singular matrix: the factor has a zero diagonal")
-    if B.size == 0:
-        return np.zeros(B.shape)
-    if L.flags.f_contiguous:
-        x, info = dpotrs(L, B, lower=lower)
-    else:
-        x, info = dpotrs(L.T, B, lower=not lower)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+def cho_solve(L, B):
+    """``(L L^T)^-1 B`` for a lower factor ``L``: two :func:`solve_triangular` calls."""
+    return solve_triangular(L, solve_triangular(L, B, lower=True), lower=True, trans=1)
 
 
 def _check_symmetric(A, rel_tol, what="matrix"):
@@ -400,7 +382,7 @@ def _conditional(joint: GaussianDist, dep_idx, given_idx, Lg) -> AffineCondition
     """:func:`conditional_from_joint` on valid index arrays; ``Lg`` factors the given block."""
     rows_d = joint.cov[dep_idx]
     S_dg, S_dd = rows_d[:, given_idx], rows_d[:, dep_idx]
-    W = cho_solve((Lg, True), S_dg.T).T  # S_dg S_gg^-1
+    W = cho_solve(Lg, S_dg.T).T  # S_dg S_gg^-1
     offset = joint.mean[dep_idx] - W @ joint.mean[given_idx]
     cov = S_dd - W @ S_dg.T
     return AffineConditional(W, offset, cov)

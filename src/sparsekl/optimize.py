@@ -202,13 +202,12 @@ def maximize(
     x0: ParamVector,
     max_iters: int = 2000,
     tol: float = 1e-8,
-    jac: bool = False,
 ) -> OptimizeResult:
     """Maximize ``objective`` over the raw coordinates of ``x0`` by L-BFGS-B.
 
-    With ``jac=True`` the objective returns ``(value, raw_gradient)``
-    from one fused call; otherwise central differences (:func:`numeric_grad`
-    at its default step) supply the gradient.  ``tol`` is L-BFGS-B's ``ftol``
+    An objective that returns a ``(value, raw_gradient)`` tuple is fused;
+    one that returns a number gets its gradient from central differences
+    (:func:`numeric_grad` at its default step).  ``tol`` is L-BFGS-B's ``ftol``
     (the relative reduction that counts as convergence) and ``max_iters`` its
     ``maxiter``.  Accepted iterates satisfy sufficient increase, so the
     trace is non-decreasing.
@@ -221,7 +220,7 @@ def maximize(
     """
     counts = {"objective": 0, "gradient": 0}
     last = [None]  # (value, gradient norm) of the latest probe: L-BFGS-B accepts its last probe
-    accepted = [x0.raw]
+    accepted = [x0.raw]  # the last accepted iterate
     trace = []
     records = []
 
@@ -231,11 +230,11 @@ def maximize(
 
     def negated(raw):
         pv = x0.with_raw(raw)
-        if jac:
+        value = counted(pv)
+        fused = isinstance(value, tuple)
+        if fused:
             counts["gradient"] += 1
-            value, grad = counted(pv)
-        else:
-            value = counted(pv)
+            value, grad = value
         value = float(value)
         if not math.isfinite(value):
             if not trace:
@@ -246,7 +245,7 @@ def maximize(
                 f"STOP: objective is non-finite ({value}) at a line-search probe; "
                 "the last accepted iterate is returned"
             )
-        if jac:
+        if fused:
             grad = np.asarray(grad, dtype=float)
             if not np.isfinite(grad).all():
                 bad = x0.coordinate_names()[int(np.argmin(np.isfinite(grad)))]
@@ -261,10 +260,10 @@ def maximize(
     def accept(intermediate_result):
         x = intermediate_result.x
         value, grad_norm = last[0]
-        step = float(np.abs(x - accepted[-1]).max())
+        step = float(np.abs(x - accepted[0]).max())
         records.append((len(records) + 1, value, step, grad_norm))
         trace.append(value)
-        accepted.append(x.copy())
+        accepted[0] = x.copy()
 
     try:
         result = minimize(
@@ -279,7 +278,7 @@ def maximize(
     except _NonFiniteProbe as stop:
         converged, message = False, str(stop)
     return OptimizeResult(
-        x=x0.with_raw(accepted[-1]),
+        x=x0.with_raw(accepted[0]),
         objective=trace[-1],
         trace=np.asarray(trace),
         iterations=len(records),

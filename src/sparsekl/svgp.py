@@ -37,7 +37,6 @@ from .gaussians import (
     solve_triangular,
 )
 from .interdomain import (
-    _check_dim,
     _stack,
     assemble_Kuf,
     assemble_Kuu,
@@ -91,14 +90,16 @@ def gauss_hermite_expectation(fn, mu, var):
     evaluation points are ``mu + sqrt(2 var) * x`` and the weights are
     normalized by ``1/sqrt(pi)``: the value part of :func:`_gauss_hermite`.
     """
-    mu, var = _checked_moments_input(mu, var)
-    return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var)[0]
+    mu, var, shape = _checked_moments_input(mu, var)
+    return _gauss_hermite(lambda f: (fn(f), np.zeros_like(f)), mu, var)[0].reshape(shape)
 
 
 def _checked_moments_input(mu, var):
-    """``mu`` and ``var`` as float arrays of one shape, with no NaN and no negative
-    variance: the check of the public moment routines.  The fit's own pass skips
-    it, so a NaN variance from an overflowed pass reaches the optimizer."""
+    """The input rule of the public moment routines: ``mu`` and ``var`` of one shape,
+    with no NaN and no negative variance, flattened to float vectors for the private
+    cores, and that shape, which each routine gives its values, as numpy's elementwise
+    functions do.  The fit's own pass skips it, so a NaN variance from an overflowed
+    pass reaches the optimizer."""
     mu, var = np.asarray(mu, dtype=float), np.asarray(var, dtype=float)
     if mu.shape != var.shape:
         raise ValueError(f"mu shape {mu.shape} != var shape {var.shape}")
@@ -106,7 +107,7 @@ def _checked_moments_input(mu, var):
         raise ValueError("variances must not be NaN")
     if (var < 0).any():
         raise ValueError("variances must be nonnegative")
-    return mu, var
+    return mu.ravel(), var.ravel(), mu.shape
 
 
 def _gauss_hermite(fn, mu, var):
@@ -114,11 +115,10 @@ def _gauss_hermite(fn, mu, var):
     elementwise, where ``fn`` maps the nodes to ``(g, dg/df)`` in one evaluation.
 
     A node moves by ``x / sqrt(2 var)`` per unit of ``var``; at ``var = 0``
-    the variance derivative is reported as 0.  Unchecked: a NaN variance (from
-    an overflowed pass) gives NaN, which the optimizer names at a probe.
+    the variance derivative is reported as 0.  ``mu`` and ``var`` are float
+    vectors.  Unchecked: a NaN variance (from an overflowed pass) gives NaN,
+    which the optimizer names at a probe.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    var = np.atleast_1d(np.asarray(var, dtype=float))
     x, w = _gh_nodes()
     root = np.sqrt(2.0 * var)
     g, dg = fn(mu[:, None] + root[:, None] * x[None, :])
@@ -134,11 +134,10 @@ class _DataTerm:
     def variational_expectations(self, mu, var, y):
         """``E[log p(y_i | f_i)]`` under ``f_i ~ N(mu_i, var_i)``: the value part of
         ``moments``, for targets the likelihood accepts, one per mean."""
-        mu, var = _checked_moments_input(mu, var)
-        y = self.validate_targets(y)
-        if y.shape != np.atleast_1d(mu).shape:
-            raise ValueError(f"y shape {y.shape} != mu shape {mu.shape}")
-        return self.moments(mu, var, y)[0]
+        mu, var, shape = _checked_moments_input(mu, var)
+        if np.shape(y) != shape:
+            raise ValueError(f"y shape {np.shape(y)} != mu shape {shape}")
+        return self.moments(mu, var, self.validate_targets(np.ravel(y)))[0].reshape(shape)
 
     def total(self, values, kl) -> float:
         """The elbo from the per-row ``values`` of ``moments``: their exact sum minus ``kl``."""
@@ -283,10 +282,7 @@ class SVGPState:
 
     def __post_init__(self):
         features = tuple(self.features)
-        if len(features) == 0:
-            raise ValueError("need at least one inducing feature")
-        for g in features:
-            _check_dim(g, self.kernel)
+        _stack(features, self.kernel)  # nonempty, each of the kernel's dimension
         q_mean = np.atleast_1d(np.asarray(self.q_mean, dtype=float))
         q_chol = np.asarray(self.q_chol, dtype=float)
         M = len(features)

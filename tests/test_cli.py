@@ -94,6 +94,21 @@ def small_fit_config(tmp_path, data, out, extra_model=None, iters=12):
     )
 
 
+def runnable_config(tmp_path, task, out):
+    """A small config that ``task`` runs to completion, writing into ``out``."""
+    model = {"kernel": {"variance": 1.0, "lengthscales": [0.3]}, "num_inducing": 3}
+    docs = {
+        "fit-regression": {"data": regression_dataset(tmp_path), "model": dict(model, noise_var=0.1)},
+        "fit-classification": {"data": classification_dataset(tmp_path), "model": model},
+        "fit-cox": {"data": events_of_test_09(tmp_path), "model": dict(model, domain=[[0.0, 1.0]])},
+        "verify": {"verify": {"instances": 1}},
+        "generate": {"generate": {"kind": "regression", "n": 5}},
+    }
+    if task.startswith("fit-"):
+        docs[task]["optimizer"] = {"max_iters": 2}
+    return write_config(tmp_path, "run.json", dict(docs[task], out=out, seed=0))
+
+
 def assert_reruns_identical(tmp_path, task, doc):
     """Run ``task`` on ``doc`` twice in this process and check that the
     artifacts are byte-identical, apart from the summary's ``wall_time_s``
@@ -291,6 +306,32 @@ class TestConfigValidation:
         rc = main(["fit-regression", "--config", cfg])
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_seed_override_follows_the_config_rule(self, tmp_path, capsys, task):
+        out = tmp_path / "o"
+        cfg = runnable_config(tmp_path, task, str(out))
+        assert main([task, "--config", cfg, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --seed: must be a nonnegative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_out_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, task):
+        # named before the task runs, and the file is left as it was
+        cfg = runnable_config(tmp_path, task, str(tmp_path / "o"))
+        before = open(cfg, "rb").read()
+        assert main([task, "--config", cfg, "--out", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output path exists and is not a directory: {cfg}\n"
+        assert open(cfg, "rb").read() == before
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_valid_seed_override_runs(self, tmp_path, capsys, task):
+        out = tmp_path / "o"
+        assert main([task, "--config", runnable_config(tmp_path, task, str(out)), "--seed", "1"]) == 0
+        assert out.is_dir()
 
     def test_cox_domain_dimension_must_match_kernel(self, tmp_path, capsys):
         events = tmp_path / "ev.csv"

@@ -101,6 +101,15 @@ class TestLinks:
             val = expected_log_rate("square", np.array([mu]), np.array([var]))[0]
             assert -30.0 <= val <= math.log(mu * mu + var)
 
+    @pytest.mark.parametrize("mu", [0.0, 1e-300, -1e-300, 1e-170, 0.5, -3.0])
+    def test_square_log_rate_at_zero_variance_is_log_mu_squared(self, mu):
+        # f = mu surely: log mu^2, -inf at mu = 0, never NaN in a value or slope
+        value = expected_log_rate("square", mu, 0.0)
+        assert value == (pytest.approx(2.0 * math.log(abs(mu)), rel=1e-15) if mu else -math.inf)
+        with np.errstate(divide="ignore"):
+            moments = cox._square_log_moments(np.array([mu]), np.array([0.0]))
+        assert not np.isnan(moments).any()
+
     @staticmethod
     def poisson_series(lam):
         """``sum_j Poisson(j; lam) psi(j + 1/2)`` and ``sum_j Poisson(j; lam) / (j + 1/2)``,

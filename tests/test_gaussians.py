@@ -570,17 +570,16 @@ class TestLapackKernelsAgainstScipy:
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(0, 9),
         columns=st.integers(0, 4),
-        lower=st.booleans(),
         order=ORDERS,
     )
-    @example(seed=0, dim=0, columns=2, lower=True, order="C")
-    @example(seed=1, dim=9, columns=0, lower=False, order="C")
-    def test_cho_solve(self, seed, dim, columns, lower, order):
+    @example(seed=0, dim=0, columns=2, order="C")
+    @example(seed=1, dim=9, columns=0, order="C")
+    def test_cho_solve(self, seed, dim, columns, order):
         rng = np.random.default_rng(seed)
-        L = triangular_factor(rng, dim, lower, order)
+        L = triangular_factor(rng, dim, True, order)
         B = right_hand_side(rng, dim, columns)
-        expected = scipy.linalg.cho_solve((L, lower), B)
-        assert_equivalent(gaussians.cho_solve((L, lower), B), expected)
+        expected = scipy.linalg.cho_solve((L, True), B)
+        assert_equivalent(gaussians.cho_solve(L, B), expected)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(0, 9), order=ORDERS)
@@ -597,7 +596,7 @@ class TestLapackKernelsAgainstScipy:
             lambda L, B: gaussians.solve_triangular(L, B, lower=True, trans=1),
             lambda L, B: gaussians.solve_triangular(L, np.asfortranarray(B), lower=True),
             lambda L, B: gaussians.solve_triangular(L, np.asfortranarray(B), lower=True, trans=1),
-            lambda L, B: gaussians.cho_solve((L, True), B),
+            lambda L, B: gaussians.cho_solve(L, B),
         ],
         ids=["dtrsm", "dtrsm-trans", "dtrtrs", "dtrtrs-trans", "cho_solve"],
     )
@@ -620,7 +619,7 @@ class TestLapackKernelsAgainstScipy:
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             gaussians.solve_triangular(L, np.ones(3), lower=True)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            gaussians.cho_solve((L, True), np.ones(3))
+            gaussians.cho_solve(L, np.ones(3))
 
     def test_not_positive_definite_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
@@ -630,7 +629,7 @@ class TestLapackKernelsAgainstScipy:
         with pytest.raises(ValueError, match="incompatible"):
             gaussians.solve_triangular(np.eye(3), np.ones(2), lower=True)
         with pytest.raises(ValueError, match="square"):
-            gaussians.cho_solve((np.ones((2, 3)), True), np.ones(2))
+            gaussians.cho_solve(np.ones((2, 3)), np.ones(2))
 
     def test_cholesky_passes_nan_through(self):
         # no finiteness check, as in np.linalg.cholesky: a NaN probe in a fit

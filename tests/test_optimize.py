@@ -161,19 +161,19 @@ class TestMaximize:
         objs = [r[1] for r in res.records]
         np.testing.assert_array_equal(objs, res.trace[1:])
 
-    @pytest.mark.parametrize("jac", [False, True], ids=["central-differences", "fused"])
-    def test_final_record_is_taken_at_the_result(self, jac):
+    @pytest.mark.parametrize("fused", [False, True], ids=["central-differences", "fused"])
+    def test_final_record_is_taken_at_the_result(self, fused):
         blocks = (ParamBlock("x", 2),)
 
         def banana(v):
             a, b = v.raw
             value = float(-((1 - a) ** 2) - 5.0 * (b - a * a) ** 2)
             grad = np.array([2.0 * (1 - a) + 20.0 * a * (b - a * a), -10.0 * (b - a * a)])
-            return (value, grad) if jac else value
+            return (value, grad) if fused else value
 
-        res = maximize(banana, ParamVector(blocks, np.array([-1.0, 1.5])), max_iters=300, jac=jac)
+        res = maximize(banana, ParamVector(blocks, np.array([-1.0, 1.5])), max_iters=300)
         assert res.iterations > 5
-        value, grad = banana(res.x) if jac else (banana(res.x), numeric_grad(banana, res.x))
+        value, grad = banana(res.x) if fused else (banana(res.x), numeric_grad(banana, res.x))
         _, objective, _, grad_norm = res.records[-1]
         assert objective == value == res.objective
         assert grad_norm == float(np.linalg.norm(grad))
@@ -186,7 +186,7 @@ class TestMaximize:
         fused = lambda v: (f(v), -2.0 * (v.raw - target))
         x0 = ParamVector(blocks, np.zeros(3))
         probed = maximize(f, x0, max_iters=50, tol=1e-12)
-        exact = maximize(fused, x0, max_iters=50, tol=1e-12, jac=True)
+        exact = maximize(fused, x0, max_iters=50, tol=1e-12)
         np.testing.assert_allclose(exact.x.raw, probed.x.raw, rtol=0.0, atol=1e-6)
         assert exact.objective == pytest.approx(probed.objective, abs=1e-6)
         assert exact.evaluations == exact.gradient_evaluations > 0
@@ -196,13 +196,13 @@ class TestMaximize:
         blocks = (ParamBlock("a", 2), ParamBlock("b", 1))
         fused = lambda v: (float(-np.sum(v.raw**2)), np.array([0.0, 1.0, np.nan]))
         with pytest.raises(NonFiniteObjectiveError, match="b\\[0\\]"):
-            maximize(fused, ParamVector(blocks, np.ones(3)), jac=True)
+            maximize(fused, ParamVector(blocks, np.ones(3)))
 
     def test_non_finite_start_rejected(self):
         blocks = (ParamBlock("x", 1),)
         fused = lambda v: (float("inf"), np.zeros(1))
         with pytest.raises(NonFiniteObjectiveError, match="starting point"):
-            maximize(fused, ParamVector(blocks, np.array([0.0])), jac=True)
+            maximize(fused, ParamVector(blocks, np.array([0.0])))
 
     def test_non_finite_probe_is_not_convergence(self):
         # Minimizing (x - 1)^2 behind a +inf wall at x > 0.5 from x = -3,
@@ -214,7 +214,7 @@ class TestMaximize:
             value = -math.inf if x > 0.5 else -((x - 1.0) ** 2)
             return value, np.array([-2.0 * (x - 1.0)])
 
-        res = maximize(walled, ParamVector(blocks, np.array([-3.0])), jac=True)
+        res = maximize(walled, ParamVector(blocks, np.array([-3.0])))
         assert math.isfinite(res.objective) and res.objective >= res.trace[0]
         assert res.x.raw[0] <= 0.5
         assert np.all(np.diff(res.trace) >= 0.0)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, log_ndtr
 
+from sparsekl.cox import expected_log_rate, expected_rate
 from sparsekl.finite_oracle import (
     FiniteModel,
     exact_posterior,
@@ -194,6 +195,34 @@ class TestLikelihoods:
     def test_quadrature_rejects_a_nan_variance(self):
         with pytest.raises(ValueError, match="NaN"):
             gauss_hermite_expectation(np.sin, [0.0, 1.0], [math.nan, 1.0])
+
+
+# every public moment routine, on means and variances of one shape
+MOMENT_ROUTINES = {
+    "gauss_hermite_expectation": lambda mu, var: gauss_hermite_expectation(np.cos, mu, var),
+    "gaussian": lambda mu, var: GaussianNoise(0.1).variational_expectations(
+        mu, var, np.full_like(mu, 0.5)
+    ),
+    "probit": lambda mu, var: BernoulliProbit().variational_expectations(mu, var, np.ones_like(mu)),
+    "poisson": lambda mu, var: PoissonCounts().variational_expectations(
+        mu, var, np.full_like(mu, 2.0)
+    ),
+    "rate-exp": lambda mu, var: expected_rate("exp", mu, var),
+    "rate-square": lambda mu, var: expected_rate("square", mu, var),
+    "log-rate-exp": lambda mu, var: expected_log_rate("exp", mu, var),
+    "log-rate-square": lambda mu, var: expected_log_rate("square", mu, var),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "2-d"])
+@pytest.mark.parametrize("name", list(MOMENT_ROUTINES))
+def test_moment_routines_are_elementwise_in_the_shape_of_mu(name, shape):
+    rng = np.random.default_rng(3)
+    mu, var = rng.standard_normal(shape), rng.uniform(0.1, 2.0, shape)
+    routine = MOMENT_ROUTINES[name]
+    got = routine(mu, var)
+    assert np.shape(got) == shape
+    np.testing.assert_array_equal(np.ravel(got), routine(np.ravel(mu), np.ravel(var)))
 
 
 def _likelihood_case(kind, rng, n):
